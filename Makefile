@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare fuzz-smoke daemon-smoke shard-smoke trace-smoke ci stress
+.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare fuzz-smoke shard-smoke trace-smoke ci stress
 
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (the parallel sweep runner is on by default).
@@ -9,12 +9,15 @@ check: vet race
 build:
 	$(GO) build ./...
 
-# vet also runs the allocation guards: the obs layer's cost must be a fixed
-# setup delta, and the core loop's allocations must be per-run setup only —
-# never per-cycle, per-branch or per-event work. staticcheck and govulncheck
-# run when installed (the build must not require fetching them); install
-# locally for the full gate.
+# vet fails on any file gofmt would rewrite, and also runs the allocation
+# guards: the obs layer's cost must be a fixed setup delta, and the core
+# loop's allocations must be per-run setup only — never per-cycle,
+# per-branch or per-event work. staticcheck and govulncheck run when
+# installed (the build must not require fetching them); install locally for
+# the full gate.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -run 'TestObsAllocGuard|TestCoreLoopAllocGuard' -count=1 .
 	$(GO) test -race -count=1 ./internal/shard
@@ -73,17 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s ./internal/bpu/loop
 	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
 	$(GO) test -fuzz='FuzzReadTraceLBP2$$' -fuzztime=10s ./internal/trace
-
-# ci is the one-command pipeline: build, static analysis + alloc guards, the
-# full suite under the race detector, a fuzz smoke, and a quick
-# bench-compare exercise: fresh numbers are measured and run through the
-# regression gate end-to-end (self-compare — cross-machine ns/op gating
-# belongs in `make bench-compare` against a locally pinned baseline).
-# daemon-smoke is the end-to-end lbpd check (< 30 s): build the real binary,
-# submit a job, stream progress over SSE, SIGKILL it mid-run, restart on the
-# same journal, verify exactly-once completion + cache hit + clean drain.
-daemon-smoke:
-	$(GO) test -run TestDaemonSmoke -count=1 -v ./cmd/lbpd
+	$(GO) test -fuzz=FuzzDecodeFrames -fuzztime=10s ./internal/service
 
 # shard-smoke is the end-to-end sharded-sweep check (< 60 s): a 3-worker
 # quick sweep with one worker SIGKILLed mid-shard, its lease expired and the
@@ -99,19 +92,23 @@ shard-smoke:
 trace-smoke:
 	$(GO) test -run TestTraceSmoke -count=1 -v ./cmd/lbptrace
 
-ci: build vet race bench-smoke daemon-smoke shard-smoke trace-smoke fuzz-smoke
+# ci is the one-command pipeline: build, static analysis + alloc guards, the
+# full suite under the race detector, the bench, shard and trace smokes, a
+# fuzz smoke, and a quick bench-compare exercise: fresh numbers are measured
+# and run through the regression gate end-to-end (self-compare —
+# cross-machine ns/op gating belongs in `make bench-compare` against a
+# locally pinned baseline).
+ci: build vet race bench-smoke shard-smoke trace-smoke fuzz-smoke
 	$(GO) run ./cmd/lbpbench -insts 60000 -out BENCH_ci.json
 	$(GO) run ./cmd/lbpbench -compare -old BENCH_ci.json -new BENCH_ci.json
 	rm -f BENCH_ci.json
 
 # stress loops the crash-safety subprocess suites under the race detector:
-# interrupt a live sweep (checkpoint resume, zero lost/duplicated results),
-# chaos-test the daemon (SIGKILL restarts over the journal, queue floods
-# answered with 429s, mid-stream SSE disconnects), and chaos-test the
-# sharded fleet (worker SIGKILL + lease reassignment; coordinator SIGKILL
-# with orphaned workers). N controls the iteration count.
+# interrupt a live sweep (checkpoint resume, zero lost/duplicated results)
+# and chaos-test the sharded fleet (worker SIGKILL + lease reassignment;
+# coordinator SIGKILL with orphaned workers). N controls the iteration
+# count.
 N ?= 5
 stress:
 	$(GO) test -race -run TestSweepSIGINTResume -count=$(N) -v ./cmd/lbpsweep
-	$(GO) test -race -run TestDaemonChaos -count=$(N) -timeout 60m -v ./internal/daemonchaos
-	$(GO) test -race -run 'TestShardSweepChaosKillBitIdentical|TestShardFleetCoordinatorCrash' -count=$(N) -timeout 60m -v ./cmd/lbpsweep ./internal/daemonchaos
+	$(GO) test -race -run 'TestShardSweepChaosKillBitIdentical|TestShardFleetCoordinatorCrash' -count=$(N) -timeout 60m -v ./cmd/lbpsweep

@@ -205,9 +205,8 @@ func writeLBP2Temp(tr []trace.Inst) (string, func(), error) {
 // streamEntry measures the file-backed replay path end to end: each op opens
 // the LBP2 file as a streaming Source and runs the full simulation through
 // core.NewStream's fixed-memory sliding window — the exact pipeline
-// -trace-file replay and the daemon's file-backed jobs use. Comparing it
-// against core-loop prices the streaming layer itself, since both paths are
-// bit-identical in results.
+// -trace-file replay uses. Comparing it against core-loop prices the
+// streaming layer itself, since both paths are bit-identical in results.
 func streamEntry(tr []trace.Inst, scheme localbp.Scheme, cycles int64) (entry, error) {
 	path, cleanup, err := writeLBP2Temp(tr)
 	if err != nil {

@@ -98,6 +98,96 @@ func TestShardSweepChaosKillBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardFleetCoordinatorCrash kills the COORDINATOR of a sharded sweep —
+// the complement of TestShardSweepChaosKillBitIdentical. Its workers are
+// orphaned mid-shard but keep heartbeating their leases; a second
+// coordinator started on the same lease directory must coexist with them
+// (its own spawns are refused by the live leases and retried after release),
+// drive every shard to completion, and the merged output must cover every
+// experiment exactly once. No fleet state lives in the coordinator process —
+// everything is in the lease journals and shard checkpoints.
+func TestShardFleetCoordinatorCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test")
+	}
+	bin := buildSweep(t)
+	dir := t.TempDir()
+	lease := filepath.Join(dir, "fleet")
+	ids := []string{"table1", "table2", "fig4", "fig7a", "fig8", "fig9", "fig10", "ext1"}
+
+	coordArgs := append([]string{
+		"-shards", "3", "-lease-dir", lease,
+		"-lease-ttl", "1s", "-lease-heartbeat", "100ms",
+		"-quick", "-insts", "12000", "-workers", "2",
+	}, ids...)
+
+	var out1, err1 strings.Builder
+	first := exec.Command(bin, coordArgs...)
+	first.Stdout, first.Stderr = &out1, &err1
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Wait until the fleet is observably mid-sweep (a shard checkpoint has
+	// been flushed), then SIGKILL the coordinator.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if m, _ := filepath.Glob(filepath.Join(lease, "shard-*.ckpt")); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			first.Process.Kill()
+			t.Fatalf("no shard checkpoint ever appeared\nstderr:\n%s", err1.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := first.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	first.Wait()
+
+	// The replacement coordinator inherits a directory with live orphan
+	// workers still leasing shards. It must finish the sweep anyway.
+	var out2, err2 strings.Builder
+	second := exec.Command(bin, coordArgs...)
+	second.Stdout, second.Stderr = &out2, &err2
+	if err := second.Run(); err != nil {
+		t.Fatalf("replacement coordinator failed: %v\nstderr:\n%s", err, err2.String())
+	}
+	if !strings.Contains(err2.String(), "3/3 shards ok") {
+		t.Fatalf("replacement coordinator did not complete the fleet:\n%s", err2.String())
+	}
+
+	// The merge integrity gate is the arbiter: every experiment exactly
+	// once, option stamps agreeing, CRCs intact — despite two coordinator
+	// generations and orphaned workers sharing the directory.
+	var merged strings.Builder
+	mergeCmd := exec.Command(bin, append([]string{"-merge", "-shards", "3", "-lease-dir", lease}, ids...)...)
+	mergeCmd.Stdout = &merged
+	var mergeErrs strings.Builder
+	mergeCmd.Stderr = &mergeErrs
+	if err := mergeCmd.Run(); err != nil {
+		t.Fatalf("merge after coordinator crash: %v\n%s", err, mergeErrs.String())
+	}
+	for _, id := range ids {
+		if c := strings.Count(merged.String(), "== "+id+" "); c != 1 {
+			t.Fatalf("experiment %s appears %d times in the merged output, want 1", id, c)
+		}
+	}
+
+	// Every lease journal must be terminally released — no shard left
+	// half-owned for the next fleet on this directory.
+	for k := 0; k < 3; k++ {
+		st, err := shard.ReadLease(lease, k, 3)
+		if err != nil {
+			t.Fatalf("shard %d lease unreadable: %v", k, err)
+		}
+		if st.Held(time.Now(), time.Minute) {
+			t.Fatalf("shard %d lease still held after the fleet completed: %+v", k, st)
+		}
+	}
+}
+
 // TestShardWorkerLeaseHeld: a worker refused by a live lease exits 4
 // (resumable), so a supervising coordinator classifies it transient and
 // retries after the incumbent expires — never two workers on one shard.

@@ -7,9 +7,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"localbp/internal/daemonchaos"
 )
+
+// buildBinary compiles the main package pkg into a temp dir and returns the
+// binary path.
+func buildBinary(t *testing.T, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
 
 // runCmd executes bin with args and returns combined output, failing the test
 // on a non-zero exit.
@@ -40,8 +49,8 @@ func TestTraceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds real binaries")
 	}
-	lbptrace := daemonchaos.BuildBinary(t, "localbp/cmd/lbptrace")
-	lbpsim := daemonchaos.BuildBinary(t, "localbp/cmd/lbpsim")
+	lbptrace := buildBinary(t, "localbp/cmd/lbptrace")
+	lbpsim := buildBinary(t, "localbp/cmd/lbpsim")
 	dir := t.TempDir()
 	lbp2 := filepath.Join(dir, "a.lbp2")
 	lbp1 := filepath.Join(dir, "a.lbp")

@@ -26,39 +26,27 @@ func TestCoreLoopAllocGuard(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	allocs := func(tr []trace.Inst, opts ...Option) float64 {
+	allocs := func(tr []trace.Inst) float64 {
 		return testing.AllocsPerRun(1, func() {
-			if _, err := SimulateTrace(tr, ForwardWalk(), opts...); err != nil {
+			if _, err := SimulateTrace(tr, ForwardWalk()); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	short := w.Generate(30_000)
 	long := w.Generate(60_000)
-	// Both stepping configurations must honor the contract: the default path
-	// (block memo + fast-forward live) and the plain loop with the memo off.
-	// The memo itself is a fixed-size table allocated at setup — hits, misses
-	// and stores must all be allocation-free.
-	for _, m := range []struct {
-		name string
-		opts []Option
-	}{
-		{"memoized", nil},
-		{"memo-off", []Option{WithoutBlockMemo()}},
-	} {
-		aShort := allocs(short, m.opts...)
-		aLong := allocs(long, m.opts...)
-		// A handful of slack covers incidental runtime-internal allocations;
-		// any per-branch or per-cycle allocation would add thousands.
-		if aLong > aShort+64 {
-			t.Fatalf("%s: core-loop allocations scale with trace length: %.0f at 30k insts, %.0f at 60k",
-				m.name, aShort, aLong)
-		}
-		// Known setup cost is ~2.7k allocations (predictor tables, caches,
-		// arenas). 4096 catches any return of per-branch allocation (which
-		// sat at ~20k for 120k insts) while tolerating moderate setup growth.
-		if aShort > 4096 {
-			t.Fatalf("%s: per-run setup allocations %.0f exceed the 4096 budget", m.name, aShort)
-		}
+	aShort := allocs(short)
+	aLong := allocs(long)
+	// A handful of slack covers incidental runtime-internal allocations;
+	// any per-branch or per-cycle allocation would add thousands.
+	if aLong > aShort+64 {
+		t.Fatalf("core-loop allocations scale with trace length: %.0f at 30k insts, %.0f at 60k",
+			aShort, aLong)
+	}
+	// Known setup cost is ~2.7k allocations (predictor tables, caches,
+	// arenas). 4096 catches any return of per-branch allocation (which
+	// sat at ~20k for 120k insts) while tolerating moderate setup growth.
+	if aShort > 4096 {
+		t.Fatalf("per-run setup allocations %.0f exceed the 4096 budget", aShort)
 	}
 }

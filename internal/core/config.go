@@ -71,12 +71,6 @@ type Config struct {
 	// StallError and a pipeline dump. 0 selects DefaultStallCycles.
 	StallCycles int64
 
-	// DisableBlockMemo turns off the hot basic-block timeline memo
-	// (blockmemo.go). Like the fast-forward, the memo is exact — a memoized
-	// run is bit-identical to a live one — so this gate exists for
-	// differential testing and for measuring the memo's own cost.
-	DisableBlockMemo bool
-
 	// DisableFastForward forces the cycle loop to iterate every cycle
 	// instead of jumping over provably idle windows (see fastforward.go).
 	// The skip is exact — results are bit-identical either way — so this
@@ -104,14 +98,6 @@ type Config struct {
 	// the Hooks are non-nil. With Obs nil the hot loop touches no obs symbol
 	// beyond per-cycle nil checks.
 	Obs *obs.Hooks
-
-	// Progress, when non-nil, receives the cumulative retired-instruction
-	// count at the cancellation-poll stride (every cancelCheckMask+1 loop
-	// iterations) and once more when the run completes. The hook is
-	// read-only — a run with Progress attached is bit-identical to one
-	// without — and it runs on the simulation goroutine, so implementations
-	// must be cheap (batch downstream work through an obs.Accumulator).
-	Progress func(retired uint64)
 }
 
 // DefaultStallCycles is the no-retire deadman threshold when

@@ -273,16 +273,6 @@ type Core struct {
 	dbgDoneSum                          int64
 	dbgDoneN                            int64
 
-	// Basic-block memoization (blockmemo.go). bmemo nil disables the path;
-	// bmemoEpoch orphans all entries on control-flow repair; bmemoStorm, when
-	// nonzero, seeds the invalidation-storm test hook. The counters are
-	// diagnostics, deliberately outside Stats.
-	bmemo      []bmemoEntry
-	bmemoEpoch uint32
-	bmemoStorm uint64
-
-	dbgMemoHits, dbgMemoMisses, dbgMemoStores, dbgMemoInvals int64
-
 	// Observability (all nil/zero when disabled; the per-cycle nil checks
 	// are the entire disabled-path cost).
 	cpi    *obs.CPIStack
@@ -304,6 +294,14 @@ func (c *Core) DebugAllocStalls() (int64, int64, int64, float64) {
 		avg = float64(c.dbgDoneSum) / float64(c.dbgDoneN)
 	}
 	return c.dbgFQEmpty, c.dbgROBFull, c.dbgNotReady, avg
+}
+
+// BlockMemoCounters reports (hits, misses, stores, invalidations) of the
+// basic-block timing memo, which has been removed: on the synthetic suite it
+// never hit. It always returns zeros and stays only because the benchmark's
+// traced run still reads it (core.blockmemo_hit_ratio).
+func (c *Core) BlockMemoCounters() (int64, int64, int64, int64) {
+	return 0, 0, 0, 0
 }
 
 // New builds a core over the given program with the given prediction unit.
@@ -338,10 +336,6 @@ func New(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
 	unit.Prealloc(cfg.AllocQueue + cfg.ROBSize + 64)
 	if cfg.BTB.Entries > 0 {
 		c.btb = btb.New(cfg.BTB)
-	}
-	if !cfg.DisableBlockMemo && cfg.ALUs <= bmemoMaxALUs {
-		c.bmemo = make([]bmemoEntry, bmemoSlots)
-		c.bmemoEpoch = 1
 	}
 	if h := cfg.Obs; h != nil {
 		c.cpi = h.CPI
@@ -483,15 +477,10 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	// auditor's periodic scans are cycle-driven, so auditing disables it.
 	ff := c.cfg.Audit == nil && !c.cfg.DisableFastForward
 	for c.pos < c.total || c.robLen() > 0 || c.fqCount > 0 {
-		if iter&cancelCheckMask == 0 {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					c.stats.Cycles = c.cycle
-					return c.stats, &CancelError{Cycle: c.cycle, Insts: c.stats.Insts, Cause: err}
-				}
-			}
-			if c.cfg.Progress != nil {
-				c.cfg.Progress(c.stats.Insts)
+		if iter&cancelCheckMask == 0 && done != nil {
+			if err := ctx.Err(); err != nil {
+				c.stats.Cycles = c.cycle
+				return c.stats, &CancelError{Cycle: c.cycle, Insts: c.stats.Insts, Cause: err}
 			}
 		}
 		iter++
@@ -583,10 +572,6 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 		}
 	}
 	c.stats.Cycles = c.cycle
-	if c.cfg.Progress != nil {
-		// Final report: the tail since the last strided call is never lost.
-		c.cfg.Progress(c.stats.Insts)
-	}
 	if c.cpi != nil && c.cpi.Total() != c.cycle {
 		// The CPI accounting invariant: exactly one bucket per cycle, so
 		// the stack must sum to the cycle count on a completed run.
@@ -758,7 +743,6 @@ func (c *Core) handleMispredict(robIdx int64, e *robEntry) {
 	}
 	c.flushROBAfter(robIdx)
 	c.fqFlush()
-	c.bmemoInvalidate()
 	c.diverged = false
 	c.pos = e.streamPos + 1
 	hold := c.cycle + c.cfg.ResteerPenalty
@@ -852,12 +836,6 @@ func (c *Core) stepAlloc() {
 			c.dbgNotReady++
 			return
 		}
-		if c.bmemo != nil {
-			if k := c.blockMemoAlloc(c.cfg.Width - n); k > 0 {
-				n += k - 1
-				continue
-			}
-		}
 		s, rec := c.fqPop()
 		abs := c.robTail
 		e := c.robAt(abs)
@@ -909,7 +887,6 @@ func (c *Core) handleEarlyResteer(e *robEntry, rec *bpu.BranchRec) {
 		c.tracer.Emit(obs.EvEarlyResteer, c.cycle, rec.Ctx.PC, int64(rec.Ctx.Seq))
 	}
 	c.fqFlush()
-	c.bmemoInvalidate()
 	hold := c.cycle + c.cfg.EarlyResteerPenalty
 	if hold > c.fetchHoldTo {
 		c.fetchHoldTo = hold
@@ -1036,7 +1013,6 @@ func (c *Core) stepFetch() {
 				// Divergence: subsequent fetch is wrong-path until
 				// this branch resolves (or a deferred override
 				// corrects it at the allocation stage).
-				c.bmemoInvalidate()
 				c.diverged = true
 				c.wrongLeft = c.cfg.MaxWrongPathPerFlush
 				c.wpCursor = 0

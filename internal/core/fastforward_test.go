@@ -13,54 +13,63 @@ import (
 )
 
 // TestFastForwardDifferential pins the fast-forward's exactness contract:
-// for every workload × scheme pairing, a fast-forwarded run must be
+// a fast-forwarded run (idle skips plus closed-form retire bursts) must be
 // bit-identical — every Stats field, the debug stall counters, and the full
-// CPI stack — to the cycle-by-cycle run.
+// CPI stack — to the cycle-by-cycle run. Two subtests cover it: AllSchemes
+// runs every scheme on the first quick-suite workloads, and FullSuite runs
+// forward-coalesce over the full quick suite plus the 37-rung stressor
+// ladder at a shorter length.
 func TestFastForwardDifferential(t *testing.T) {
-	schemes := []struct {
+	forwardCoalesce := func() repair.Scheme {
+		return repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
+	}
+	type scheme struct {
 		name string
 		mk   func() repair.Scheme
-	}{
+	}
+	allSchemes := []scheme{
 		{"baseline", func() repair.Scheme { return nil }},
 		{"no-repair", func() repair.Scheme { return repair.NewNone(loop.Loop128()) }},
-		{"forward-coalesce", func() repair.Scheme {
-			return repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		}},
+		{"forward-coalesce", forwardCoalesce},
 		{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
 	}
-	ws := workloads.QuickSuite()
-	if len(ws) > 6 {
-		ws = ws[:6]
+	runOne := func(tr []trace.Inst, sc scheme, disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
+		cfg := DefaultConfig()
+		cfg.DisableFastForward = disableFF
+		cpi := obs.NewCPIStack()
+		cfg.Obs = &obs.Hooks{CPI: cpi}
+		c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
+		st := c.Run()
+		fq, rf, nr, _ := c.DebugAllocStalls()
+		var stacks [obs.NumCPIBuckets]int64
+		cpi.Buckets(func(b obs.CPIBucket, n int64) { stacks[b] = n })
+		return st, [3]int64{fq, rf, nr}, stacks
 	}
-	const insts = 12_000
-	for _, w := range ws {
-		tr := w.Generate(insts)
-		for _, sc := range schemes {
-			runOne := func(disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
-				cfg := DefaultConfig()
-				cfg.DisableFastForward = disableFF
-				cpi := obs.NewCPIStack()
-				cfg.Obs = &obs.Hooks{CPI: cpi}
-				c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
-				st := c.Run()
-				fq, rf, nr, _ := c.DebugAllocStalls()
-				var stacks [obs.NumCPIBuckets]int64
-				cpi.Buckets(func(b obs.CPIBucket, n int64) { stacks[b] = n })
-				return st, [3]int64{fq, rf, nr}, stacks
-			}
-			ffSt, ffDbg, ffCPI := runOne(false)
-			plainSt, plainDbg, plainCPI := runOne(true)
-			if ffSt != plainSt {
-				t.Errorf("%s/%s: stats diverge\n  ff:    %+v\n  plain: %+v", w.Name, sc.name, ffSt, plainSt)
-			}
-			if ffDbg != plainDbg {
-				t.Errorf("%s/%s: dbg stall counters diverge: ff=%v plain=%v", w.Name, sc.name, ffDbg, plainDbg)
-			}
-			if ffCPI != plainCPI {
-				t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", w.Name, sc.name, ffCPI, plainCPI)
+	check := func(t *testing.T, ws []workloads.Workload, insts int, schemes []scheme) {
+		for _, w := range ws {
+			tr := w.Generate(insts)
+			for _, sc := range schemes {
+				ffSt, ffDbg, ffCPI := runOne(tr, sc, false)
+				plainSt, plainDbg, plainCPI := runOne(tr, sc, true)
+				if ffSt != plainSt {
+					t.Errorf("%s/%s: stats diverge\n  ff:    %+v\n  plain: %+v", w.Name, sc.name, ffSt, plainSt)
+				}
+				if ffDbg != plainDbg {
+					t.Errorf("%s/%s: dbg stall counters diverge: ff=%v plain=%v", w.Name, sc.name, ffDbg, plainDbg)
+				}
+				if ffCPI != plainCPI {
+					t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", w.Name, sc.name, ffCPI, plainCPI)
+				}
 			}
 		}
 	}
+	quick := workloads.QuickSuite()
+	t.Run("AllSchemes", func(t *testing.T) {
+		check(t, quick[:6], 12_000, allSchemes)
+	})
+	t.Run("FullSuite", func(t *testing.T) {
+		check(t, append(quick, workloads.StressSuite()...), 8_000, []scheme{{"forward-coalesce", forwardCoalesce}})
+	})
 }
 
 // TestFastForwardWatchdogIdentical checks that a deadman trip under

@@ -57,14 +57,6 @@ type Spec struct {
 	// state) and hands it to Obs.Done after a successful simulation.
 	Obs *ObsSpec
 
-	// Progress, when non-nil, receives the cumulative retired-instruction
-	// count at the core's cancellation-poll stride and once at completion
-	// (core.Config.Progress). It runs on the simulation goroutine — under
-	// the parallel Runner that means up to Workers concurrent callers — so
-	// implementations must be cheap and safe for concurrent use (batch
-	// through per-run obs.Accumulators committing into a shared sink).
-	Progress func(retired uint64)
-
 	// preRun, when set, is invoked at the start of every workload run with
 	// the workload name. It exists for fault-injection tests (a hook that
 	// panics for one workload exercises the runner's panic isolation) and
@@ -225,9 +217,6 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 		scheme = spec.Scheme()
 	}
 	cfg := spec.Core
-	if spec.Progress != nil {
-		cfg.Progress = spec.Progress
-	}
 	var hooks *obs.Hooks
 	if spec.Obs != nil {
 		hooks = spec.Obs.hooks()

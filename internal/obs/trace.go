@@ -224,7 +224,7 @@ func WriteEventsChromeTrace(w io.Writer, events []Event) error {
 		} else {
 			rec = map[string]any{
 				"name": e.Kind.String(), "ph": "i", "s": "t",
-				"ts": e.Cycle,
+				"ts":  e.Cycle,
 				"pid": 1, "tid": int(e.Kind) + 1, "args": args,
 			}
 		}

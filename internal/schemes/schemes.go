@@ -78,10 +78,10 @@ var registry = []Def{
 		Make: func(p Params) repair.Scheme { return repair.NewPerfect(p.Loop) },
 	},
 	{
-		Name: "oracle",
-		Desc: "never-mispredicting local predictor (Figure 4 upper bound)",
+		Name:   "oracle",
+		Desc:   "never-mispredicting local predictor (Figure 4 upper bound)",
 		Oracle: true,
-		Make: func(p Params) repair.Scheme { return repair.NewPerfect(p.Loop) },
+		Make:   func(p Params) repair.Scheme { return repair.NewPerfect(p.Loop) },
 	},
 	{
 		Name: "none", Aliases: []string{"no-repair"},

@@ -43,4 +43,3 @@ func AtomicWriteFile(path string, write func(io.Writer) error) error {
 // stub this to prove the error path is not swallowed (a torn artifact that
 // "succeeded" is exactly the failure mode this package exists to prevent).
 var fsync = (*os.File).Sync
-

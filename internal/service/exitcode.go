@@ -4,11 +4,9 @@ import "localbp/internal/harness"
 
 // The process exit codes shared by every CLI entry point. lbpsweep and the
 // shard coordinator return them via SweepStatus / Report.Status; lbpsim maps
-// its single run through ExitCodeForError; lbpd uses ExitOK (clean drain),
-// ExitConfigError (configuration or HTTP-server fault) and ExitCanceled
-// (jobs canceled past the drain grace). The numeric values are API: scripts
-// and the coordinator's worker classification depend on them, and the
-// table-driven test in exitcode_test.go pins every mapping.
+// its single run through ExitCodeForError. The numeric values are API:
+// scripts and the coordinator's worker classification depend on them, and
+// the table-driven test in exitcode_test.go pins every mapping.
 const (
 	// ExitOK: every requested unit of work succeeded.
 	ExitOK = 0

@@ -14,8 +14,8 @@ import (
 // The length field pins torn appends (a crash mid-write truncates the
 // payload), the CRC-32C catches bit rot that still parses, and decoding
 // stops at the first damaged frame — every fully written record before it is
-// trustworthy. The daemon's job journal and the shard coordinator's lease
-// journals share this framing through EncodeFrame/DecodeFrames.
+// trustworthy. The shard coordinator's lease journals use this framing
+// through EncodeFrame/DecodeFrames.
 
 // Frame is one decoded journal record: its payload and the byte offset of
 // the frame's first byte, so callers that must truncate damage (torn tails)
@@ -41,6 +41,9 @@ func EncodeFrame(magic string, payload []byte) []byte {
 	return frame
 }
 
+// crcTable is the Castagnoli polynomial, matching the checkpoint envelope.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // appendHex8 appends v as exactly eight lowercase hex digits.
 func appendHex8(dst []byte, v uint32) []byte {
 	const digits = "0123456789abcdef"
@@ -52,9 +55,10 @@ func appendHex8(dst []byte, v uint32) []byte {
 
 // DecodeFrames parses framed records from data, returning the intact prefix
 // of frames and the byte offset up to which the stream is valid. Parsing
-// stops at the first damaged frame (torn append, CRC mismatch, malformed or
-// wrong-magic header) — everything before it is trustworthy, everything
-// after is unreachable because the frame stream has lost sync.
+// stops at the first damaged frame (torn append, CRC mismatch, malformed,
+// non-canonical or wrong-magic header) — everything before it is
+// trustworthy, everything after is unreachable because the frame stream has
+// lost sync.
 func DecodeFrames(magic string, data []byte) (frames []Frame, valid int64) {
 	off := int64(0)
 	for int(off) < len(data) {
@@ -80,12 +84,21 @@ func DecodeFrames(magic string, data []byte) (frames []Frame, valid int64) {
 			return frames, off
 		}
 		p3 += p2 + 1
-		wantCRC, err := strconv.ParseUint(string(line[p1+1:p2]), 16, 32)
+		crcField, lenField := line[p1+1:p2], line[p2+1:p3]
+		wantCRC, err := strconv.ParseUint(string(crcField), 16, 32)
 		if err != nil {
 			return frames, off
 		}
-		wantLen, err := strconv.Atoi(string(line[p2+1 : p3]))
+		wantLen, err := strconv.Atoi(string(lenField))
 		if err != nil {
+			return frames, off
+		}
+		// Only the exact header EncodeFrame writes is a frame: eight
+		// lowercase hex CRC digits and an unsigned, unpadded length. A
+		// decoded frame therefore always re-encodes to its input bytes.
+		var canon [20]byte
+		if !bytes.Equal(appendHex8(canon[:0], uint32(wantCRC)), crcField) ||
+			!bytes.Equal(strconv.AppendInt(canon[:0], int64(wantLen), 10), lenField) {
 			return frames, off
 		}
 		payload := line[p3+1:]

@@ -31,8 +31,8 @@ type RetryPolicy struct {
 	Seed uint64
 }
 
-// DefaultRetryPolicy matches the lbpsweep/lbpd defaults: 3 attempts,
-// 50 ms base, 2 s cap.
+// DefaultRetryPolicy is the lbpsweep and shard-coordinator default:
+// 3 attempts, 50 ms base, 2 s cap.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Seed: 1}
 }

@@ -3,18 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"localbp"
 	"localbp/internal/core"
 	"localbp/internal/harness"
 )
@@ -197,183 +193,6 @@ func TestReportSummaryClasses(t *testing.T) {
 	s := rep.Summary()
 	if !strings.Contains(s, "2 permanent") || !strings.Contains(s, "1 retry-exhausted") {
 		t.Fatalf("summary does not break down classes: %q", s)
-	}
-}
-
-// daemonFixture starts a daemon + HTTP test server; the cleanup cancels and
-// waits for the drain.
-func daemonFixture(t *testing.T, cfg DaemonConfig) (*Daemon, *httptest.Server, context.CancelFunc, chan struct{}) {
-	t.Helper()
-	d, err := NewDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { d.Run(ctx); close(done) }()
-	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		cancel()
-		<-done
-	})
-	return d, srv, cancel, done
-}
-
-func postJob(t *testing.T, url string, req JobRequest) (*http.Response, SubmitResult) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr SubmitResult
-	json.NewDecoder(resp.Body).Decode(&sr)
-	return resp, sr
-}
-
-// TestDaemonJobLifecycle: submit → poll → result over the HTTP API.
-func TestDaemonJobLifecycle(t *testing.T) {
-	_, srv, _, _ := daemonFixture(t, DaemonConfig{Workers: 2, Retry: DefaultRetryPolicy()})
-
-	w := localbp.Workloads()[0]
-	resp, sr := postJob(t, srv.URL, JobRequest{Workload: w.Name, Scheme: "forward-coalesce", Insts: 5_000})
-	if resp.StatusCode != http.StatusAccepted || sr.ID == "" {
-		t.Fatalf("submit: status %d, body %+v", resp.StatusCode, sr)
-	}
-	id := sr.ID
-
-	var view JobView
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		r, err := http.Get(srv.URL + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		json.NewDecoder(r.Body).Decode(&view)
-		r.Body.Close()
-		if view.State == JobDone || view.State == JobFailed || view.State == JobCanceled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %s", view.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if view.State != JobDone {
-		t.Fatalf("job finished %s: %s", view.State, view.Error)
-	}
-	if view.Result == nil || view.Result.Insts == 0 || view.Attempts != 1 {
-		t.Fatalf("done job carries no result: %+v", view)
-	}
-
-	r, err := http.Get(srv.URL + "/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("result endpoint: status %d", r.StatusCode)
-	}
-	var res localbp.Result
-	if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles == 0 || res.IPC == 0 {
-		t.Fatalf("result empty: %+v", res)
-	}
-}
-
-// TestDaemonValidation: bad submissions are rejected with 400 and never
-// reach the queue.
-func TestDaemonValidation(t *testing.T) {
-	d, srv, _, _ := daemonFixture(t, DaemonConfig{Workers: 1})
-
-	bad := []JobRequest{
-		{Workload: "no-such-workload", Scheme: "forward-coalesce", Insts: 1000},
-		{Workload: localbp.Workloads()[0].Name, Scheme: "no-such-scheme", Insts: 1000},
-		{Workload: localbp.Workloads()[0].Name, Scheme: "forward-coalesce", Insts: 0},
-	}
-	for i, req := range bad {
-		resp, _ := postJob(t, srv.URL, req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad request %d accepted: status %d", i, resp.StatusCode)
-		}
-	}
-	if _, total := d.Jobs("", 0); total != 0 {
-		t.Fatalf("%d invalid jobs reached the queue", total)
-	}
-	if _, ok := d.Job("job-0001"); ok {
-		t.Fatal("phantom job exists")
-	}
-}
-
-// TestDaemonDrain: after shutdown begins, submissions are rejected with
-// ErrDraining (503 over HTTP) and Run returns once workers exit.
-func TestDaemonDrain(t *testing.T) {
-	d, srv, cancel, done := daemonFixture(t, DaemonConfig{Workers: 1, DrainGrace: 5 * time.Second})
-
-	w := localbp.Workloads()[0]
-	if _, err := d.Submit(JobRequest{Workload: w.Name, Scheme: "tage", Insts: 2_000}, "test"); err != nil {
-		t.Fatal(err)
-	}
-
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("daemon did not drain")
-	}
-
-	if _, err := d.Submit(JobRequest{Workload: w.Name, Scheme: "tage", Insts: 2_000}, "test"); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain submit: %v, want ErrDraining", err)
-	}
-	resp, _ := postJob(t, srv.URL, JobRequest{Workload: w.Name, Scheme: "tage", Insts: 2_000})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain HTTP submit: status %d, want 503", resp.StatusCode)
-	}
-
-	// The queued job was drained, not dropped: it ran to a terminal state.
-	views, _ := d.Jobs("", 0)
-	for _, j := range views {
-		if j.State == JobQueued || j.State == JobRunning {
-			t.Fatalf("job %s left in state %s after drain", j.ID, j.State)
-		}
-	}
-}
-
-// TestDaemonJobTimeout: a job whose per-request timeout cannot possibly be
-// met is canceled, and the cancellation classifies as such.
-func TestDaemonJobTimeout(t *testing.T) {
-	d, _, _, _ := daemonFixture(t, DaemonConfig{Workers: 1})
-
-	w := localbp.Workloads()[0]
-	sr, err := d.Submit(JobRequest{Workload: w.Name, Scheme: "forward-coalesce",
-		Insts: 5_000_000, TimeoutSec: 0.001}, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := sr.ID
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		v, ok := d.Job(id)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if v.State == JobCanceled {
-			if v.Class != string(harness.ClassCanceled) {
-				t.Fatalf("canceled job classified %q", v.Class)
-			}
-			return
-		}
-		if v.State == JobDone || v.State == JobFailed {
-			t.Fatalf("job finished %s despite 1ms budget for 5M insts", v.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %s", v.State)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

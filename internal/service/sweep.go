@@ -1,7 +1,7 @@
 // Package service is the cancellation-aware orchestration core: it lifts
 // sweep execution, classified retry, checkpoint lifecycle and graceful
-// shutdown out of the CLI mains so every entry point (lbpsweep, lbpd, tests)
-// shares one hardened implementation. Everything here is context-first —
+// shutdown out of the CLI mains so every entry point (lbpsweep, the shard
+// coordinator, tests) shares one hardened implementation. Everything here is context-first —
 // cancellation propagates through the harness into the cycle loop within one
 // check stride — and deterministic: retry jitter and chaos faults are drawn
 // from seeded hashes, never the wall clock.

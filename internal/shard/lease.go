@@ -12,11 +12,10 @@ import (
 	"localbp/internal/service"
 )
 
-// Each shard has one append-only lease journal, framed with the same
-// LBPJRNL1 discipline as lbpd's job journal (service.EncodeFrame): every
-// record is a self-verifying line, a torn append costs at most itself, and
-// readers stop at the first damaged frame. The journal is the shard's
-// ownership history:
+// Each shard has one append-only lease journal, framed with the LBPJRNL1
+// discipline (service.EncodeFrame): every record is a self-verifying line, a
+// torn append costs at most itself, and readers stop at the first damaged
+// frame. The journal is the shard's ownership history:
 //
 //	acquire(epoch) → renew(epoch)* → release(epoch)   clean completion
 //	acquire(epoch) → renew(epoch)* → [silence > TTL] → expire(epoch)
@@ -112,8 +111,7 @@ func ReadLease(dir string, k, n int) (LeaseState, error) {
 }
 
 // appendLease frames and appends one record, fsynced so a record that was
-// reported written survives a crash (the same accepted ⇒ durable contract
-// as the job journal).
+// reported written survives a crash.
 func appendLease(dir string, rec leaseRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {

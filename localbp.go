@@ -242,10 +242,8 @@ type simConfig struct {
 	counters  bool
 	traceCap  int
 	observer  func(Event)
-	progress  func(uint64)
 	maxCycles int64
 	traceFile string
-	noMemo    bool
 }
 
 // WithContext runs the simulation under ctx: cancellation or a deadline
@@ -306,21 +304,6 @@ func WithEventTrace(capacity int) Option {
 func WithObserver(fn func(Event)) Option {
 	return func(c *simConfig) { c.observer = fn }
 }
-
-// WithProgress reports the cumulative retired-instruction count to fn
-// periodically (at the cycle loop's cancellation-poll stride) and once at
-// completion. The hook is read-only — results are bit-identical with or
-// without it — and fn runs on the simulation goroutine, so it must be cheap;
-// long-running services batch downstream work (see internal/obs.Accumulator).
-func WithProgress(fn func(retired uint64)) Option {
-	return func(c *simConfig) { c.progress = fn }
-}
-
-// WithoutBlockMemo disables the hot basic-block timeline memo (DESIGN.md
-// §17). The memo is exact — a memoized run is bit-identical to a live one —
-// so this knob exists for differential testing and for measuring the memo's
-// own overhead, not for changing results.
-func WithoutBlockMemo() Option { return func(c *simConfig) { c.noMemo = true } }
 
 // WithTraceFile replays an on-disk trace (LBP1/LBP2/ChampSim) instead of
 // generating the workload's stream: Simulate streams the file at fixed
@@ -440,8 +423,6 @@ func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
 	ccfg := core.DefaultConfig()
 	ccfg.WarmupInsts = sc.warmup
 	ccfg.MaxCycles = sc.maxCycles
-	ccfg.Progress = sc.progress
-	ccfg.DisableBlockMemo = sc.noMemo
 
 	// Observability hooks: built fresh per run, so concurrent Simulate
 	// calls never share registries or tracers.
