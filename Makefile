@@ -75,8 +75,10 @@ bench-compare:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s ./internal/bpu/loop
 	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
+	$(GO) test -fuzz='FuzzReadTrace$$' -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz='FuzzReadTraceLBP2$$' -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeFrames -fuzztime=10s ./internal/service
+	$(GO) test -fuzz=FuzzCoreConfigValidate -fuzztime=10s ./internal/core
 
 # shard-smoke is the end-to-end sharded-sweep check (< 60 s): a 3-worker
 # quick sweep with one worker SIGKILLed mid-shard, its lease expired and the

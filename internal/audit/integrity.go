@@ -32,6 +32,7 @@ const (
 	InvOccupancy        = "occupancy-bounds"       // ROB/alloc-queue occupancy within capacity
 	InvResolutions      = "resolution-consistency" // pending resolutions match unresolved ROB branches
 	InvCPIAccounting    = "cpi-accounting"         // CPI-stack bucket cycles sum to total cycles
+	InvMemTrack         = "mem-track-length"       // a replayed memory track holds one outcome per load/store
 
 	InvOBQOrder      = "obq-order"      // OBQ Seq strictly increasing head→tail
 	InvOBQBounds     = "obq-bounds"     // OBQ occupancy within capacity

@@ -5,6 +5,11 @@
 // the branch resolves.
 package btb
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Config sizes a BTB.
 type Config struct {
 	Entries int
@@ -13,6 +18,31 @@ type Config struct {
 
 // DefaultConfig is the Table 2 BTB: 2K entries, 4-way.
 func DefaultConfig() Config { return Config{Entries: 2048, Ways: 4} }
+
+// maxWays caps associativity: a way's LRU rank is a uint8.
+const maxWays = 256
+
+// Validate checks the geometry New requires, returning a field-level error
+// for every violated constraint (all joined), or nil.
+func (c Config) Validate() error {
+	var errs []error
+	bad := func(field string, got any, want string) {
+		errs = append(errs, fmt.Errorf("btb.Config.%s: got %v, want %s", field, got, want))
+	}
+	if c.Ways <= 0 || c.Ways > maxWays {
+		bad("Ways", c.Ways, fmt.Sprintf("1..%d", maxWays))
+	}
+	if c.Entries <= 0 {
+		bad("Entries", c.Entries, "> 0")
+	} else if c.Ways > 0 {
+		if c.Entries%c.Ways != 0 {
+			bad("Entries", c.Entries, fmt.Sprintf("a multiple of Ways (%d)", c.Ways))
+		} else if sets := c.Entries / c.Ways; sets&(sets-1) != 0 {
+			bad("Entries", c.Entries, fmt.Sprintf("a power-of-two set count (got %d sets)", sets))
+		}
+	}
+	return errors.Join(errs...)
+}
 
 type entry struct {
 	tag    uint32
@@ -32,15 +62,12 @@ type BTB struct {
 	statMisses  uint64
 }
 
-// New builds a BTB from cfg.
+// New builds a BTB from cfg, panicking on a geometry Validate rejects.
 func New(cfg Config) *BTB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic("btb: bad geometry")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	sets := cfg.Entries / cfg.Ways
-	if sets&(sets-1) != 0 {
-		panic("btb: set count must be a power of two")
-	}
 	b := &BTB{cfg: cfg, sets: sets, setMask: uint64(sets - 1), e: make([]entry, cfg.Entries)}
 	for s := 0; s < sets; s++ {
 		for w := 0; w < cfg.Ways; w++ {

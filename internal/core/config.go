@@ -52,7 +52,8 @@ type Config struct {
 
 	// BTB models the branch target buffer: a predicted-taken branch that
 	// misses it cannot redirect fetch until decode, costing BTBMissPenalty
-	// cycles of fetch stall. Entries fill when branches resolve.
+	// cycles of fetch stall. Entries fill when branches resolve. Zero
+	// Entries models no BTB.
 	BTB            btb.Config
 	BTBMissPenalty int64
 
@@ -206,6 +207,14 @@ func (c Config) Validate() error {
 	}
 	if c.StallCycles < 0 {
 		bad("StallCycles", c.StallCycles, ">= 0 (0 = default)")
+	}
+	if err := c.Mem.Validate(); err != nil {
+		errs = append(errs, err)
+	}
+	if c.BTB.Entries != 0 { // 0 = no BTB
+		if err := c.BTB.Validate(); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	return errors.Join(errs...)
 }

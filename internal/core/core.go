@@ -194,6 +194,13 @@ type Core struct {
 	mem  *mem.Hierarchy
 	btb  *btb.BTB
 
+	// Memory-outcome replay (NewReplay): the k-th real-path load or store
+	// takes memTrack[k] instead of probing a hierarchy of its own; mem then
+	// only accounts. memPos counts the outcomes consumed.
+	replay   bool
+	memTrack []mem.Outcome
+	memPos   int
+
 	// Instruction stream. With a resident program (New), prog holds the
 	// whole trace, base is 0 and total == len(prog). With a streaming
 	// source (NewStream), prog is a sliding window: it holds stream
@@ -306,10 +313,51 @@ func (c *Core) BlockMemoCounters() (int64, int64, int64, int64) {
 
 // New builds a core over the given program with the given prediction unit.
 func New(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
+	return newCore(cfg, unit, prog, mem.New(cfg.Mem))
+}
+
+// NewReplay is New for a core whose loads and stores replay track, the
+// outcomes MemTrack recorded for prog under cfg.Mem, instead of probing a
+// hierarchy of their own; it allocates no cache arrays. Every statistic,
+// counter and event matches the live core's. A track that runs short, or
+// that a completed run leaves partly unread, fails the run with an
+// InvMemTrack integrity error.
+func NewReplay(cfg Config, unit *bpu.Unit, prog []trace.Inst, track []mem.Outcome) *Core {
+	c := newCore(cfg, unit, prog, mem.NewReplay(cfg.Mem))
+	c.replay = true
+	c.memTrack = track
+	return c
+}
+
+// MemTrack records, in program order, the outcome of every load and store in
+// prog under the hierarchy cfg. A live core produces the same sequence:
+// wrong-path instructions never reach the hierarchy, each real-path load or
+// store reaches it exactly once and in program order (allocation is in order
+// and a flush rewinds fetch behind it), and the hierarchy reads the cycle
+// only to stamp trace events.
+func MemTrack(cfg mem.HierarchyConfig, prog []trace.Inst) []mem.Outcome {
+	n := 0
+	for i := range prog {
+		if prog[i].IsMem() {
+			n++
+		}
+	}
+	h := mem.New(cfg)
+	track := make([]mem.Outcome, 0, n)
+	for i := range prog {
+		if prog[i].IsMem() {
+			track = append(track, h.Probe(prog[i].Addr))
+		}
+	}
+	h.Recycle()
+	return track
+}
+
+func newCore(cfg Config, unit *bpu.Unit, prog []trace.Inst, h *mem.Hierarchy) *Core {
 	c := &Core{
 		cfg:         cfg,
 		unit:        unit,
-		mem:         mem.New(cfg.Mem),
+		mem:         h,
 		prog:        prog,
 		total:       len(prog),
 		rob:         make([]robEntry, nextPow2(cfg.ROBSize)),
@@ -577,6 +625,10 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 		// the stack must sum to the cycle count on a completed run.
 		c.violation(0, audit.InvCPIAccounting, fmt.Sprintf(
 			"  cpi-stack attributed %d cycles, core ran %d", c.cpi.Total(), c.cycle))
+	}
+	if c.replay && c.memPos != len(c.memTrack) {
+		c.violation(0, audit.InvMemTrack, fmt.Sprintf(
+			"  run consumed %d of %d memory-track outcomes", c.memPos, len(c.memTrack)))
 	}
 	if g := c.cfg.Golden; g != nil {
 		// The raw (pre-warmup-subtraction) counters are what the golden
@@ -925,13 +977,13 @@ func (c *Core) execTiming(in *trace.Inst) int64 {
 	case trace.ClassLoad:
 		c.ldBuf.take1(c.cycle) // occupancy approximated by port pressure
 		start = c.ldPorts.take(ready, 1)
-		lat = c.mem.AccessAt(in.Addr, c.cycle)
+		lat = c.memAccess(in)
 	case trace.ClassStore:
 		c.stBuf.take1(c.cycle)
 		start = c.stPorts.take(ready, 1)
 		lat = 1
 		// Stores complete at retire; data path latency hidden.
-		c.mem.AccessAt(in.Addr, c.cycle)
+		c.memAccess(in)
 	case trace.ClassMul:
 		start = c.muls.take(ready, 1)
 		lat = c.cfg.LatMul
@@ -947,6 +999,22 @@ func (c *Core) execTiming(in *trace.Inst) int64 {
 		c.regReady[in.Dst] = done
 	}
 	return done
+}
+
+// memAccess returns the latency of a real-path load or store: probed in the
+// core's own hierarchy, or replayed from the next memory-track outcome.
+func (c *Core) memAccess(in *trace.Inst) int64 {
+	if !c.replay {
+		return c.mem.AccessAt(in.Addr, c.cycle)
+	}
+	if c.memPos >= len(c.memTrack) {
+		c.violation(in.PC, audit.InvMemTrack, fmt.Sprintf(
+			"  memory track ran out: load/store %d needs an outcome, the track holds %d", c.memPos+1, len(c.memTrack)))
+		return 1
+	}
+	o := c.memTrack[c.memPos]
+	c.memPos++
+	return c.mem.Account(o, in.Addr, c.cycle)
 }
 
 // stepFetch brings up to Width instructions into the allocation queue,

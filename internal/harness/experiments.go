@@ -340,10 +340,6 @@ func Table3(ctx context.Context, r *Runner) (string, error) {
 	perf := r.ResultsContext(ctx, PerfectSpec(c))
 	perfGain := ipcGain(base, perf)
 
-	type entry struct {
-		spec    Spec
-		storage string
-	}
 	kb := func(mk SchemeMaker) string {
 		if mk == nil {
 			return "7.1 (TAGE only)"
@@ -351,27 +347,32 @@ func Table3(ctx context.Context, r *Runner) (string, error) {
 		s := mk()
 		return fmt.Sprintf("%.1f", 7.1+float64(s.StorageBits())/8192)
 	}
-	rows := []entry{
-		{NoRepairSpec(c), ""},
-		{SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}), ""},
-		{RetireUpdateSpec(c), ""},
-		{BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}), ""},
-		{LimitedPCSpec(c, 2, 2, false), ""},
-		{MultiStageSpec(c, 32, true), ""},
-		{LimitedPCSpec(c, 4, 4, false), ""},
-		{ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false), ""},
-		{ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true), ""},
-	}
 	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain", "% of perfect", "Storage (KB)"}}
 	t.AddRow("baseline TAGE", "0.0%", "0.0%", "0.0%", "7.1")
-	for _, e := range rows {
-		res := r.ResultsContext(ctx, e.spec)
+	for _, spec := range table3Rows(c) {
+		res := r.ResultsContext(ctx, spec)
 		g := ipcGain(base, res)
-		t.AddRow(e.spec.Label, metrics.Pct(mpkiReduction(base, res)), metrics.Pct(g),
-			metrics.Pct(100*g/perfGain), kb(e.spec.Scheme))
+		t.AddRow(spec.Label, metrics.Pct(mpkiReduction(base, res)), metrics.Pct(g),
+			metrics.Pct(100*g/perfGain), kb(spec.Scheme))
 	}
 	t.AddRow("perfect repair", metrics.Pct(mpkiReduction(base, perf)), metrics.Pct(perfGain), "100.0%", "NA")
 	return t.String(), nil
+}
+
+// table3Rows lists Table 3's repair configurations in row order, between
+// the baseline and perfect-repair rows.
+func table3Rows(c loop.Config) []Spec {
+	return []Spec{
+		NoRepairSpec(c),
+		SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
+		RetireUpdateSpec(c),
+		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}),
+		LimitedPCSpec(c, 2, 2, false),
+		MultiStageSpec(c, 32, true),
+		LimitedPCSpec(c, 4, 4, false),
+		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
+		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true),
+	}
 }
 
 // Fig14a: iso-storage — TAGE grown to 9KB vs TAGE(7.1KB) + CBPw-Loop128 with

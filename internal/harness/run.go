@@ -18,6 +18,7 @@ import (
 	"localbp/internal/bpu/tage"
 	"localbp/internal/core"
 	"localbp/internal/faultinject"
+	"localbp/internal/mem"
 	"localbp/internal/metrics"
 	"localbp/internal/obs"
 	"localbp/internal/repair"
@@ -62,6 +63,12 @@ type Spec struct {
 	// panics for one workload exercises the runner's panic isolation) and
 	// is deliberately unexported.
 	preRun func(workload string)
+
+	// memTrack, when non-nil, is the trace's memory-outcome track under
+	// Core.Mem (core.MemTrack): a run over an in-memory trace replays it
+	// instead of simulating the hierarchy. The Runner sets it from its
+	// TraceCache so a sweep simulates the hierarchy once per trace.
+	memTrack []mem.Outcome
 }
 
 // ObsSpec selects which observability instruments a spec's runs carry.
@@ -265,9 +272,14 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 	if inj != nil {
 		inj.AttachTAGE(unit.Tage)
 	}
-	c, err := core.NewStream(cfg, unit, src)
-	if err != nil {
-		return core.Stats{}, nil, err
+	var c *core.Core
+	if tr, ok := trace.SourceSlice(src); ok && spec.memTrack != nil {
+		c = core.NewReplay(cfg, unit, tr, spec.memTrack)
+	} else {
+		var err error
+		if c, err = core.NewStream(cfg, unit, src); err != nil {
+			return core.Stats{}, nil, err
+		}
 	}
 	st, err := c.RunContext(ctx)
 	if err != nil {
@@ -409,19 +421,25 @@ func keyFor(w workloads.Workload, n int) (traceKey, error) {
 
 // traceEntry is one cache slot; once ensures a trace is generated exactly
 // one time even when several workers request it concurrently (the others
-// block in Do until generation finishes).
+// block in Do until generation finishes). trackOnce does the same for the
+// trace's memory-outcome track, built for trackCfg, the hierarchy
+// configuration of the first getTracked.
 type traceEntry struct {
 	once sync.Once
 	tr   []trace.Inst
 	err  error
+
+	trackOnce sync.Once
+	trackCfg  mem.HierarchyConfig
+	track     []mem.Outcome
 }
 
 // TraceCache memoizes generated workload traces across configurations so a
-// sweep generates each (workload, insts) pair once, and recycles released
-// trace buffers so sequential single-use patterns (generate, simulate,
-// release, next workload) reuse one flat []trace.Inst chunk instead of
-// allocating per workload. It is safe for concurrent use by multiple
-// goroutines.
+// sweep generates each (workload, insts) pair once and, through getTracked,
+// simulates its memory hierarchy once. It recycles released trace buffers so
+// sequential single-use patterns (generate, simulate, release, next
+// workload) reuse one flat []trace.Inst chunk instead of allocating per
+// workload. It is safe for concurrent use by multiple goroutines.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -452,6 +470,35 @@ func (tc *TraceCache) takeSpare() []trace.Inst {
 // different keys generate in parallel. A file-backed workload's key includes
 // the file's (path, mtime, size), so a regenerated file is re-read.
 func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
+	e, err := tc.entry(w, n)
+	if err != nil {
+		return nil, err
+	}
+	return e.tr, nil
+}
+
+// getTracked is Get plus the trace's memory-outcome track under cfg. The
+// track is built once per cached trace, for the configuration of the first
+// request; a request under any other configuration gets a nil track and
+// runs live. Release drops the track with the trace.
+func (tc *TraceCache) getTracked(w workloads.Workload, n int, cfg mem.HierarchyConfig) ([]trace.Inst, []mem.Outcome, error) {
+	e, err := tc.entry(w, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.trackOnce.Do(func() {
+		e.trackCfg = cfg
+		e.track = core.MemTrack(cfg, e.tr)
+	})
+	if e.trackCfg != cfg {
+		return e.tr, nil, nil
+	}
+	return e.tr, e.track, nil
+}
+
+// entry returns the cache slot for w at n instructions once its generation
+// (or file read) has succeeded.
+func (tc *TraceCache) entry(w workloads.Workload, n int) (*traceEntry, error) {
 	k, err := keyFor(w, n)
 	if err != nil {
 		return nil, err
@@ -479,7 +526,10 @@ func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
 		}
 		e.tr = tr
 	})
-	return e.tr, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
 }
 
 // readFileTrace materializes a file-backed workload's stream (capped at n
@@ -517,10 +567,10 @@ func (tc *TraceCache) GetSource(w workloads.Workload, n int) (trace.Source, erro
 	return trace.NewSliceSource(tr), nil
 }
 
-// Release evicts the cached trace for w at n instructions and parks its
-// buffer for reuse by a later generation. Only call it when no simulation
-// still holds the slice returned by Get — the next Get for any workload may
-// overwrite its contents in place.
+// Release evicts the cached trace for w at n instructions, with its memory
+// track, and parks its buffer for reuse by a later generation. Only call it
+// when no simulation still holds the slice returned by Get — the next Get
+// for any workload may overwrite its contents in place.
 func (tc *TraceCache) Release(w workloads.Workload, n int) {
 	k, err := keyFor(w, n)
 	if err != nil {

@@ -205,11 +205,12 @@ func (r *Runner) attemptOne(ctx context.Context, i int, w workloads.Workload, sp
 		}
 	}()
 
-	tr, err := r.cache.Get(w, r.Opts.Insts)
+	tr, track, err := r.cache.getTracked(w, r.Opts.Insts, spec.Core.Mem)
 	if err != nil {
 		o.Err = &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseGenerate, Err: err}
 		return o
 	}
+	spec.memTrack = track
 
 	phase = PhaseSimulate
 	if attempt <= chaosFaults {

@@ -10,6 +10,8 @@
 package mem
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"localbp/internal/obs"
@@ -24,11 +26,16 @@ type Config struct {
 	Prefetch  bool
 }
 
-// Hierarchy is a three-level cache + DRAM latency model.
+// Hierarchy is a three-level cache + DRAM latency model. An access is two
+// steps: Probe walks the caches and returns the Outcome, and Account charges
+// that outcome to the counters and returns its latency.
 type Hierarchy struct {
 	cfg         HierarchyConfig
-	l1, l2, llc *cache
-	dramLatency int64
+	l1, l2, llc *cache // nil in a replay hierarchy (NewReplay)
+
+	// lat is the load-to-use latency by outcome level (1..4). Indexing it
+	// with the outcome's three level bits needs no bounds check.
+	lat [8]int64
 
 	statAccesses uint64
 	statL1Miss   uint64
@@ -46,6 +53,59 @@ type Hierarchy struct {
 type HierarchyConfig struct {
 	L1, L2, LLC Config
 	DRAMLatency int64
+}
+
+// Outcome is what one access found, in one byte: the level that supplied the
+// line (1=L1, 2=L2, 3=LLC, 4=DRAM) in the low bits, plus outcomePref when
+// that line had been brought in by a prefetcher and no demand access had
+// touched it yet.
+type Outcome uint8
+
+const outcomePref Outcome = 1 << 7
+
+// Level returns the level that supplied the line (1=L1, 2=L2, 3=LLC, 4=DRAM).
+func (o Outcome) Level() int { return int(o & 7) }
+
+// maxWays caps associativity: renorm ranks a set's ways in a [64]int buffer
+// and the way hint stores a way index in a uint8.
+const maxWays = 64
+
+// Validate checks every level's geometry and the latencies, returning a
+// field-level error for every violated constraint (all joined), or nil. New
+// assumes a configuration Validate accepts.
+func (c HierarchyConfig) Validate() error {
+	var errs []error
+	errs = c.L1.validate("L1", errs)
+	errs = c.L2.validate("L2", errs)
+	errs = c.LLC.validate("LLC", errs)
+	if c.DRAMLatency < 0 {
+		errs = append(errs, fmt.Errorf("mem.HierarchyConfig.DRAMLatency: got %d, want >= 0", c.DRAMLatency))
+	}
+	return errors.Join(errs...)
+}
+
+// validate appends one error per violated constraint of the level named
+// level to errs.
+func (c Config) validate(level string, errs []error) []error {
+	bad := func(field string, got any, want string) {
+		errs = append(errs, fmt.Errorf("mem.HierarchyConfig.%s.%s: got %v, want %s", level, field, got, want))
+	}
+	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
+		bad("LineBytes", c.LineBytes, "a power of two > 0")
+	}
+	if c.Ways <= 0 || c.Ways > maxWays {
+		bad("Ways", c.Ways, fmt.Sprintf("1..%d", maxWays))
+	}
+	if c.LineBytes > 0 && c.Ways > 0 {
+		lines := c.SizeBytes / c.LineBytes
+		if sets := lines / c.Ways; c.SizeBytes%c.LineBytes != 0 || lines%c.Ways != 0 || sets < 1 || sets&(sets-1) != 0 {
+			bad("SizeBytes", c.SizeBytes, fmt.Sprintf("LineBytes (%d) × Ways (%d) × a power-of-two set count", c.LineBytes, c.Ways))
+		}
+	}
+	if c.Latency < 0 {
+		bad("Latency", c.Latency, ">= 0")
+	}
+	return errs
 }
 
 // DefaultHierarchy returns the Table 2 configuration.
@@ -92,20 +152,35 @@ func New(cfg HierarchyConfig) *Hierarchy {
 		}
 	}
 	hierFree.mu.Unlock()
-	return &Hierarchy{
-		cfg:         cfg,
-		l1:          newCache(cfg.L1),
-		l2:          newCache(cfg.L2),
-		llc:         newCache(cfg.LLC),
-		dramLatency: cfg.DRAMLatency,
-	}
+	h := NewReplay(cfg)
+	h.l1 = newCache(cfg.L1)
+	h.l2 = newCache(cfg.L2)
+	h.llc = newCache(cfg.LLC)
+	return h
+}
+
+// NewReplay builds a hierarchy that only accounts: it holds the counters, the
+// latency table and the observability hooks but no cache arrays, for a run
+// that replays recorded outcomes. Call Account on it, never Probe or
+// AccessAt.
+func NewReplay(cfg HierarchyConfig) *Hierarchy {
+	h := &Hierarchy{cfg: cfg}
+	h.lat[1] = cfg.L1.Latency
+	h.lat[2] = h.lat[1] + cfg.L2.Latency
+	h.lat[3] = h.lat[2] + cfg.LLC.Latency
+	h.lat[4] = h.lat[3] + cfg.DRAMLatency
+	return h
 }
 
 // Recycle resets the hierarchy and returns it to the free-list for a future
-// New with the same configuration (dropped when the list is full). The
-// caller must not use h afterwards. Safe for concurrent use (each Recycle
-// hands over a distinct hierarchy).
+// New with the same configuration (dropped when the list is full, and always
+// for a replay hierarchy, which has no arrays to reuse). The caller must not
+// use h afterwards. Safe for concurrent use (each Recycle hands over a
+// distinct hierarchy).
 func (h *Hierarchy) Recycle() {
+	if h.l1 == nil {
+		return
+	}
 	hierFree.mu.Lock()
 	if len(hierFree.hs) < hierFreeMax {
 		hierFree.hs = append(hierFree.hs, h)
@@ -137,44 +212,69 @@ func (h *Hierarchy) Access(addr uint64) int64 { return h.AccessAt(addr, -1) }
 // AccessAt is Access with the issuing core cycle, used to timestamp trace
 // events (prefetch hits). A negative cycle means "unknown".
 func (h *Hierarchy) AccessAt(addr uint64, cycle int64) int64 {
-	h.statAccesses++
+	return h.Account(h.Probe(addr), addr, cycle)
+}
+
+// Probe walks the hierarchy for addr exactly as a demand access does — stream
+// detection, lookups, fills and prefetches — and returns what it found,
+// touching no counter. The cycle plays no part, so the outcome sequence
+// depends only on the address sequence and the configuration.
+func (h *Hierarchy) Probe(addr uint64) Outcome {
 	h.l1.streamDetect(addr, h)
-	lat, level, wasPref := h.lookup(addr)
-	if wasPref {
+	if hit, pref := h.l1.access(addr); hit {
+		return outcomeOf(1, pref)
+	}
+	h.l1.fill(addr)
+	h.l1.prefetch(addr, h)
+	if hit, pref := h.l2.access(addr); hit {
+		return outcomeOf(2, pref)
+	}
+	h.l2.fill(addr)
+	h.l2.prefetch(addr, h)
+	if hit, pref := h.llc.access(addr); hit {
+		return outcomeOf(3, pref)
+	}
+	h.llc.fill(addr)
+	h.llc.prefetch(addr, h)
+	return outcomeOf(4, false)
+}
+
+func outcomeOf(level int, pref bool) Outcome {
+	o := Outcome(level)
+	if pref {
+		o |= outcomePref
+	}
+	return o
+}
+
+// Account charges one access to addr that found o — the access and
+// per-level miss counters, a prefetch hit with its trace event (stamped with
+// the issuing core cycle), the latency histogram — and returns the access's
+// load-to-use latency. Live (AccessAt) and replayed accesses both count here
+// and nowhere else.
+func (h *Hierarchy) Account(o Outcome, addr uint64, cycle int64) int64 {
+	h.statAccesses++
+	level := o.Level()
+	if level > 1 {
+		h.statL1Miss++
+		if level > 2 {
+			h.statL2Miss++
+			if level > 3 {
+				h.statLLCMiss++
+			}
+		}
+	}
+	if o&outcomePref != 0 {
 		h.statPrefHits++
 		if h.tracer != nil {
 			h.tracer.Emit(obs.EvPrefetchHit, cycle, addr, int64(level))
 		}
 	}
+	lat := h.lat[o&7]
 	if h.latHist != nil {
 		h.latHist.Observe(lat)
 	}
 	return lat
-}
-
-// lookup walks the hierarchy for addr, returning the latency, the level that
-// hit (1=L1, 2=L2, 3=LLC, 4=DRAM) and whether the hit line was brought in by
-// a prefetcher and had not been demand-touched yet.
-func (h *Hierarchy) lookup(addr uint64) (lat int64, level int, wasPref bool) {
-	if hit, pref := h.l1.access(addr); hit {
-		return h.l1.cfg.Latency, 1, pref
-	}
-	h.statL1Miss++
-	h.l1.fill(addr)
-	h.l1.prefetch(addr, h)
-	if hit, pref := h.l2.access(addr); hit {
-		return h.l1.cfg.Latency + h.l2.cfg.Latency, 2, pref
-	}
-	h.statL2Miss++
-	h.l2.fill(addr)
-	h.l2.prefetch(addr, h)
-	if hit, pref := h.llc.access(addr); hit {
-		return h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency, 3, pref
-	}
-	h.statLLCMiss++
-	h.llc.fill(addr)
-	h.llc.prefetch(addr, h)
-	return h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency + h.dramLatency, 4, false
 }
 
 // AttachObs registers the hierarchy's counters as a pull source named "mem"

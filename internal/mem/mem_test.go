@@ -146,3 +146,36 @@ func TestBadGeometryPanics(t *testing.T) {
 	}()
 	newCache(Config{SizeBytes: 3 * 64 * 8, LineBytes: 64, Ways: 8, Latency: 1})
 }
+
+// TestReplayAccountsLikeAccess splits a live access stream into Probe (on
+// one hierarchy) and Account (on a replay hierarchy with no cache arrays):
+// every latency and counter must match the hierarchy that ran AccessAt.
+func TestReplayAccountsLikeAccess(t *testing.T) {
+	cfg := DefaultHierarchy()
+	live, prober, replay := New(cfg), New(cfg), NewReplay(cfg)
+	addr := uint64(0x10000)
+	for i := 0; i < 20_000; i++ {
+		if i%3 == 0 {
+			addr += 8 // a stream the prefetchers cover
+		} else {
+			addr = addr*6364136223846793005 + 1442695040888963407
+		}
+		a := addr % (64 << 20)
+		want := live.Access(a)
+		if got := replay.Account(prober.Probe(a), a, -1); got != want {
+			t.Fatalf("access %d: replayed latency %d, live %d", i, got, want)
+		}
+	}
+	la, l1, l2, l3 := live.Stats()
+	ra, r1, r2, r3 := replay.Stats()
+	if [4]uint64{la, l1, l2, l3} != [4]uint64{ra, r1, r2, r3} || live.PrefetchHits() != replay.PrefetchHits() {
+		t.Fatalf("replayed counters (%d %d %d %d, %d prefetch hits) differ from live (%d %d %d %d, %d)",
+			ra, r1, r2, r3, replay.PrefetchHits(), la, l1, l2, l3, live.PrefetchHits())
+	}
+	if pa, _, _, _ := prober.Stats(); pa != 0 {
+		t.Fatalf("Probe moved the access counter to %d", pa)
+	}
+	if live.PrefetchHits() == 0 || l3 == 0 {
+		t.Fatal("the stream exercised no prefetch hit or LLC miss")
+	}
+}

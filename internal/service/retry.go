@@ -1,27 +1,19 @@
 package service
 
 import (
-	"context"
-	"fmt"
 	"hash/fnv"
 	"time"
-
-	"localbp/internal/harness"
 )
 
-// RetryPolicy is the classified retry policy of the service core: jittered
-// exponential backoff with a max-attempts bound, applied only to
-// ClassTransient failures (stalls, integrity trips, panics, injected chaos
-// faults — see harness.Classify). Permanent failures and context
-// cancellations return immediately.
+// RetryPolicy is the backoff schedule for retrying ClassTransient failures
+// (stalls, integrity trips, panics, injected chaos faults — see
+// harness.Classify): jittered exponential delays. The sweep applies it
+// through BackoffFunc; the shard coordinator calls Delay.
 //
 // The jitter is deterministic: a splitmix64 stream seeded by (Seed, key,
 // attempt) decides the delay, so the same job retried on the same policy
 // sleeps the same schedule — reproducibility extends to the failure path.
 type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget (first try included);
-	// <= 0 means exactly one attempt (no retries).
-	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; each further
 	// attempt doubles it, capped at MaxDelay. 0 retries immediately.
 	BaseDelay time.Duration
@@ -32,12 +24,10 @@ type RetryPolicy struct {
 }
 
 // DefaultRetryPolicy is the lbpsweep and shard-coordinator default:
-// 3 attempts, 50 ms base, 2 s cap.
+// 50 ms base, 2 s cap.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Seed: 1}
+	return RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Seed: 1}
 }
-
-func (p RetryPolicy) attempts() int { return max(1, p.MaxAttempts) }
 
 // Delay returns the backoff before retry `attempt` (1-based: the delay
 // slept between the first and second attempt has attempt=1) of the job
@@ -64,43 +54,6 @@ func (p RetryPolicy) Delay(key string, attempt int) time.Duration {
 func (p RetryPolicy) BackoffFunc() func(spec, workload string, attempt int) time.Duration {
 	return func(spec, workload string, attempt int) time.Duration {
 		return p.Delay(spec+"\x00"+workload, attempt)
-	}
-}
-
-// Do runs f under the policy: transient failures are retried with backoff
-// until the attempt budget is spent; permanent failures and cancellations
-// return at once. It reports how many attempts ran and the final error
-// (nil on success).
-func (p RetryPolicy) Do(ctx context.Context, key string, f func(ctx context.Context) error) (attempts int, err error) {
-	budget := p.attempts()
-	for a := 1; ; a++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err == nil {
-				err = fmt.Errorf("service: %s canceled before attempt %d: %w", key, a, cerr)
-			}
-			return a - 1, err
-		}
-		err = f(ctx)
-		if err == nil {
-			return a, nil
-		}
-		if harness.Classify(err) != harness.ClassTransient || a >= budget {
-			return a, err
-		}
-		sleepCtx(ctx, p.Delay(key, a))
-	}
-}
-
-// sleepCtx waits d or until ctx is canceled, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
 	}
 }
 

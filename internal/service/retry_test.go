@@ -10,7 +10,7 @@ import (
 // numbers cannot overflow, and an uncapped policy keeps growing to the
 // clamp.
 func TestRetryDelayCap(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 100, BaseDelay: 100 * time.Millisecond,
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond,
 		MaxDelay: time.Second, Seed: 7}
 	// From attempt 5 on, 100ms·2^(a-1) exceeds the 1 s cap: every delay must
 	// land in [cap/2, cap).
@@ -23,7 +23,7 @@ func TestRetryDelayCap(t *testing.T) {
 
 	// Uncapped: growth continues but the shift clamps at 2^20, so even
 	// attempt 10_000 yields a finite, positive delay ≤ base·2^20.
-	unc := RetryPolicy{MaxAttempts: 100, BaseDelay: time.Microsecond, Seed: 7}
+	unc := RetryPolicy{BaseDelay: time.Microsecond, Seed: 7}
 	ceil := unc.BaseDelay << 20
 	for _, attempt := range []int{21, 64, 10_000} {
 		d := unc.Delay("k", attempt)
@@ -37,7 +37,7 @@ func TestRetryDelayCap(t *testing.T) {
 // policy seed — two policies differing only in Seed draw different schedules
 // for the same key, while the same seed reproduces the schedule exactly.
 func TestRetryDelaySeedSensitivity(t *testing.T) {
-	a := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 10 * time.Second, Seed: 1}
+	a := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 10 * time.Second, Seed: 1}
 	b := a
 	b.Seed = 2
 

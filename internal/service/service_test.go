@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"localbp/internal/core"
 	"localbp/internal/harness"
 )
 
@@ -19,7 +17,7 @@ import (
 // (seed, key, attempt), bounded by [base/2, base) scaled into the
 // exponential schedule and capped at MaxDelay.
 func TestRetryDelayDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Seed: 1}
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Seed: 1}
 	for attempt := 1; attempt <= 6; attempt++ {
 		a := p.Delay("spec\x00workload", attempt)
 		b := p.Delay("spec\x00workload", attempt)
@@ -39,54 +37,6 @@ func TestRetryDelayDeterministic(t *testing.T) {
 	}
 	if (RetryPolicy{}).Delay("k", 3) != 0 {
 		t.Fatal("zero policy should have no delay")
-	}
-}
-
-// TestDoRetriesTransient: transient failures consume the attempt budget;
-// permanent failures return on the first attempt; success stops retrying.
-func TestDoRetriesTransient(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3} // no delays: BaseDelay 0
-	ctx := context.Background()
-
-	calls := 0
-	attempts, err := p.Do(ctx, "recovers", func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return fmt.Errorf("wrapped: %w", core.ErrStalled)
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 || calls != 3 {
-		t.Fatalf("recovering transient: attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-
-	calls = 0
-	attempts, err = p.Do(ctx, "exhausts", func(context.Context) error {
-		calls++
-		return fmt.Errorf("wrapped: %w", core.ErrStalled)
-	})
-	if err == nil || attempts != 3 || calls != 3 {
-		t.Fatalf("exhausting transient: attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-
-	calls = 0
-	permanent := errors.New("bad configuration")
-	attempts, err = p.Do(ctx, "permanent", func(context.Context) error {
-		calls++
-		return permanent
-	})
-	if !errors.Is(err, permanent) || attempts != 1 || calls != 1 {
-		t.Fatalf("permanent: attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	attempts, err = p.Do(canceled, "canceled", func(context.Context) error {
-		t.Fatal("f ran under a pre-canceled context")
-		return nil
-	})
-	if err == nil || attempts != 0 {
-		t.Fatalf("pre-canceled: attempts=%d err=%v", attempts, err)
 	}
 }
 

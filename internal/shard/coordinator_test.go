@@ -78,7 +78,7 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	ttl := 80 * time.Millisecond
 	cfg := Config{
 		Dir: dir, Shards: 3, TTL: ttl, MaxAttempts: 2,
-		Retry: service.RetryPolicy{MaxAttempts: 2, Seed: 1},
+		Retry: service.RetryPolicy{Seed: 1},
 		Spawn: func(ctx context.Context, k, attempt int) (Worker, error) {
 			return startFake(dir, k, 3, ttl, 30*time.Millisecond, nil)
 		},
@@ -109,7 +109,7 @@ func TestCoordinatorReassignsAfterExpiry(t *testing.T) {
 	var log strings.Builder
 	cfg := Config{
 		Dir: dir, Shards: 1, TTL: ttl, MaxAttempts: 3,
-		Retry: service.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1},
+		Retry: service.RetryPolicy{BaseDelay: time.Millisecond, Seed: 1},
 		Log:   &log,
 		Spawn: func(ctx context.Context, k, attempt int) (Worker, error) {
 			mu.Lock()
@@ -189,7 +189,7 @@ func TestCoordinatorExhaustsAttempts(t *testing.T) {
 	ttl := 60 * time.Millisecond
 	cfg := Config{
 		Dir: dir, Shards: 1, TTL: ttl, MaxAttempts: 2,
-		Retry: service.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Seed: 1},
+		Retry: service.RetryPolicy{BaseDelay: time.Millisecond, Seed: 1},
 		Spawn: func(ctx context.Context, k, attempt int) (Worker, error) {
 			return startFake(dir, 0, 1, ttl, 30*time.Millisecond,
 				fmt.Errorf("repeated kill: %w", harness.ErrInjected))
@@ -215,7 +215,7 @@ func TestCoordinatorKillsFrozenWorker(t *testing.T) {
 	spawns := 0
 	cfg := Config{
 		Dir: dir, Shards: 1, TTL: ttl, MaxAttempts: 2,
-		Retry: service.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Seed: 1},
+		Retry: service.RetryPolicy{BaseDelay: time.Millisecond, Seed: 1},
 		Spawn: func(ctx context.Context, k, attempt int) (Worker, error) {
 			mu.Lock()
 			spawns++

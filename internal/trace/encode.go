@@ -53,6 +53,10 @@ func WriteTrace(w io.Writer, tr []Inst) error {
 // ReadTrace deserializes a trace written by WriteTrace.
 func ReadTrace(r io.Reader) ([]Inst, error) { return ReadTraceInto(nil, r) }
 
+// maxPrealloc caps the records ReadTraceInto reserves before reading them
+// (2 MiB of Inst).
+const maxPrealloc = 1 << 16
+
 // ReadTraceInto is ReadTrace decoding into dst's storage: when dst has
 // capacity for the stored record count no allocation happens. The returned
 // slice aliases dst's array when capacity sufficed.
@@ -69,30 +73,31 @@ func ReadTraceInto(dst []Inst, r io.Reader) ([]Inst, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[8:]))
-	var tr []Inst
-	if cap(dst) >= n {
-		tr = dst[:n]
-		clear(tr)
-	} else {
-		tr = make([]Inst, n)
+	tr := dst[:0]
+	if cap(dst) < n {
+		// The record count is untrusted: reserve at most maxPrealloc
+		// records and let append grow with the records actually read, so a
+		// corrupt count fails on the short stream instead of allocating it.
+		tr = make([]Inst, 0, min(n, maxPrealloc))
 	}
 	var rec [recordSize]byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: read record %d: %w", i, err)
 		}
-		in := &tr[i]
-		in.PC = binary.LittleEndian.Uint64(rec[0:])
-		in.Addr = binary.LittleEndian.Uint64(rec[8:])
-		in.Target = binary.LittleEndian.Uint64(rec[16:])
 		if rec[24] >= byte(numClasses) {
 			return nil, fmt.Errorf("trace: record %d: bad class %d", i, rec[24])
 		}
-		in.Class = Class(rec[24])
-		in.Taken = rec[25] != 0
-		in.Dst = rec[26]
-		in.Src1 = rec[27]
-		in.Src2 = rec[28]
+		tr = append(tr, Inst{
+			PC:     binary.LittleEndian.Uint64(rec[0:]),
+			Addr:   binary.LittleEndian.Uint64(rec[8:]),
+			Target: binary.LittleEndian.Uint64(rec[16:]),
+			Class:  Class(rec[24]),
+			Taken:  rec[25] != 0,
+			Dst:    rec[26],
+			Src1:   rec[27],
+			Src2:   rec[28],
+		})
 	}
 	return tr, nil
 }
