@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race audit bench-json bench-pr5 bench-pr10 bench-smoke bench-compare fuzz-smoke shard-smoke trace-smoke ci stress
+.PHONY: check build vet test race audit perf-smoke fuzz-smoke shard-smoke trace-smoke ci stress
 
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (the parallel sweep runner is on by default).
@@ -38,37 +38,12 @@ race:
 audit:
 	LBP_AUDIT=1 $(GO) test ./...
 
-# bench-json regenerates the machine-readable, timestamped throughput
-# baseline (BENCH_baseline.json): ns/op, ns/inst, ns/cycle, allocs/op and
-# B/op for the obs-disabled and obs-enabled core loop.
-bench-json:
-	$(GO) run ./cmd/lbpbench -out BENCH_baseline.json
-
-# bench-pr5 snapshots the current tree's numbers as the PR-5 point of the
-# performance trajectory (compare against BENCH_baseline.json).
-bench-pr5:
-	$(GO) run ./cmd/lbpbench -out BENCH_pr5.json
-
-# bench-pr10 snapshots the current tree's numbers as the PR-10 point of the
-# performance trajectory (compare against BENCH_pr5.json).
-bench-pr10:
-	$(GO) run ./cmd/lbpbench -out BENCH_pr10.json
-
-# bench-smoke is the fast benchmark-path sanity gate (< 10 s): one in-memory
-# core-loop run and one LBP2 file-backed core-loop-stream run of the same
-# short trace must succeed, agree exactly (the two paths are bit-identical by
-# contract), and stay within the allocation budget. It gates "the benchmark
-# paths still work", not performance.
-bench-smoke:
-	$(GO) run ./cmd/lbpbench -smoke -insts 30000
-
-# bench-compare gates the trajectory: exits non-zero when NEW regressed
-# ns/op or allocs/op against OLD by more than 10% (a toolchain mismatch
-# between the two files warns but does not fail).
-OLD ?= BENCH_pr5.json
-NEW ?= BENCH_pr10.json
-bench-compare:
-	$(GO) run ./cmd/lbpbench -compare -old $(OLD) -new $(NEW)
+# perf-smoke vets and short-tests the benchmark (perfbench/, its own Go
+# module importing this one through the localbp facade and the harness), so
+# a change that breaks the benchmark fails here rather than at measurement
+# time (< 10 s). The benchmark itself is `python3 perfbench/run.py`.
+perf-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # fuzz-smoke gives each native fuzz target a short budget; failures minimize
 # into testdata/fuzz corpora as usual.
@@ -95,15 +70,9 @@ trace-smoke:
 	$(GO) test -run TestTraceSmoke -count=1 -v ./cmd/lbptrace
 
 # ci is the one-command pipeline: build, static analysis + alloc guards, the
-# full suite under the race detector, the bench, shard and trace smokes, a
-# fuzz smoke, and a quick bench-compare exercise: fresh numbers are measured
-# and run through the regression gate end-to-end (self-compare —
-# cross-machine ns/op gating belongs in `make bench-compare` against a
-# locally pinned baseline).
-ci: build vet race bench-smoke shard-smoke trace-smoke fuzz-smoke
-	$(GO) run ./cmd/lbpbench -insts 60000 -out BENCH_ci.json
-	$(GO) run ./cmd/lbpbench -compare -old BENCH_ci.json -new BENCH_ci.json
-	rm -f BENCH_ci.json
+# full suite under the race detector, the benchmark, shard and trace smokes,
+# and a fuzz smoke.
+ci: build vet race perf-smoke shard-smoke trace-smoke fuzz-smoke
 
 # stress loops the crash-safety subprocess suites under the race detector:
 # interrupt a live sweep (checkpoint resume, zero lost/duplicated results)

@@ -74,7 +74,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec := harness.PaperForwardWalk(loop.Loop128())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.RunTrace(tr, spec)
+		benchRun(b, tr, spec)
 	}
 	b.SetBytes(200_000) // report "bytes" as instructions simulated
 }
@@ -86,7 +86,14 @@ func BenchmarkTAGEPredict(b *testing.B) {
 	spec := harness.BaselineSpec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.RunTrace(tr, spec)
+		benchRun(b, tr, spec)
+	}
+}
+
+// benchRun simulates tr under spec, failing the benchmark on error.
+func benchRun(b *testing.B, tr []trace.Inst, spec harness.Spec) {
+	if _, err := harness.Run(context.Background(), trace.NewSliceSource(tr), spec); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -95,18 +102,18 @@ func BenchmarkTAGEPredict(b *testing.B) {
 // benchCoreLoop drives the facade end-to-end over a fixed pre-generated
 // trace so the measurement is the simulator core loop plus whatever the
 // given options enable. ns/inst and ns/cycle normalize the headline number;
-// lbpbench serializes the same measurements into BENCH_baseline.json.
+// perfbench/ measures the same pinned run end to end with repeated samples.
 func benchCoreLoop(b *testing.B, opts ...Option) {
 	w, _ := workloads.ByName("cloud-compression")
 	tr := w.Generate(120_000)
-	ref, err := SimulateTrace(tr, ForwardWalk(), opts...)
+	ref, err := FromSource(trace.NewSliceSource(tr), ForwardWalk(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateTrace(tr, ForwardWalk(), opts...); err != nil {
+		if _, err := FromSource(trace.NewSliceSource(tr), ForwardWalk(), opts...); err != nil {
 			b.Fatal(err)
 		}
 	}

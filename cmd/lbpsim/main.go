@@ -42,14 +42,11 @@ import (
 	"os/signal"
 	"syscall"
 
-	"localbp/internal/audit"
-	"localbp/internal/bpu"
 	"localbp/internal/bpu/loop"
 	"localbp/internal/bpu/tage"
-	"localbp/internal/core"
 	"localbp/internal/faultinject"
+	"localbp/internal/harness"
 	"localbp/internal/obs"
-	"localbp/internal/repair"
 	"localbp/internal/schemes"
 	"localbp/internal/service"
 	"localbp/internal/trace"
@@ -135,77 +132,55 @@ func main() {
 
 	// Resolve the scheme through the shared registry: one name → construction
 	// mapping for lbpsim, lbpsweep and the localbp facade.
-	scheme, def, err := schemes.Build(*schemeName, func(p *schemes.Params) { p.Loop = lcfg })
+	spec, err := harness.SpecFor(*schemeName, func(p *schemes.Params) { p.Loop = lcfg })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbpsim: %v\nschemes:\n%s", err, schemes.Usage())
 		os.Exit(service.ExitConfigError)
 	}
-
-	// Fail fast on malformed configurations with field-level errors before
-	// any simulation state is built.
-	ccfg := core.DefaultConfig()
-	ccfg.MaxCycles = *maxCycles
-	ccfg.StallCycles = *stallCycles
-	for _, err := range []error{tcfg.Validate(), lcfg.Validate(), ccfg.Validate()} {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsim: invalid configuration:\n%v\n", err)
-			os.Exit(service.ExitConfigError)
-		}
-	}
-
-	// Observability: build the requested hooks and register the raw scheme
-	// before any decorator wraps it (wrappers forward behaviour, not
-	// registration).
-	var hooks *obs.Hooks
-	if *cpistack || *counters || *traceEvents != "" || *traceChrome != "" {
-		hooks = &obs.Hooks{}
-		if *cpistack {
-			hooks.CPI = obs.NewCPIStack()
-		}
-		if *counters {
-			hooks.Reg = obs.NewRegistry()
-		}
-		if *traceEvents != "" || *traceChrome != "" {
-			if *traceCap <= 0 {
-				fmt.Fprintln(os.Stderr, "lbpsim: -trace-cap must be > 0")
-				os.Exit(service.ExitConfigError)
-			}
-			hooks.Tracer = obs.NewTracer(*traceCap)
-		}
-		ccfg.Obs = hooks
-		if scheme != nil {
-			repair.AttachObs(scheme, hooks.Reg, hooks.Tracer)
-		}
-	}
-
-	// Assemble the decorator stack exactly as harness.RunTraceChecked does:
-	// fault injection innermost, auditor outermost, so the auditor observes
-	// the faulted scheme the way the pipeline does.
-	var inj *faultinject.Injector
+	spec.Tage = tcfg
+	spec.Core.MaxCycles = *maxCycles
+	spec.Core.StallCycles = *stallCycles
+	spec.Audit = *auditOn
+	spec.Golden = *oracleOn
 	if *inject != "" {
 		kinds, err := faultinject.ParseKinds(*inject)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
 			os.Exit(service.ExitConfigError)
 		}
-		icfg := faultinject.Config{Seed: *injectSeed, Every: *injectEvery, Kinds: kinds}
-		built, err := faultinject.New(icfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
-			os.Exit(service.ExitConfigError)
+		spec.Inject = &faultinject.Config{Seed: *injectSeed, Every: *injectEvery, Kinds: kinds}
+	}
+
+	// Observability. The counter snapshot is taken inside Done, the last
+	// point at which the registry's "mem" source may be read.
+	var (
+		cpi    *obs.CPIStack
+		reg    *obs.Registry
+		snap   map[string]uint64
+		tracer *obs.Tracer
+	)
+	if *cpistack || *counters || *traceEvents != "" || *traceChrome != "" {
+		spec.Obs = &harness.ObsSpec{CPIStack: *cpistack, Counters: *counters}
+		if *traceEvents != "" || *traceChrome != "" {
+			if *traceCap <= 0 {
+				fmt.Fprintln(os.Stderr, "lbpsim: -trace-cap must be > 0")
+				os.Exit(service.ExitConfigError)
+			}
+			spec.Obs.TraceCap = *traceCap
 		}
-		inj = built
-		if scheme != nil {
-			scheme = inj.Wrap(scheme)
+		spec.Obs.Done = func(h *obs.Hooks) {
+			cpi, reg, tracer = h.CPI, h.Reg, h.Tracer
+			if reg != nil {
+				snap = reg.Snapshot()
+			}
 		}
 	}
-	var aud *audit.Auditor
-	if *auditOn {
-		aud = audit.New()
-		ccfg.Audit = aud
-		if scheme != nil {
-			scheme = audit.WrapScheme(scheme, aud)
-		}
+
+	// Fail fast on malformed configurations with field-level errors before
+	// any simulation state is built.
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "lbpsim: invalid configuration:\n%v\n", err)
+		os.Exit(service.ExitConfigError)
 	}
 
 	var src trace.Source
@@ -234,15 +209,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lbpsim: generated trace invalid:\n%v\n", err)
 			os.Exit(service.ExitConfigError)
 		}
-		if *oracleOn {
-			ccfg.Golden = audit.NewGolden(tr)
-		}
 		src = trace.NewSliceSource(tr)
-	}
-	unit := bpu.NewUnit(tcfg, scheme)
-	unit.Oracle = def.Oracle
-	if inj != nil {
-		inj.AttachTAGE(unit.Tage)
 	}
 	// Cancellation: SIGINT/SIGTERM and -timeout both flow through the run
 	// context; the cycle loop observes it within one check stride. The
@@ -256,12 +223,7 @@ func main() {
 		defer cancel()
 	}
 
-	c, err := core.NewStream(ccfg, unit, src)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
-		os.Exit(service.ExitConfigError)
-	}
-	st, err := c.RunContext(ctx)
+	res, err := harness.Run(ctx, src, spec)
 	if err != nil {
 		// Shared exit taxonomy (service.ExitCodeForError): cancellation —
 		// signal or -timeout — exits 4, everything else 1.
@@ -269,6 +231,7 @@ func main() {
 		os.Exit(service.ExitCodeForError(err))
 	}
 
+	st := res.Stats
 	fmt.Printf("\ncore:\n")
 	fmt.Printf("  cycles        %12d\n", st.Cycles)
 	fmt.Printf("  IPC           %12.3f\n", st.IPC())
@@ -276,67 +239,65 @@ func main() {
 	fmt.Printf("  branches      %12d  (%d mispredicted, %d flushes)\n", st.Branches, st.Mispredicts, st.Flushes)
 	fmt.Printf("  wrong-path    %12d instructions synthesized\n", st.WrongPathInsts)
 
-	ov, ovc := unit.OverrideStats()
-	if scheme != nil {
-		fmt.Printf("\nlocal predictor (%s):\n", scheme.Name())
-		fmt.Printf("  overrides     %12d  (%d correct on the retired path)\n", ov, ovc)
-		rst := scheme.Stats()
+	if rst := res.Repair; rst != nil {
+		fmt.Printf("\nlocal predictor (%s):\n", res.Scheme)
+		fmt.Printf("  overrides     %12d  (%d correct on the retired path)\n", res.Overrides, res.OverridesOK)
 		fmt.Printf("  repairs       %12d  (%d unrepaired, %d restarts)\n", rst.Repairs, rst.Unrepaired, rst.Restarts)
 		fmt.Printf("  repair writes %12d  (%d checkpoint reads)\n", rst.RepairWrites, rst.RepairReads)
 		fmt.Printf("  BHT busy      %12d cycles, %d checkpoint misses\n", rst.BusyCycles, rst.CkptMisses)
 		if rst.EarlyResteers > 0 {
 			fmt.Printf("  early resteers%12d\n", rst.EarlyResteers)
 		}
-		fmt.Printf("  storage       %12.2f KB (local predictor + repair)\n", float64(scheme.StorageBits())/8192)
+		fmt.Printf("  storage       %12.2f KB (local predictor + repair)\n", float64(res.StorageBits)/8192)
 	}
 
-	acc, l1m, l2m, llcm := c.Mem().Stats()
+	m := res.Mem
 	fmt.Printf("\nmemory:\n  accesses %d, L1 miss %.1f%%, L2 miss %.1f%%, LLC miss %.1f%%\n",
-		acc, pct(l1m, acc), pct(l2m, l1m), pct(llcm, l2m))
+		m.Accesses, pct(m.L1Misses, m.Accesses), pct(m.L2Misses, m.L1Misses), pct(m.LLCMisses, m.L2Misses))
 
-	if hooks != nil {
-		if hooks.CPI != nil {
-			fmt.Printf("\nCPI stack (every cycle attributed; audited):\n%s", hooks.CPI)
-		}
-		if hooks.Reg != nil {
-			fmt.Printf("\ncounters:\n%s", obs.FormatSnapshot(hooks.Reg.Snapshot()))
-			for _, h := range hooks.Reg.Histograms() {
-				fmt.Printf("\n%s\n", h)
-			}
-		}
-		if hooks.Tracer != nil {
-			labels := map[string]string{
-				"workload": w.Name,
-				"scheme":   *schemeName,
-				"insts":    fmt.Sprint(*insts),
-			}
-			if err := writeTrace(*traceEvents, func(f io.Writer) error {
-				return hooks.Tracer.WriteJSONL(f, labels)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
-				os.Exit(service.ExitFailure)
-			}
-			if err := writeTrace(*traceChrome, hooks.Tracer.WriteChromeTrace); err != nil {
-				fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
-				os.Exit(service.ExitFailure)
-			}
-			fmt.Printf("\ntrace: %d events emitted, %d retained\n",
-				hooks.Tracer.Total(), len(hooks.Tracer.Events()))
+	if cpi != nil {
+		fmt.Printf("\nCPI stack (every cycle attributed; audited):\n%s", cpi)
+	}
+	if reg != nil {
+		fmt.Printf("\ncounters:\n%s", obs.FormatSnapshot(snap))
+		for _, h := range reg.Histograms() {
+			fmt.Printf("\n%s\n", h)
 		}
 	}
+	if tracer != nil {
+		labels := map[string]string{
+			"workload": w.Name,
+			"scheme":   *schemeName,
+			"insts":    fmt.Sprint(*insts),
+		}
+		if err := writeTrace(*traceEvents, func(f io.Writer) error {
+			return tracer.WriteJSONL(f, labels)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
+			os.Exit(service.ExitFailure)
+		}
+		if err := writeTrace(*traceChrome, tracer.WriteChromeTrace); err != nil {
+			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
+			os.Exit(service.ExitFailure)
+		}
+		fmt.Printf("\ntrace: %d events emitted, %d retained\n", tracer.Total(), len(tracer.Events()))
+	}
 
-	if aud != nil {
-		fmt.Printf("\nintegrity: %d checks, 0 violations", aud.Checks())
+	if *auditOn {
+		fmt.Printf("\nintegrity: %d checks, 0 violations", res.AuditChecks)
 		if *oracleOn {
 			fmt.Printf(", golden model verified %d retirements", st.Insts)
 		}
 		fmt.Println()
 	}
-	if inj != nil {
-		fmt.Printf("\nfault injection: %d faults injected", inj.Total())
-		counts := inj.Counts()
+	if spec.Inject != nil {
+		var total uint64
+		for _, n := range res.Faults {
+			total += n
+		}
+		fmt.Printf("\nfault injection: %d faults injected", total)
 		for _, k := range faultinject.Kinds() {
-			if n := counts[k.String()]; n > 0 {
+			if n := res.Faults[k.String()]; n > 0 {
 				fmt.Printf("  %s=%d", k, n)
 			}
 		}

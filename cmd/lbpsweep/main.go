@@ -293,10 +293,11 @@ func replayTraceFile(ctx context.Context, path, schemeName string, n int) error 
 		return err
 	}
 	defer trace.CloseSource(src)
-	st, _, err := harness.RunSourceContext(ctx, src, spec)
+	res, err := harness.Run(ctx, src, spec)
 	if err != nil {
 		return err
 	}
+	st := res.Stats
 	fmt.Printf("%s × %s: %d insts, %d cycles, IPC %.3f, MPKI %.3f\n",
 		filepath.Base(path), schemeName, st.Insts, st.Cycles, st.IPC(), st.MPKI())
 	return nil
@@ -325,7 +326,7 @@ func traceOneRun(ctx context.Context, o harness.Options, workload, schemeName st
 	if err := trace.Validate(tr); err != nil {
 		return err
 	}
-	st, _, err := harness.RunTraceContext(ctx, tr, spec)
+	res, err := harness.Run(ctx, trace.NewSliceSource(tr), spec)
 	if err != nil {
 		return err
 	}
@@ -345,6 +346,7 @@ func traceOneRun(ctx context.Context, o harness.Options, workload, schemeName st
 	if err := f.Close(); err != nil {
 		return err
 	}
+	st := res.Stats
 	fmt.Printf("%s × %s: %d cycles, IPC %.3f, MPKI %.3f\n",
 		w.Name, schemeName, st.Cycles, st.IPC(), st.MPKI())
 	fmt.Printf("wrote %s (%d events emitted, %d retained)\n",

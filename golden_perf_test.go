@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"localbp/internal/trace"
 )
 
 // The golden-values file pins the simulator's observable results — cycles,
@@ -45,7 +47,7 @@ func goldenRun(t *testing.T) []goldenRow {
 	for _, w := range QuickWorkloads() {
 		tr := w.Generate(goldenInsts)
 		for _, s := range goldenSchemes() {
-			res, err := SimulateTrace(tr, s, WithCPIStack())
+			res, err := FromSource(trace.NewSliceSource(tr), s, WithCPIStack())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, s.Label(), err)
 			}
@@ -56,7 +58,7 @@ func goldenRun(t *testing.T) []goldenRow {
 			// A bare (obs-disabled) run must report the same cycle count:
 			// observability and the fast-forward clamps it adds are
 			// strictly read-only.
-			bare, err := SimulateTrace(tr, s)
+			bare, err := FromSource(trace.NewSliceSource(tr), s)
 			if err != nil {
 				t.Fatalf("%s/%s (bare): %v", w.Name, s.Label(), err)
 			}

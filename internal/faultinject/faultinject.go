@@ -218,9 +218,9 @@ type obqHolder interface {
 	OBQ() *obq.Queue
 }
 
-// Wrap decorates s with the injector's fault vectors. Compose with the
-// auditor as audit.WrapScheme(inj.Wrap(scheme), a): injection innermost so
-// the auditor observes the faulted scheme.
+// Wrap decorates s with the injector's fault vectors. harness.Run composes
+// it inside the auditor's scheme wrapper, so the auditor observes the
+// faulted scheme.
 func (inj *Injector) Wrap(s repair.Scheme) repair.Scheme {
 	w := &faultyScheme{inner: s, inj: inj}
 	if ph, ok := s.(predictorHolder); ok {

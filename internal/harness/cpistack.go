@@ -4,36 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"localbp/internal/bpu/tage"
-	"localbp/internal/core"
 	"localbp/internal/metrics"
 	"localbp/internal/obs"
-	"localbp/internal/repair"
-	"localbp/internal/schemes"
+	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
-
-// SpecFor builds a Spec for a registry scheme name (or alias) on the
-// default Table 2 core: the single path from a CLI -scheme flag to a
-// runnable configuration. Caller options layer onto the scheme's canonical
-// parameters.
-func SpecFor(name string, opts ...schemes.Opt) (Spec, error) {
-	def, _, err := schemes.Resolve(name, opts...)
-	if err != nil {
-		return Spec{}, err
-	}
-	s := Spec{Label: def.Name, Tage: tage.KB8(), Core: core.DefaultConfig(), Oracle: def.Oracle}
-	if def.Make != nil {
-		s.Scheme = func() repair.Scheme {
-			sch, _, err := schemes.Build(name, opts...)
-			if err != nil {
-				panic(err) // unreachable: Resolve above validated the name
-			}
-			return sch
-		}
-	}
-	return s, nil
-}
 
 // CPIStackTable runs one representative workload per category under the
 // named scheme with CPI-stack accounting and renders where every cycle
@@ -62,7 +37,7 @@ func cpiStackTable(ctx context.Context, o Options, cache *TraceCache, schemeName
 		}
 		var cpi *obs.CPIStack
 		spec.Obs = &ObsSpec{CPIStack: true, Done: func(h *obs.Hooks) { cpi = h.CPI }}
-		if _, _, err := RunTraceContext(ctx, tr, spec); err != nil {
+		if _, err := Run(ctx, trace.NewSliceSource(tr), spec); err != nil {
 			return "", err
 		}
 		row := []string{w.Name, w.Category.String(), fmt.Sprint(cpi.Total())}

@@ -7,33 +7,15 @@ import (
 
 	"localbp/internal/bpu/loop"
 	"localbp/internal/repair"
+	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
 
 func tinyOptions() Options { return Options{Insts: 30_000, Quick: true} }
 
-func TestRunTraceBaseline(t *testing.T) {
-	w := workloads.QuickSuite()[0]
-	tr := w.Generate(30_000)
-	st := RunTrace(tr, BaselineSpec())
-	if st.Insts != 30_000 || st.IPC() <= 0 {
-		t.Fatalf("degenerate run: %+v", st)
-	}
-}
-
-func TestRunTraceFullReturnsRepairStats(t *testing.T) {
-	w := workloads.QuickSuite()[0]
-	tr := w.Generate(30_000)
-	_, rst, err := RunTraceFull(tr, PerfectSpec(loop.Loop128()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst == nil {
-		t.Fatal("no repair stats from a scheme run")
-	}
-	if _, rst2, err := RunTraceFull(tr, BaselineSpec()); err != nil || rst2 != nil {
-		t.Fatalf("baseline: err=%v repair stats=%v", err, rst2)
-	}
+// runTrace is Run over an in-memory trace under context.Background().
+func runTrace(tr []trace.Inst, spec Spec) (Result, error) {
+	return Run(context.Background(), trace.NewSliceSource(tr), spec)
 }
 
 func TestTraceCacheReuses(t *testing.T) {

@@ -39,7 +39,7 @@ func TestAuditCleanAcrossSchemes(t *testing.T) {
 	tr := w.Generate(30_000)
 	for _, spec := range auditSpecs() {
 		spec.Audit, spec.Golden = true, true
-		if _, _, err := RunTraceChecked(tr, spec); err != nil {
+		if _, err := runTrace(tr, spec); err != nil {
 			t.Errorf("%s: audited run failed: %v", spec.Label, err)
 		}
 	}
@@ -53,24 +53,24 @@ func TestAuditObserverEffectZero(t *testing.T) {
 	tr := w.Generate(30_000)
 	for _, spec := range auditSpecs() {
 		plain := spec
-		st, rst, err := RunTraceChecked(tr, plain)
+		off, err := runTrace(tr, plain)
 		if err != nil {
 			t.Fatalf("%s: clean run failed: %v", spec.Label, err)
 		}
 		audited := spec
 		audited.Audit, audited.Golden = true, true
-		ast, arst, err := RunTraceChecked(tr, audited)
+		on, err := runTrace(tr, audited)
 		if err != nil {
 			t.Fatalf("%s: audited run failed: %v", spec.Label, err)
 		}
-		if st != ast {
-			t.Errorf("%s: core stats changed under audit:\n  off %+v\n  on  %+v", spec.Label, st, ast)
+		if off.Stats != on.Stats {
+			t.Errorf("%s: core stats changed under audit:\n  off %+v\n  on  %+v", spec.Label, off.Stats, on.Stats)
 		}
-		if (rst == nil) != (arst == nil) {
+		if (off.Repair == nil) != (on.Repair == nil) {
 			t.Fatalf("%s: repair stats presence changed under audit", spec.Label)
 		}
-		if rst != nil && *rst != *arst {
-			t.Errorf("%s: repair stats changed under audit:\n  off %+v\n  on  %+v", spec.Label, *rst, *arst)
+		if off.Repair != nil && *off.Repair != *on.Repair {
+			t.Errorf("%s: repair stats changed under audit:\n  off %+v\n  on  %+v", spec.Label, *off.Repair, *on.Repair)
 		}
 	}
 }
@@ -86,20 +86,21 @@ func injectCfg(k faultinject.Kind, every uint64) *faultinject.Config {
 func TestFaultInjectionGraceful(t *testing.T) {
 	w := workloads.QuickSuite()[2]
 	tr := w.Generate(30_000)
-	clean := PaperForwardWalk(loop.Loop128())
-	cst, _, err := RunTraceChecked(tr, clean)
+	clean, err := runTrace(tr, PaperForwardWalk(loop.Loop128()))
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
+	cst := clean.Stats
 	for _, k := range faultinject.Kinds() {
 		spec := PaperForwardWalk(loop.Loop128())
 		spec.Label = "fwd+" + k.String()
 		spec.Inject = injectCfg(k, 53)
-		st, _, err := RunTraceChecked(tr, spec)
+		res, err := runTrace(tr, spec)
 		if err != nil {
 			t.Errorf("%s: faulted run did not complete: %v", k, err)
 			continue
 		}
+		st := res.Stats
 		if st.Insts != cst.Insts {
 			t.Errorf("%s: retired %d instructions, clean run retired %d", k, st.Insts, cst.Insts)
 		}
@@ -126,7 +127,7 @@ func TestFaultInjectionGracefulUnderPerfect(t *testing.T) {
 		spec := PerfectSpec(loop.Loop128())
 		spec.Label = "perfect+" + k.String()
 		spec.Inject = injectCfg(k, 53)
-		if _, _, err := RunTraceChecked(tr, spec); err != nil {
+		if _, err := runTrace(tr, spec); err != nil {
 			t.Errorf("%s: faulted run did not complete: %v", k, err)
 		}
 	}
@@ -155,7 +156,7 @@ func TestFaultDetectionUnderAudit(t *testing.T) {
 		spec.Label += "+" + tc.kind.String()
 		spec.Audit = true
 		spec.Inject = injectCfg(tc.kind, tc.every)
-		_, _, err := RunTraceChecked(tr, spec)
+		_, err := runTrace(tr, spec)
 		if err == nil {
 			t.Errorf("%s: injected fault went undetected", tc.kind)
 			continue
@@ -181,7 +182,7 @@ func TestGoldenModelCatchesStreamSkew(t *testing.T) {
 	spec := BaselineSpec()
 	g := audit.NewGolden(tr[:len(tr)-1])
 	spec.Core.Golden = g
-	_, _, err := RunTraceChecked(tr, spec)
+	_, err := runTrace(tr, spec)
 	if err == nil {
 		t.Fatal("golden model accepted a truncated program")
 	}

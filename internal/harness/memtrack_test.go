@@ -42,10 +42,10 @@ func observeRun(tr []trace.Inst, spec Spec) (observed, error) {
 			}
 		},
 	}
-	st, rst, err := RunTraceChecked(tr, spec)
-	o.st = st
-	if rst != nil {
-		o.rst = *rst
+	res, err := runTrace(tr, spec)
+	o.st = res.Stats
+	if res.Repair != nil {
+		o.rst = *res.Repair
 	}
 	return o, err
 }
@@ -163,7 +163,7 @@ func TestMemTrackDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := PaperForwardWalk(loop.Loop128())
 			spec.memTrack = tc.track
-			_, _, err := RunTraceChecked(tr, spec)
+			_, err := runTrace(tr, spec)
 			var ie *audit.IntegrityError
 			if !errors.As(err, &ie) || ie.Invariant != audit.InvMemTrack {
 				t.Fatalf("got %v, want an %s integrity error", err, audit.InvMemTrack)

@@ -31,15 +31,15 @@ func TestCPIStackSumsQuickSuite(t *testing.T) {
 		}
 		var cpi *obs.CPIStack
 		spec.Obs = &ObsSpec{CPIStack: true, Done: func(h *obs.Hooks) { cpi = h.CPI }}
-		st, _, err := RunTraceChecked(tr, spec)
+		res, err := runTrace(tr, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		if cpi == nil {
 			t.Fatalf("%s: ObsSpec.Done never ran", w.Name)
 		}
-		if cpi.Total() != st.Cycles {
-			t.Fatalf("%s: CPI buckets sum to %d, run took %d cycles", w.Name, cpi.Total(), st.Cycles)
+		if cpi.Total() != res.Stats.Cycles {
+			t.Fatalf("%s: CPI buckets sum to %d, run took %d cycles", w.Name, cpi.Total(), res.Stats.Cycles)
 		}
 	}
 }
@@ -61,6 +61,10 @@ func TestRunnerParallelObs(t *testing.T) {
 	spec.Obs = &ObsSpec{
 		CPIStack: true, Counters: true, TraceCap: 256,
 		Done: func(h *obs.Hooks) {
+			// The registry's "mem" source is readable only inside Done.
+			if h.Reg.Snapshot()["core.cycles"] == 0 {
+				t.Error("counter registry empty in a parallel run")
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if seen[h] {
@@ -82,9 +86,6 @@ func TestRunnerParallelObs(t *testing.T) {
 	for h := range seen {
 		if h.CPI.Total() <= 0 {
 			t.Fatal("empty CPI stack from a parallel run")
-		}
-		if h.Reg.Snapshot()["core.cycles"] == 0 {
-			t.Fatal("counter registry empty in a parallel run")
 		}
 	}
 }

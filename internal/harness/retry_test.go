@@ -221,22 +221,3 @@ func TestCanceledRunNotMemoized(t *testing.T) {
 		t.Fatal("post-cancel rerun differs from a fresh run: canceled outcomes were memoized")
 	}
 }
-
-// TestRunSuiteCanceledContext: the one-spec convenience wrapper also honors
-// cancellation.
-func TestRunSuiteCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := RunSuite(ctx, Options{Insts: 5_000, Quick: true}, BaselineSpec(), NewTraceCache())
-	if err == nil {
-		t.Fatal("canceled RunSuite returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("joined error hides the cancellation cause: %v", err)
-	}
-	for _, res := range out {
-		if res.IPC != 0 {
-			t.Fatalf("workload %s produced metrics under a pre-canceled context", res.Workload)
-		}
-	}
-}

@@ -19,9 +19,9 @@ import (
 	"localbp/internal/core"
 	"localbp/internal/faultinject"
 	"localbp/internal/mem"
-	"localbp/internal/metrics"
 	"localbp/internal/obs"
 	"localbp/internal/repair"
+	"localbp/internal/schemes"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
@@ -80,7 +80,10 @@ type ObsSpec struct {
 	TraceCap int  // event-tracer ring capacity; 0 disables tracing
 	// Observer, when set with TraceCap > 0, streams every event as emitted.
 	Observer func(obs.Event)
-	// Done receives the run's hooks after a successful simulation.
+	// Done receives the run's hooks after a successful simulation. The
+	// hooks are valid only inside Done: the registry's "mem" source reads
+	// the memory hierarchy that Run recycles right after, so take counter
+	// snapshots here.
 	Done func(h *obs.Hooks)
 }
 
@@ -161,26 +164,53 @@ func PerfectSpec(cfg loop.Config) Spec {
 	return s
 }
 
-// RunTrace simulates one prepared trace under spec and returns core stats.
-// Failures (watchdog, integrity) panic with their structured error;
-// fault-tolerant callers use RunTraceChecked.
-func RunTrace(tr []trace.Inst, spec Spec) core.Stats {
-	st, _, err := RunTraceChecked(tr, spec)
+// SpecFor builds a Spec for a registry scheme name (or alias) on the
+// default Table 2 core: the single path from a CLI -scheme flag or a facade
+// Scheme to a runnable configuration. Caller options layer onto the
+// scheme's canonical parameters.
+func SpecFor(name string, opts ...schemes.Opt) (Spec, error) {
+	def, _, err := schemes.Resolve(name, opts...)
 	if err != nil {
-		panic(err)
+		return Spec{}, err
 	}
-	return st
+	s := Spec{Label: def.Name, Tage: tage.KB8(), Core: core.DefaultConfig(), Oracle: def.Oracle}
+	if def.Make != nil {
+		s.Scheme = func() repair.Scheme {
+			sch, _, err := schemes.Build(name, opts...)
+			if err != nil {
+				panic(err) // unreachable: Resolve above validated the name
+			}
+			return sch
+		}
+	}
+	return s, nil
 }
 
-// RunTraceFull simulates one trace and returns core stats plus the scheme's
-// repair stats (nil for the baseline). A failed run returns a structured
-// *RunError instead of panicking.
-func RunTraceFull(tr []trace.Inst, spec Spec) (core.Stats, *repair.Stats, error) {
-	st, rst, err := RunTraceChecked(tr, spec)
-	if err != nil {
-		return st, rst, &RunError{SpecLabel: spec.Label, Phase: PhaseSimulate, Err: err}
-	}
-	return st, rst, nil
+// Result is what one Run reports.
+type Result struct {
+	Stats core.Stats
+	// Repair is the scheme's repair statistics; nil for the TAGE-only
+	// baseline.
+	Repair *repair.Stats
+	// Scheme is the scheme's name as run, decorators included, and
+	// StorageBits its local-predictor plus repair storage ("" and 0 for the
+	// baseline).
+	Scheme      string
+	StorageBits int
+	// Overrides counts local-predictor overrides of TAGE; OverridesOK the
+	// ones confirmed correct on the retired path.
+	Overrides, OverridesOK uint64
+	// Mem is the memory hierarchy's access and miss counts.
+	Mem MemStats
+	// AuditChecks counts the integrity auditor's checks (0 when unaudited).
+	AuditChecks uint64
+	// Faults counts injected faults by kind name; nil without Spec.Inject.
+	Faults map[string]uint64
+}
+
+// MemStats is a run's memory-hierarchy access and miss counts.
+type MemStats struct {
+	Accesses, L1Misses, L2Misses, LLCMisses uint64
 }
 
 // forceAudit reports whether LBP_AUDIT=1 is set: the `make audit` hook that
@@ -190,31 +220,29 @@ func RunTraceFull(tr []trace.Inst, spec Spec) (core.Stats, *repair.Stats, error)
 // graceful-degradation tests.
 var forceAudit = sync.OnceValue(func() bool { return os.Getenv("LBP_AUDIT") == "1" })
 
-// RunTraceChecked simulates one trace under spec, converting a core
-// watchdog trip or integrity violation into an error (match with
-// errors.Is against core.ErrStalled / audit.ErrIntegrity) instead of an
-// infinite loop or panic. Repair stats are nil for the baseline.
-func RunTraceChecked(tr []trace.Inst, spec Spec) (core.Stats, *repair.Stats, error) {
-	return RunTraceContext(context.Background(), tr, spec)
-}
-
-// RunTraceContext is RunTraceChecked under a context: cancellation or a
-// deadline aborts the simulation within one cancellation-check stride with
-// an error matching context.Canceled / context.DeadlineExceeded /
-// core.ErrCanceled. The context checks are read-only — a run that completes
-// is bit-identical to RunTraceChecked.
-func RunTraceContext(ctx context.Context, tr []trace.Inst, spec Spec) (core.Stats, *repair.Stats, error) {
-	return RunSourceContext(ctx, trace.NewSliceSource(tr), spec)
-}
-
-// RunSourceContext is RunTraceContext over a streaming trace.Source: an
-// in-memory source takes the resident-program path bit-identically, while a
-// file or mmap source replays through the core's sliding window at fixed
-// memory. The golden oracle needs the whole trace resident, so spec.Golden on
-// a true streaming source is an error; the LBP_AUDIT=1 force keeps the
-// auditor and skips only the oracle for such sources. The caller retains
-// ownership of src (closing, single-consumer discipline).
-func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.Stats, *repair.Stats, error) {
+// Run simulates src under spec. It is the one place a scheme is decorated
+// (observability registration, then fault injection, then the auditor) and
+// a bpu.Unit and core are built, so the sweeps, the localbp facade and the
+// CLIs all measure the same pipeline. An in-memory source
+// (trace.NewSliceSource) takes the resident-program path; a file or mmap
+// source replays through the core's sliding window at fixed memory.
+//
+// A watchdog trip, integrity violation or cancellation returns an error
+// (match with errors.Is against core.ErrStalled, audit.ErrIntegrity or
+// context.Canceled / context.DeadlineExceeded) along with the core stats
+// reached so far; ctx nil means context.Background(). The context checks
+// are read-only, so a run that completes is bit-identical to one without a
+// context. The golden oracle needs the whole trace resident, so spec.Golden
+// on a true streaming source is an error; the LBP_AUDIT=1 force keeps the
+// auditor and skips only the oracle for such sources.
+//
+// Run recycles the core's memory hierarchy before it returns, after
+// spec.Obs.Done. The caller retains ownership of src (closing,
+// single-consumer discipline).
+func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	goldenExplicit := spec.Golden
 	if forceAudit() && spec.Inject == nil {
 		spec.Audit, spec.Golden = true, true
@@ -239,14 +267,15 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 		var err error
 		inj, err = faultinject.New(*spec.Inject)
 		if err != nil {
-			return core.Stats{}, nil, err
+			return Result{}, err
 		}
 		if scheme != nil {
 			scheme = inj.Wrap(scheme)
 		}
 	}
+	var aud *audit.Auditor
 	if spec.Audit {
-		aud := audit.New()
+		aud = audit.New()
 		aud.Interval = spec.AuditInterval
 		cfg.Audit = aud
 		if scheme != nil {
@@ -255,13 +284,14 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 			scheme = audit.WrapScheme(scheme, aud)
 		}
 	}
+	tr, resident := trace.SourceSlice(src)
 	if spec.Golden && cfg.Golden == nil {
 		// A caller-provided golden model (spec.Core.Golden) wins: tests use
 		// it to feed the oracle a deliberately divergent program.
-		if tr, ok := trace.SourceSlice(src); ok {
+		if resident {
 			cfg.Golden = audit.NewGolden(tr)
 		} else if goldenExplicit {
-			return core.Stats{}, nil, errors.New(
+			return Result{}, errors.New(
 				"harness: the golden oracle needs the whole trace in memory; streaming sources support Audit only")
 		}
 		// Forced (LBP_AUDIT=1) golden on a streaming source: keep the
@@ -273,25 +303,40 @@ func RunSourceContext(ctx context.Context, src trace.Source, spec Spec) (core.St
 		inj.AttachTAGE(unit.Tage)
 	}
 	var c *core.Core
-	if tr, ok := trace.SourceSlice(src); ok && spec.memTrack != nil {
+	if resident && spec.memTrack != nil {
 		c = core.NewReplay(cfg, unit, tr, spec.memTrack)
 	} else {
 		var err error
 		if c, err = core.NewStream(cfg, unit, src); err != nil {
-			return core.Stats{}, nil, err
+			return Result{}, err
 		}
 	}
+	// Deferred, so it follows Obs.Done: the registry's "mem" source reads
+	// the hierarchy that goes back to the pool here.
+	defer c.Recycle()
 	st, err := c.RunContext(ctx)
 	if err != nil {
-		return st, nil, err
+		return Result{Stats: st}, err
 	}
 	if hooks != nil && spec.Obs.Done != nil {
 		spec.Obs.Done(hooks)
 	}
+	res := Result{Stats: st}
+	res.Overrides, res.OverridesOK = unit.OverrideStats()
+	m := &res.Mem
+	m.Accesses, m.L1Misses, m.L2Misses, m.LLCMisses = c.Mem().Stats()
 	if scheme != nil {
-		return st, scheme.Stats(), nil
+		res.Repair = scheme.Stats()
+		res.Scheme = scheme.Name()
+		res.StorageBits = scheme.StorageBits()
 	}
-	return st, nil, nil
+	if aud != nil {
+		res.AuditChecks = aud.Checks()
+	}
+	if inj != nil {
+		res.Faults = inj.Counts()
+	}
+	return res, nil
 }
 
 // Options controls suite-level experiment execution.
@@ -350,46 +395,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// RunSuite simulates every workload under spec, reusing pre-generated traces
-// when provided via cache (keyed by workload name and length). A failed
-// workload yields a zero-metric Result and a structured *RunError; the rest
-// of the suite still runs, and the joined errors are returned alongside.
-// Context cancellation stops the remaining workloads with ClassCanceled
-// RunErrors. Sweeps wanting memoization and parallelism use Runner.RunContext.
-func RunSuite(ctx context.Context, o Options, spec Spec, cache *TraceCache) ([]metrics.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ws := o.suite()
-	out := make([]metrics.Result, len(ws))
-	var errs []error
-	for i, w := range ws {
-		out[i] = metrics.Result{Workload: w.Name, Category: w.Category.String()}
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, &RunError{Workload: w.Name, SpecLabel: spec.Label,
-				Phase: PhaseCanceled, Err: err, Class: ClassCanceled, Attempts: 0})
-			continue
-		}
-		tr, err := cache.Get(w, o.Insts)
-		if err != nil {
-			errs = append(errs, &RunError{Workload: w.Name, SpecLabel: spec.Label,
-				Phase: PhaseGenerate, Err: err, Class: ClassPermanent, Attempts: 1})
-			continue
-		}
-		st, _, err := RunTraceContext(ctx, tr, spec)
-		if err != nil {
-			re := &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseSimulate, Err: err, Attempts: 1}
-			re.Class = Classify(re)
-			errs = append(errs, re)
-			continue
-		}
-		out[i].IPC = st.IPC()
-		out[i].MPKI = st.MPKI()
-		out[i].TageMPKI = st.TageMPKI()
-	}
-	return out, errors.Join(errs...)
 }
 
 // traceKey identifies one cached trace. Generated workloads key by
@@ -548,23 +553,6 @@ func readFileTrace(w workloads.Workload, n int) ([]trace.Inst, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// GetSource returns a streaming source for w at n instructions. Sources are
-// stateful and single-consumer, so every call hands out a fresh one:
-// generated workloads serve a zero-copy SliceSource over the cached trace,
-// file-backed workloads open the file anew (fixed-memory replay; the key
-// discipline of Get does not apply because nothing is cached). Close
-// file-backed sources with trace.CloseSource.
-func (tc *TraceCache) GetSource(w workloads.Workload, n int) (trace.Source, error) {
-	if w.TraceFile != "" {
-		return w.Open(n)
-	}
-	tr, err := tc.Get(w, n)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewSliceSource(tr), nil
 }
 
 // Release evicts the cached trace for w at n instructions, with its memory

@@ -10,6 +10,7 @@ import (
 
 	"localbp/internal/metrics"
 	"localbp/internal/repair"
+	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
 
@@ -227,16 +228,16 @@ func (r *Runner) attemptOne(ctx context.Context, i int, w workloads.Workload, sp
 		actx, cancel = context.WithTimeout(ctx, r.Opts.RunTimeout)
 		defer cancel()
 	}
-	st, rst, err := RunTraceContext(actx, tr, spec)
+	res, err := Run(actx, trace.NewSliceSource(tr), spec)
 	if err != nil {
 		o.Err = &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseSimulate, Err: err}
 		return o
 	}
-	o.Result.IPC = st.IPC()
-	o.Result.MPKI = st.MPKI()
-	o.Result.TageMPKI = st.TageMPKI()
-	if rst != nil {
-		o.Repair = *rst
+	o.Result.IPC = res.Stats.IPC()
+	o.Result.MPKI = res.Stats.MPKI()
+	o.Result.TageMPKI = res.Stats.TageMPKI()
+	if res.Repair != nil {
+		o.Repair = *res.Repair
 	}
 	return o
 }

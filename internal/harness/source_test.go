@@ -70,33 +70,31 @@ func TestTraceCacheStaleFile(t *testing.T) {
 }
 
 // TestRunSourceFileReplayBitIdentical checks a file-replayed simulation is
-// bit-identical to the in-process-generated run of the same workload/seed,
-// through both the harness source path and the cache.
+// bit-identical to the in-process-generated run of the same workload/seed.
 func TestRunSourceFileReplayBitIdentical(t *testing.T) {
 	w := workloads.QuickSuite()[2]
 	const insts = 60_000
 	tr := w.Generate(insts)
 	spec := BaselineSpec()
 
-	want, _, err := RunTraceContext(context.Background(), tr, spec)
+	want, err := runTrace(tr, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "w.lbp2")
 	writeLBP2(t, path, tr)
-	tc := NewTraceCache()
-	src, err := tc.GetSource(workloads.FromFile(path), 0)
+	src, err := workloads.FromFile(path).Open(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer trace.CloseSource(src)
-	got, _, err := RunSourceContext(context.Background(), src, spec)
+	got, err := Run(context.Background(), src, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("file replay diverges from in-process generation\n  file: %+v\n  gen:  %+v", got, want)
+	if got.Stats != want.Stats {
+		t.Fatalf("file replay diverges from in-process generation\n  file: %+v\n  gen:  %+v", got.Stats, want.Stats)
 	}
 }
 
@@ -109,7 +107,7 @@ func TestRunSourceQuickSuiteBitIdentical(t *testing.T) {
 	spec := BaselineSpec()
 	for _, w := range workloads.QuickSuite() {
 		tr := w.Generate(insts)
-		want, _, err := RunTraceContext(context.Background(), tr, spec)
+		want, err := runTrace(tr, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -119,14 +117,14 @@ func TestRunSourceQuickSuiteBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		got, _, err := RunSourceContext(context.Background(), src, spec)
+		got, err := Run(context.Background(), src, spec)
 		trace.CloseSource(src)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if got != want {
+		if got.Stats != want.Stats {
 			t.Fatalf("%s: file replay diverges from in-process generation\n  file: %+v\n  gen:  %+v",
-				w.Name, got, want)
+				w.Name, got.Stats, want.Stats)
 		}
 	}
 }
@@ -145,15 +143,14 @@ func TestRunSourceGoldenRequiresSlice(t *testing.T) {
 	defer trace.CloseSource(src)
 	spec := BaselineSpec()
 	spec.Golden = true
-	if _, _, err := RunSourceContext(context.Background(), src, spec); err == nil {
+	if _, err := Run(context.Background(), src, spec); err == nil {
 		t.Fatal("golden oracle on a streaming source must error")
 	}
 
 	// On a slice-backed source the oracle runs as before.
 	spec2 := BaselineSpec()
 	spec2.Golden = true
-	if _, _, err := RunSourceContext(context.Background(),
-		trace.NewSliceSource(w.Generate(5000)), spec2); err != nil {
+	if _, err := runTrace(w.Generate(5000), spec2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,14 +16,20 @@
 //	if err != nil { ... }
 //	fmt.Printf("IPC %.2f, MPKI %.2f\n%s", res.IPC, res.MPKI, res.CPI)
 //
+// FromSource runs a prepared trace instead: an in-memory stream
+// (trace.NewSliceSource) or an on-disk file (OpenTrace).
+//
 // Observability (the CPI stack, the counter registry, the event tracer) is
 // opt-in per run: a Simulate call without WithCPIStack/WithCounters/
 // WithEventTrace/WithObserver runs the bare pipeline.
 //
-// The full component API lives in the internal packages and is exercised by
-// the cmd/ tools, the examples/ programs and the experiment harness; see
-// DESIGN.md for the architecture and EXPERIMENTS.md for the paper-vs-
-// measured results.
+// Every run goes through the experiment harness's one simulation pipeline
+// (internal/harness.Run), the same one the lbpsim and lbpsweep commands
+// use, so a facade number matches theirs for the same trace and scheme,
+// and LBP_AUDIT=1 audits facade runs too. The full component API lives in
+// the internal packages and is exercised by the cmd/ tools, the examples/
+// programs and the harness; see DESIGN.md for the architecture and
+// EXPERIMENTS.md for the paper-vs-measured results.
 package localbp
 
 import (
@@ -31,11 +37,8 @@ import (
 	"errors"
 	"fmt"
 
-	"localbp/internal/audit"
-	"localbp/internal/bpu"
 	"localbp/internal/bpu/loop"
-	"localbp/internal/bpu/tage"
-	"localbp/internal/core"
+	"localbp/internal/harness"
 	"localbp/internal/obs"
 	"localbp/internal/repair"
 	"localbp/internal/schemes"
@@ -172,11 +175,6 @@ func SchemeByName(name string, opts ...SchemeOpt) (Scheme, error) {
 // SchemeNames returns every canonical scheme name, sorted.
 func SchemeNames() []string { return schemes.Names() }
 
-// SchemeOption is the deprecated name of Scheme.
-//
-// Deprecated: use Scheme.
-type SchemeOption = Scheme
-
 // Observability re-exports: callers interpret CPI stacks and trace events
 // through these aliases without importing internal packages.
 type (
@@ -267,7 +265,7 @@ func WithAudit() Option { return func(c *simConfig) { c.auditOn = true } }
 func WithGolden() Option { return func(c *simConfig) { c.golden = true } }
 
 // WithSeed overrides the workload's trace-generation seed (Simulate only;
-// SimulateTrace takes a prepared stream).
+// FromSource takes a prepared stream).
 func WithSeed(s int64) Option {
 	return func(c *simConfig) { c.seed, c.seedSet = s, true }
 }
@@ -401,133 +399,50 @@ func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 	return simulate(src, s, sc)
 }
 
-// SimulateTrace runs a prepared in-memory instruction stream.
-//
-// Deprecated: use FromSource with trace.NewSliceSource(tr) — or OpenTrace for
-// an on-disk trace. SimulateTrace remains as a thin shim and is bit-identical
-// to the FromSource path.
-func SimulateTrace(tr []trace.Inst, s Scheme, opts ...Option) (Result, error) {
-	return FromSource(trace.NewSliceSource(tr), s, opts...)
-}
-
 func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
 	if s == nil {
 		return Result{}, errors.New("localbp: nil scheme")
 	}
 	sp := s.spec()
-	scheme, def, err := schemes.Build(sp.name, sp.opts...)
+	spec, err := harness.SpecFor(sp.name, sp.opts...)
 	if err != nil {
 		return Result{}, fmt.Errorf("localbp: %w", err)
 	}
+	spec.Core.WarmupInsts = sc.warmup
+	spec.Core.MaxCycles = sc.maxCycles
+	spec.Audit = sc.auditOn
+	spec.Golden = sc.golden
 
-	ccfg := core.DefaultConfig()
-	ccfg.WarmupInsts = sc.warmup
-	ccfg.MaxCycles = sc.maxCycles
-
-	// Observability hooks: built fresh per run, so concurrent Simulate
-	// calls never share registries or tracers.
-	hooks := &obs.Hooks{}
-	wantObs := false
-	if sc.cpistack {
-		hooks.CPI = obs.NewCPIStack()
-		wantObs = true
+	if sc.observer != nil && sc.traceCap == 0 {
+		sc.traceCap = 4096 // WithObserver implies event tracing
 	}
-	if sc.counters {
-		hooks.Reg = obs.NewRegistry()
-		wantObs = true
-	}
-	if sc.traceCap > 0 || sc.observer != nil {
-		capacity := sc.traceCap
-		if capacity <= 0 {
-			capacity = 4096
-		}
-		hooks.Tracer = obs.NewTracer(capacity)
-		hooks.Tracer.Observer = sc.observer
-		wantObs = true
-	}
-	if wantObs {
-		ccfg.Obs = hooks
-		if scheme != nil {
-			// Register the raw scheme before any decorator wraps it: the
-			// audit/inject wrappers forward behaviour, not registration.
-			repair.AttachObs(scheme, hooks.Reg, hooks.Tracer)
+	var res Result
+	if sc.cpistack || sc.counters || sc.traceCap > 0 {
+		spec.Obs = &harness.ObsSpec{
+			CPIStack: sc.cpistack, Counters: sc.counters,
+			TraceCap: sc.traceCap, Observer: sc.observer,
+			Done: func(h *obs.Hooks) {
+				res.CPI = h.CPI
+				if h.Reg != nil {
+					res.Counters = h.Reg.Snapshot()
+				}
+				if h.Tracer != nil {
+					res.Events = h.Tracer.Events()
+				}
+			},
 		}
 	}
-
-	if sc.auditOn {
-		aud := audit.New()
-		ccfg.Audit = aud
-		if scheme != nil {
-			scheme = audit.WrapScheme(scheme, aud)
-		}
-	}
-	if sc.golden {
-		tr, ok := trace.SourceSlice(src)
-		if !ok {
-			return Result{}, errors.New(
-				"localbp: WithGolden needs the whole trace in memory; drop it or use an in-memory source")
-		}
-		ccfg.Golden = audit.NewGolden(tr)
-	}
-
-	unit := bpu.NewUnit(tage.KB8(), scheme)
-	unit.Oracle = def.Oracle
-	c, err := core.NewStream(ccfg, unit, src)
+	r, err := harness.Run(sc.ctx, src, spec)
 	if err != nil {
 		return Result{}, err
 	}
-	ctx := sc.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st, err := c.RunContext(ctx)
-	if err != nil {
-		c.Recycle()
-		return Result{}, err
-	}
-	ov, ovok := unit.OverrideStats()
-	res := Result{
-		Scheme:      sp.label,
-		IPC:         st.IPC(),
-		MPKI:        st.MPKI(),
-		Cycles:      st.Cycles,
-		Insts:       st.Insts,
-		Branches:    st.Branches,
-		Mispredicts: st.Mispredicts,
-		Overrides:   ov,
-		OverridesOK: ovok,
-		CPI:         hooks.CPI,
-	}
-	if hooks.Reg != nil {
-		res.Counters = hooks.Reg.Snapshot()
-	}
-	if hooks.Tracer != nil {
-		res.Events = hooks.Tracer.Events()
-	}
-	// All stats (including the registry's "mem" pull source) are snapshotted;
-	// the hierarchy's metadata arrays can go back to the pool.
-	c.Recycle()
+	res.Scheme = sp.label
+	res.IPC = r.Stats.IPC()
+	res.MPKI = r.Stats.MPKI()
+	res.Cycles = r.Stats.Cycles
+	res.Insts = r.Stats.Insts
+	res.Branches = r.Stats.Branches
+	res.Mispredicts = r.Stats.Mispredicts
+	res.Overrides, res.OverridesOK = r.Overrides, r.OverridesOK
 	return res, nil
-}
-
-// MustSimulate is Simulate for quick scripts: it panics on error.
-//
-// Deprecated: use Simulate and handle the error.
-func MustSimulate(w WorkloadInfo, n int, s Scheme, opts ...Option) Result {
-	res, err := Simulate(w, n, s, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MustSimulateTrace is SimulateTrace for quick scripts: it panics on error.
-//
-// Deprecated: use SimulateTrace and handle the error.
-func MustSimulateTrace(tr []trace.Inst, s Scheme, opts ...Option) Result {
-	res, err := SimulateTrace(tr, s, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

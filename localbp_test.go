@@ -3,6 +3,8 @@ package localbp
 import (
 	"strings"
 	"testing"
+
+	"localbp/internal/trace"
 )
 
 func TestWorkloadLookup(t *testing.T) {
@@ -62,11 +64,6 @@ func TestSchemeLabels(t *testing.T) {
 		}
 		seen[o.Label()] = true
 	}
-	// The deprecated alias must keep compiling against the new interface.
-	var dep SchemeOption = ForwardWalk()
-	if dep.Label() != "forward-walk" {
-		t.Fatalf("alias label %q", dep.Label())
-	}
 }
 
 func TestSchemeByName(t *testing.T) {
@@ -94,11 +91,11 @@ func TestSchemeByName(t *testing.T) {
 func TestSimulateTraceSharesTrace(t *testing.T) {
 	w, _ := Workload("tabletmark-email")
 	tr := w.Generate(60_000)
-	a, err := SimulateTrace(tr, ForwardWalk())
+	a, err := FromSource(trace.NewSliceSource(tr), ForwardWalk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateTrace(tr, ForwardWalk())
+	b, err := FromSource(trace.NewSliceSource(tr), ForwardWalk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestSimulateNilSchemeAndBadCount(t *testing.T) {
 	if _, err := Simulate(w, 0, BaselineTAGE()); err == nil {
 		t.Fatal("zero instruction count accepted")
 	}
-	if _, err := SimulateTrace(w.Generate(1000), nil); err == nil {
+	if _, err := FromSource(trace.NewSliceSource(w.Generate(1000)), nil); err == nil {
 		t.Fatal("nil scheme accepted")
 	}
 }
@@ -203,18 +200,4 @@ func TestSchemeOptions(t *testing.T) {
 		t.Fatalf("starved repair (4-entry OBQ, 1/1 ports) not slower: %d vs %d cycles",
 			small.Cycles, big.Cycles)
 	}
-}
-
-func TestMustShims(t *testing.T) {
-	w, _ := Workload("cloud-compression")
-	res := MustSimulate(w, 30_000, BaselineTAGE())
-	if res.Insts != 30_000 {
-		t.Fatalf("MustSimulate retired %d", res.Insts)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSimulateTrace did not panic on error")
-		}
-	}()
-	MustSimulateTrace(w.Generate(1000), nil)
 }
