@@ -257,14 +257,14 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncode measures the binary trace codec.
+// BenchmarkTraceEncode measures the LBP2 trace encoder.
 func BenchmarkTraceEncode(b *testing.B) {
 	w, _ := workloads.ByName("hadoop-analytics-01")
 	tr := w.Generate(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink countingWriter
-		if err := trace.WriteTrace(&sink, tr); err != nil {
+		if err := trace.WriteTraceLBP2(&sink, tr); err != nil {
 			b.Fatal(err)
 		}
 	}

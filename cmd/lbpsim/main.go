@@ -21,7 +21,7 @@
 // fault injection: a comma-separated kind list or "all" (see
 // internal/faultinject).
 //
-// -trace-file replays a saved trace (lbp1, lbp2 or champsim; see lbptrace
+// -trace-file replays a saved trace (lbp2 or champsim; see lbptrace
 // -convert) through the streaming ingestion path at fixed memory instead of
 // generating -workload; -insts, when given explicitly, truncates the replay.
 //
@@ -73,7 +73,7 @@ func main() {
 	traceEvents := flag.String("trace-events", "", "write retained trace events as JSONL to this file")
 	traceChrome := flag.String("trace-chrome", "", "write retained trace events in Chrome trace_event format to this file")
 	traceCap := flag.Int("trace-cap", 65536, "event-tracer ring capacity (retained events)")
-	traceFile := flag.String("trace-file", "", "replay a saved trace file (lbp1, lbp2 or champsim) instead of generating -workload")
+	traceFile := flag.String("trace-file", "", "replay a saved trace file (lbp2 or champsim) instead of generating -workload")
 	flag.Parse()
 	instsSet := false
 	flag.Visit(func(f *flag.Flag) {

@@ -2,10 +2,7 @@
 //
 // Usage:
 //
-//	lbpsweep [-insts N] [-quick] [-workers N] [-checkpoint file] [-retries N] [-timeout D] [-deadline D] [-list] [experiment ids...]
-//	lbpsweep -shards N -lease-dir DIR [sweep flags] [experiment ids...]
-//	lbpsweep -shard k/N -lease-dir DIR [sweep flags] [experiment ids...]
-//	lbpsweep -merge -shards N -lease-dir DIR [-merge-out file] [experiment ids...]
+//	lbpsweep [-insts N] [-quick] [-workers N] [-checkpoint file] [-timeout D] [-deadline D] [-list] [experiment ids...]
 //	lbpsweep -cpistack [-scheme name] [-insts N] [-quick]
 //	lbpsweep -trace-events file -workload name [-scheme name] [-insts N] [-seed N]
 //	lbpsweep -trace-file file [-scheme name] [-insts N]
@@ -25,40 +22,15 @@
 //     experiments and replays their stored output. A corrupt checkpoint is
 //     preserved as <file>.corrupt and the previous generation is recovered
 //     automatically when valid.
-//   - -retries N retries transiently failed workload runs (stalls,
-//     integrity trips, panics) up to N times with deterministic jittered
-//     exponential backoff; permanent failures (validation, generation) are
-//     never retried. Retries replay the identical trace, so surviving
-//     results are bit-identical to a retry-free sweep.
-//   - -timeout D bounds each workload run attempt's wall clock, composing
-//     with the cycle-domain watchdog (-insts budget and stall detection).
+//   - -timeout D bounds each workload run's wall clock, composing with the
+//     cycle-domain watchdog (-insts budget and stall detection); a run that
+//     exceeds it fails like a stalled one. Failed runs are not retried.
 //   - -deadline D bounds the whole invocation's wall clock: on expiry the
 //     sweep is canceled exactly like SIGINT (completed experiments stay
 //     checkpointed) and the process exits with code 4.
 //   - SIGINT/SIGTERM cancel the sweep gracefully: in-flight workload runs
 //     stop within one cancellation-check stride, completed experiments are
 //     already checkpointed, and the process exits with code 4.
-//   - -inject transient arms the deterministic chaos plan: seeded,
-//     attempt-dependent synthetic faults that exercise the retry machinery
-//     without perturbing surviving results.
-//
-// Sharded sweeps (DESIGN.md §15) split the experiment set across worker
-// processes by a stable hash of the experiment id:
-//
-//   - -shards N runs the coordinator: N `lbpsweep -shard k/N` subprocesses
-//     (bounded by -shard-parallel) with durable, heartbeat-renewed leases in
-//     -lease-dir; a worker whose lease expires (crash, OOM kill, freeze) has
-//     its shard reassigned to a fresh worker, which resumes from the shard's
-//     checkpoint. -chaos-kill k SIGKILLs shard k's first worker mid-shard to
-//     rehearse exactly that path.
-//   - -shard k/N runs one worker: lease out shard k, sweep its assigned
-//     experiments into the shard checkpoint, heartbeat every
-//     -lease-heartbeat, release on exit. Workers may equally be launched by
-//     hand or by coordinators on different machines sharing -lease-dir.
-//   - -merge folds the per-shard checkpoints through an integrity gate
-//     (CRC per shard, option-stamp agreement, every expected experiment
-//     exactly once) and prints the canonical timing-free output, which is
-//     bit-identical to the same render of a single-process sweep.
 //
 // Exit codes: 0 all experiments ok; 1 partial (some experiments or workload
 // runs failed); 2 configuration error; 3 every attempted experiment failed;
@@ -87,7 +59,6 @@ import (
 	"runtime/metrics"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"localbp/internal/harness"
 	"localbp/internal/obs"
@@ -106,21 +77,8 @@ func run() int {
 	quick := flag.Bool("quick", false, "use the reduced workload subset")
 	workers := flag.Int("workers", 0, "concurrent workload runs per configuration (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "", "file for checkpoint/resume of completed experiments")
-	retries := flag.Int("retries", 0, "retry budget for transiently failed workload runs")
-	timeout := flag.Duration("timeout", 0, "wall-clock cap per workload run attempt (0 = none)")
+	timeout := flag.Duration("timeout", 0, "wall-clock cap per workload run; a run that exceeds it fails (0 = none)")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole invocation; on expiry the sweep is canceled and exits 4 (0 = none)")
-	shardSpec := flag.String("shard", "", "worker mode: run shard k/N of the selected experiments (requires -lease-dir)")
-	shards := flag.Int("shards", 0, "coordinator mode: run the sweep across N worker processes (requires -lease-dir); also the N for -merge")
-	merge := flag.Bool("merge", false, "merge the per-shard checkpoints in -lease-dir (or render -checkpoint) and print the canonical timing-free output")
-	leaseDir := flag.String("lease-dir", "", "directory for shard lease journals, per-shard checkpoints and worker logs")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "shard lease time-to-live; a worker silent this long is presumed dead and its shard reassigned")
-	leaseHB := flag.Duration("lease-heartbeat", 0, "shard lease renewal interval (0 = lease-ttl/4)")
-	shardAttempts := flag.Int("shard-attempts", 3, "workers spawned per shard before declaring it retry-exhausted (coordinator mode)")
-	shardParallel := flag.Int("shard-parallel", 0, "concurrently running workers (0 = all shards at once)")
-	chaosKill := flag.Int("chaos-kill", -1, "coordinator chaos: SIGKILL this shard's first worker once it is observably mid-shard (negative = off)")
-	mergeOut := flag.String("merge-out", "", "with -merge: also save the merged checkpoint to this file")
-	inject := flag.String("inject", "", "chaos injection mode; accepted values: 'transient' (deterministically fail leading run attempts; pair with -retries) or empty to disable — anything else is a configuration error (exit 2)")
-	injectSeed := flag.Uint64("inject-seed", 1, "seed for the -inject chaos plan")
 	auditSample := flag.Int("audit-sample", 0, "run the integrity auditor + golden model on every Nth workload per spec (0 = off)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	verbose := flag.Bool("v", false, "print per-configuration progress")
@@ -129,7 +87,7 @@ func run() int {
 	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed for -trace-events (0 = workload default)")
 	cpistack := flag.Bool("cpistack", false, "print the per-category CPI-stack table instead of running experiments")
 	traceEvents := flag.String("trace-events", "", "write one run's structured events as JSONL to this file (requires -workload)")
-	traceFile := flag.String("trace-file", "", "replay this saved trace file (lbp1, lbp2 or champsim) under -scheme and print the result")
+	traceFile := flag.String("trace-file", "", "replay this saved trace file (lbp2 or champsim) under -scheme and print the result")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof, heap.pprof and a runtime-metrics dump to this directory")
 	flag.Parse()
 	instsSet := false
@@ -171,44 +129,7 @@ func run() int {
 	}
 
 	opts := harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
-		AuditSample: *auditSample, Retries: *retries, RunTimeout: *timeout}
-
-	switch *inject {
-	case "":
-	case "transient":
-		opts.Chaos = &harness.ChaosPlan{Seed: *injectSeed, MaxFaults: 2}
-		if *retries == 0 {
-			fmt.Fprintf(os.Stderr, "lbpsweep: note: -inject transient without -retries will fail chaos-faulted runs\n")
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "lbpsweep: unknown -inject mode %q (supported: transient)\n", *inject)
-		return int(service.SweepConfigError)
-	}
-
-	sf := shardFlags{
-		spec:       *shardSpec,
-		shards:     *shards,
-		merge:      *merge,
-		dir:        *leaseDir,
-		ttl:        *leaseTTL,
-		heartbeat:  *leaseHB,
-		attempts:   *shardAttempts,
-		parallel:   *shardParallel,
-		chaosKill:  *chaosKill,
-		mergeOut:   *mergeOut,
-		checkpoint: *checkpoint,
-	}
-	switch {
-	case sf.merge:
-		return runMerge(sf, flag.Args())
-	case sf.spec != "" && sf.shards > 0:
-		fmt.Fprintln(os.Stderr, "lbpsweep: -shard (worker) and -shards (coordinator) are mutually exclusive")
-		return service.ExitConfigError
-	case sf.spec != "":
-		return runShardWorker(ctx, sf, opts, flag.Args(), *verbose)
-	case sf.shards > 0:
-		return runCoordinator(ctx, sf, opts, flag.Args(), *verbose)
-	}
+		AuditSample: *auditSample, RunTimeout: *timeout}
 
 	if *cpistack {
 		out, err := harness.CPIStackTable(ctx, opts, *schemeName)

@@ -132,33 +132,46 @@ func TestSweepSIGINTResume(t *testing.T) {
 }
 
 // TestSweepExitCodeConfigError: unknown experiment ids exit 2 before any
-// simulation.
+// simulation, and so does every retired flag (retries, chaos injection,
+// sharding), so a script still passing one fails loudly instead of running a
+// different sweep.
 func TestSweepExitCodeConfigError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	bin := buildSweep(t)
-	cmd := exec.Command(bin, "-quick", "-insts", "5000", "definitely-not-an-experiment")
-	out, _ := cmd.CombinedOutput()
-	if code := cmd.ProcessState.ExitCode(); code != 2 {
-		t.Fatalf("unknown id exited %d, want 2\n%s", code, out)
+	for _, args := range [][]string{
+		{"definitely-not-an-experiment"},
+		{"-retries", "1", "table1"},
+		{"-shards", "2", "table1"},
+		{"-merge", "table1"},
+		{"-inject", "transient", "table1"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-quick", "-insts", "5000"}, args...)...)
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Fatalf("%v exited %d, want 2\n%s", args, code, out)
+		}
 	}
 }
 
-// TestSweepChaosGate: with -inject transient and a covering -retries budget,
-// a quick sweep completes 100% (exit 0) and reports no failures.
-func TestSweepChaosGate(t *testing.T) {
+// TestSweepDeadlineExit4: -deadline bounds the whole invocation's wall
+// clock; on expiry the sweep exits 4 like SIGINT, with completed work
+// checkpointed for resume.
+func TestSweepDeadlineExit4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	bin := buildSweep(t)
-	cmd := exec.Command(bin, "-quick", "-insts", "20000",
-		"-inject", "transient", "-retries", "3", "table1", "fig4")
-	out, err := cmd.CombinedOutput()
-	if code := cmd.ProcessState.ExitCode(); code != 0 || err != nil {
-		t.Fatalf("chaos-injected sweep exited %d (%v)\n%s", code, err, out)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	// The full suite at this budget runs for minutes; the deadline cuts it
+	// off in under a second.
+	cmd := exec.Command(bin, "-insts", "300000", "-deadline", "500ms", "-checkpoint", ckpt)
+	out, _ := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 4 {
+		t.Fatalf("deadline-bounded sweep exited %d, want 4\n%s", code, out)
 	}
-	if strings.Contains(string(out), "!!") {
-		t.Fatalf("chaos-injected sweep reported failures despite covering retry budget:\n%s", out)
+	if !strings.Contains(string(out), "interrupted") {
+		t.Fatalf("deadline expiry not reported as interruption:\n%s", out)
 	}
 }

@@ -1,6 +1,6 @@
 // Command lbptrace generates, saves, converts, inspects and characterizes
 // workload traces — both the synthetic evaluation suite and external trace
-// files (LBP1, LBP2, ChampSim).
+// files (LBP2, ChampSim).
 //
 // Usage:
 //
@@ -8,19 +8,17 @@
 //	lbptrace -list-schemes                    # list the scheme registry
 //	lbptrace -workload NAME [-insts N]        # summarize a workload
 //	lbptrace -workload NAME -sites            # print its branch-site inventory
-//	lbptrace -gen -workload NAME -out F       # save the trace (-format lbp1|lbp2)
+//	lbptrace -gen -workload NAME -out F       # save the trace as LBP2
 //	lbptrace -stat trace.lbp2                 # summarize a saved trace file
-//	lbptrace -convert in.lbp -out F           # re-encode a trace file
+//	lbptrace -convert in.champsim -out F      # re-encode a trace file as LBP2
 //
 // -insts, -workload, -scheme and -seed spell the same across lbpsim,
 // lbpsweep and lbptrace, and `-workload NAME -out F` still saves without
 // -gen.
 //
 // -stat and -convert stream: the input is decoded chunk-at-a-time, so
-// arbitrarily long traces are handled at fixed memory (LBP2 output; LBP1
-// output buffers because its header carries the record count). For LBP2
-// inputs -stat also prints the container layout (chunks, index, bytes per
-// instruction).
+// arbitrarily long traces are handled at fixed memory. For LBP2 inputs -stat
+// also prints the container layout (chunks, index, bytes per instruction).
 package main
 
 import (
@@ -43,10 +41,9 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed (0 = workload default)")
 	sites := flag.Bool("sites", false, "print the branch-site inventory")
 	gen := flag.Bool("gen", false, "generate -workload and write it to -out")
-	format := flag.String("format", "lbp2", "output trace format: lbp1 or lbp2")
-	out := flag.String("out", "", "write the binary trace to this file")
-	stat := flag.String("stat", "", "summarize a saved trace file (lbp1, lbp2 or champsim)")
-	convert := flag.String("convert", "", "re-encode this trace file to -out in -format")
+	out := flag.String("out", "", "write the trace to this file as LBP2")
+	stat := flag.String("stat", "", "summarize a saved trace file (lbp2 or champsim)")
+	convert := flag.String("convert", "", "re-encode this trace file to -out as LBP2")
 	flag.Parse()
 
 	switch {
@@ -72,7 +69,7 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-convert requires -out"))
 		}
-		if err := convertFile(*convert, *out, *format); err != nil {
+		if err := convertFile(*convert, *out); err != nil {
 			fatal(err)
 		}
 
@@ -98,10 +95,12 @@ func main() {
 		tr := w.Generate(*insts)
 		fmt.Printf("%s (%s): %s\n", w.Name, w.Category, trace.Summarize(tr))
 		if *out != "" {
-			if err := writeFile(*out, *format, tr); err != nil {
+			if err := service.AtomicWriteFile(*out, func(f io.Writer) error {
+				return trace.WriteTraceLBP2(f, tr)
+			}); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("wrote %s (%s)\n", *out, *format)
+			fmt.Printf("wrote %s (lbp2)\n", *out)
 		}
 
 	default:
@@ -111,7 +110,8 @@ func main() {
 }
 
 // statFile prints the aggregate statistics of any supported trace file,
-// decoding it chunk-at-a-time; LBP2 containers also get a layout line.
+// decoding it chunk-at-a-time; LBP2 containers also get a layout line, and
+// ChampSim files their size.
 func statFile(path string) error {
 	src, err := trace.OpenSource(path)
 	if err != nil {
@@ -136,105 +136,50 @@ func statFile(path string) error {
 	if st2, err := trace.StatLBP2(f, fi.Size()); err == nil {
 		fmt.Println(st2)
 	} else {
-		fmt.Printf("container: %s, %d bytes (%.2f B/inst)\n",
-			formatName(path), fi.Size(), float64(fi.Size())/float64(max(1, st.Insts)))
+		fmt.Printf("container: champsim, %d bytes (%.2f B/inst)\n",
+			fi.Size(), float64(fi.Size())/float64(max(1, st.Insts)))
 	}
 	return nil
 }
 
-// formatName sniffs the container format of path for display.
-func formatName(path string) string {
-	f, err := os.Open(path)
-	if err != nil {
-		return "unreadable"
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return "unknown"
-	}
-	switch {
-	case string(magic[:]) == "1PBL":
-		return "lbp1"
-	case string(magic[:]) == "2PBL":
-		return "lbp2"
-	default:
-		return "champsim/raw"
-	}
-}
-
-// convertFile re-encodes the trace at in to the requested format at out.
-// LBP2 output streams through the chunked writer at fixed memory; LBP1
-// output buffers the decoded trace because the LBP1 header carries the
-// record count up-front.
-func convertFile(in, out, format string) error {
+// convertFile re-encodes the trace at in as LBP2 at out, streaming through
+// the chunked writer at fixed memory; the atomic write means an interrupted
+// conversion never leaves a torn file behind.
+func convertFile(in, out string) error {
 	src, err := trace.OpenSource(in)
 	if err != nil {
 		return err
 	}
 	defer trace.CloseSource(src)
 
-	switch format {
-	case "lbp2":
-		var total int
-		err = service.AtomicWriteFile(out, func(f io.Writer) error {
-			lw, err := trace.NewLBP2Writer(f, 0)
+	var total int
+	err = service.AtomicWriteFile(out, func(f io.Writer) error {
+		lw, err := trace.NewLBP2Writer(f, 0)
+		if err != nil {
+			return err
+		}
+		var chunk [4096]trace.Inst
+		for {
+			n, err := src.Next(chunk[:])
+			if n > 0 {
+				if werr := lw.Append(chunk[:n]); werr != nil {
+					return werr
+				}
+				total += n
+			}
+			if err == io.EOF {
+				return lw.Close()
+			}
 			if err != nil {
 				return err
 			}
-			var chunk [4096]trace.Inst
-			for {
-				n, err := src.Next(chunk[:])
-				if n > 0 {
-					if werr := lw.Append(chunk[:n]); werr != nil {
-						return werr
-					}
-					total += n
-				}
-				if err == io.EOF {
-					return lw.Close()
-				}
-				if err != nil {
-					return err
-				}
-			}
-		})
-		if err != nil {
-			return err
 		}
-		fmt.Printf("wrote %s (lbp2, %d insts)\n", out, total)
-	case "lbp1":
-		tr, err := trace.ReadAll(src)
-		if err != nil {
-			return err
-		}
-		if err := service.AtomicWriteFile(out, func(f io.Writer) error {
-			return trace.WriteTrace(f, tr)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (lbp1, %d insts)\n", out, len(tr))
-	default:
-		return fmt.Errorf("unknown -format %q (lbp1 or lbp2)", format)
+	})
+	if err != nil {
+		return err
 	}
+	fmt.Printf("wrote %s (lbp2, %d insts)\n", out, total)
 	return nil
-}
-
-// writeFile saves a generated trace in the requested format; the atomic
-// write means an interrupted save never leaves a torn file behind.
-func writeFile(path, format string, tr []trace.Inst) error {
-	switch format {
-	case "lbp1":
-		return service.AtomicWriteFile(path, func(f io.Writer) error {
-			return trace.WriteTrace(f, tr)
-		})
-	case "lbp2":
-		return service.AtomicWriteFile(path, func(f io.Writer) error {
-			return trace.WriteTraceLBP2(f, tr)
-		})
-	default:
-		return fmt.Errorf("unknown -format %q (lbp1 or lbp2)", format)
-	}
 }
 
 func fatal(err error) {

@@ -5,8 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"localbp/internal/trace"
 )
 
 // buildBinary compiles the main package pkg into a temp dir and returns the
@@ -42,9 +45,10 @@ func afterFirstLine(s string) string {
 
 // TestTraceSmoke is the end-to-end trace-pipeline check (< 30 s) behind
 // `make trace-smoke`: build the real lbptrace and lbpsim binaries, generate
-// an LBP2 trace, convert LBP2 -> LBP1 -> LBP2 (the round trip must be
-// byte-identical), then replay both formats and the in-process generation
-// through lbpsim — all three reports must agree bit-exactly.
+// an LBP2 trace, re-encode it with -convert (LBP2 -> LBP2 must be
+// byte-identical), check it is at least 2x smaller than raw records, and
+// replay it through lbpsim bit-exactly against in-process generation. The
+// retired -format flag must fail as a usage error (exit 2).
 func TestTraceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds real binaries")
@@ -53,14 +57,13 @@ func TestTraceSmoke(t *testing.T) {
 	lbpsim := buildBinary(t, "localbp/cmd/lbpsim")
 	dir := t.TempDir()
 	lbp2 := filepath.Join(dir, "a.lbp2")
-	lbp1 := filepath.Join(dir, "a.lbp")
 	lbp2rt := filepath.Join(dir, "b.lbp2")
 
 	const workload = "cloud-compression"
-	const insts = "150000"
+	const n = 150_000
+	insts := strconv.Itoa(n)
 	runCmd(t, lbptrace, "-gen", "-workload", workload, "-insts", insts, "-out", lbp2)
-	runCmd(t, lbptrace, "-convert", lbp2, "-out", lbp1, "-format", "lbp1")
-	runCmd(t, lbptrace, "-convert", lbp1, "-out", lbp2rt, "-format", "lbp2")
+	runCmd(t, lbptrace, "-convert", lbp2, "-out", lbp2rt)
 
 	a, err := os.ReadFile(lbp2)
 	if err != nil {
@@ -71,39 +74,28 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("LBP2 -> LBP1 -> LBP2 round trip is not byte-identical (%d vs %d bytes)", len(a), len(b))
+		t.Fatalf("LBP2 -> LBP2 -convert round trip is not byte-identical (%d vs %d bytes)", len(a), len(b))
 	}
-	fi, err := os.Stat(lbp1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(a))*2 > fi.Size() {
-		t.Fatalf("LBP2 trace is %d bytes vs LBP1's %d; want at least 2x smaller", len(a), fi.Size())
+	if raw := int64(trace.RawRecordBytes) * n; int64(len(a))*2 > raw {
+		t.Fatalf("LBP2 trace is %d bytes vs %d raw; want at least 2x smaller", len(a), raw)
 	}
 
-	// Replay both container formats and the in-process generation; everything
-	// below the header line must agree byte-exactly.
+	// Replay the file and the in-process generation; everything below the
+	// header line must agree byte-exactly.
 	gen := afterFirstLine(runCmd(t, lbpsim, "-workload", workload, "-insts", insts, "-scheme", "forward-coalesce"))
-	rep2 := afterFirstLine(runCmd(t, lbpsim, "-trace-file", lbp2, "-scheme", "forward-coalesce"))
-	rep1 := afterFirstLine(runCmd(t, lbpsim, "-trace-file", lbp1, "-scheme", "forward-coalesce"))
-	if rep2 != gen {
-		t.Fatalf("LBP2 replay diverges from in-process generation:\n--- replay\n%s--- generation\n%s", rep2, gen)
-	}
-	if rep1 != rep2 {
-		t.Fatalf("LBP1 and LBP2 replays diverge:\n--- lbp1\n%s--- lbp2\n%s", rep1, rep2)
+	rep := afterFirstLine(runCmd(t, lbpsim, "-trace-file", lbp2, "-scheme", "forward-coalesce"))
+	if rep != gen {
+		t.Fatalf("LBP2 replay diverges from in-process generation:\n--- replay\n%s--- generation\n%s", rep, gen)
 	}
 
-	// -stat must stream-summarize both formats identically (first line).
-	st2 := runCmd(t, lbptrace, "-stat", lbp2)
-	st1 := runCmd(t, lbptrace, "-stat", lbp1)
-	if firstLine(st1) != firstLine(st2) {
-		t.Fatalf("-stat summaries diverge:\n%s\n%s", st1, st2)
+	// -stat streams the file and reports the container layout.
+	if st := runCmd(t, lbptrace, "-stat", lbp2); !strings.Contains(st, "lbp2: records="+insts) {
+		t.Fatalf("-stat lacks the LBP2 layout line:\n%s", st)
 	}
-}
 
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
+	cmd := exec.Command(lbptrace, "-convert", lbp2, "-out", filepath.Join(dir, "c.lbp"), "-format", "lbp1")
+	out, _ := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Fatalf("-format lbp1 exited %d, want 2\n%s", code, out)
 	}
-	return s
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 )
 
@@ -92,9 +91,8 @@ func NewCheckpoint(o Options) *Checkpoint {
 }
 
 // Matches reports whether results recorded under the checkpoint's options
-// are interchangeable with results produced under o. Worker count, retry
-// budget and timeouts are deliberately excluded: outcomes are deterministic
-// in all of them.
+// are interchangeable with results produced under o. Worker count and
+// timeouts are deliberately excluded: outcomes are deterministic in both.
 func (c *Checkpoint) Matches(o Options) bool {
 	return c.Insts == o.Insts && c.Warmup == o.Warmup && c.Quick == o.Quick
 }
@@ -108,56 +106,6 @@ func (c *Checkpoint) Done(id string) (ExperimentOutcome, bool) {
 // Record marks an experiment as completed.
 func (c *Checkpoint) Record(id string, out ExperimentOutcome) {
 	c.Completed[id] = out
-}
-
-// CompletedIDs returns the completed experiment ids in sorted order.
-func (c *Checkpoint) CompletedIDs() []string {
-	ids := make([]string, 0, len(c.Completed))
-	for id := range c.Completed {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Options reconstructs the result-shaping options the checkpoint was
-// recorded under (the fields Matches compares).
-func (c *Checkpoint) Options() Options {
-	return Options{Insts: c.Insts, Warmup: c.Warmup, Quick: c.Quick}
-}
-
-// MergeCheckpoints folds the parts of a sharded sweep into one checkpoint.
-// Every part must carry the same result-shaping options (results recorded
-// under different -insts/-warmup/-quick are not interchangeable), and no
-// experiment may be completed in more than one part — a duplicate means two
-// shards ran the same work, which a correct deterministic partition makes
-// impossible, so it is an integrity failure rather than something to paper
-// over by picking a winner. Nil parts (missing shard checkpoints the caller
-// chose to tolerate) are skipped.
-func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
-	var merged *Checkpoint
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		if merged == nil {
-			merged = NewCheckpoint(p.Options())
-		} else if !p.Matches(merged.Options()) {
-			return nil, fmt.Errorf(
-				"checkpoint merge: part %d was recorded with -insts %d -warmup %d -quick %v, others with -insts %d -warmup %d -quick %v",
-				i, p.Insts, p.Warmup, p.Quick, merged.Insts, merged.Warmup, merged.Quick)
-		}
-		for _, id := range p.CompletedIDs() {
-			if _, dup := merged.Completed[id]; dup {
-				return nil, fmt.Errorf("checkpoint merge: experiment %s completed in more than one part", id)
-			}
-			merged.Completed[id] = p.Completed[id]
-		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("checkpoint merge: no checkpoints to merge")
-	}
-	return merged, nil
 }
 
 // prevGeneration names the rotated previous checkpoint generation.

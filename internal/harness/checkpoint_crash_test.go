@@ -2,15 +2,18 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // savedCheckpoint builds and saves a checkpoint with the given completed
 // experiment ids, returning its path.
-func savedCheckpoint(t *testing.T, path string, ids ...string) *Checkpoint {
+func savedCheckpoint(t testing.TB, path string, ids ...string) *Checkpoint {
 	t.Helper()
 	ck := NewCheckpoint(Options{Insts: 20_000, Quick: true})
 	for _, id := range ids {
@@ -252,47 +255,6 @@ func TestCheckpointMissingMainCorruptPrev(t *testing.T) {
 	}
 }
 
-// TestMergeCheckpoints covers the fold used by sharded sweeps: disjoint
-// parts merge; an id completed in two parts and mismatched option stamps are
-// hard errors.
-func TestMergeCheckpoints(t *testing.T) {
-	opts := Options{Insts: 20_000, Quick: true}
-	part := func(ids ...string) *Checkpoint {
-		ck := NewCheckpoint(opts)
-		for _, id := range ids {
-			ck.Record(id, ExperimentOutcome{Output: "out " + id + "\n", Seconds: 1})
-		}
-		return ck
-	}
-
-	merged, err := MergeCheckpoints([]*Checkpoint{part("table1", "fig4"), nil, part("fig8")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.CompletedIDs(); len(got) != 3 {
-		t.Fatalf("merged ids = %v, want 3 entries", got)
-	}
-	if !merged.Matches(opts) {
-		t.Fatal("merged checkpoint lost the option stamp")
-	}
-
-	if _, err := MergeCheckpoints([]*Checkpoint{part("table1"), part("table1")}); err == nil ||
-		!strings.Contains(err.Error(), "more than one part") {
-		t.Fatalf("duplicate id not rejected: %v", err)
-	}
-
-	other := NewCheckpoint(Options{Insts: 99, Quick: false})
-	other.Record("fig9", ExperimentOutcome{})
-	if _, err := MergeCheckpoints([]*Checkpoint{part("table1"), other}); err == nil ||
-		!strings.Contains(err.Error(), "-insts") {
-		t.Fatalf("option mismatch not rejected: %v", err)
-	}
-
-	if _, err := MergeCheckpoints(nil); err == nil {
-		t.Fatal("empty merge not rejected")
-	}
-}
-
 // TestCheckpointEnvelopeHeaderDamage: garbage where the envelope header
 // should be is corruption at offset 0, not a silent fresh start.
 func TestCheckpointEnvelopeHeaderDamage(t *testing.T) {
@@ -305,4 +267,45 @@ func TestCheckpointEnvelopeHeaderDamage(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CorruptError for damaged header, got %v", err)
 	}
+}
+
+// FuzzCheckpointEnvelope hardens checkpoint decoding: arbitrary bytes are
+// rejected with a *CorruptError or the version error, never a panic, and any
+// checkpoint accepted survives Save → LoadCheckpoint unchanged.
+func FuzzCheckpointEnvelope(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	savedCheckpoint(f, path, "table1", "fig4")
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{"version":1,"insts":20000,"quick":true,"completed":{"fig8":{"output":"x","seconds":2}}}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte("LBPCKPT2 zzzz\n{}"))
+	f.Add([]byte{})
+	versionErr := regexp.MustCompile(fmt.Sprintf(
+		`^checkpoint fuzz\.ckpt: version -?\d+, want %d \(delete it to start fresh\)$`, checkpointVersion))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := decodeCheckpoint("fuzz.ckpt", data)
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) && !versionErr.MatchString(err.Error()) {
+				t.Fatalf("rejected with neither *CorruptError nor the version error: %v", err)
+			}
+			return
+		}
+		path := filepath.Join(t.TempDir(), "state.ckpt")
+		if err := ck.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("saved checkpoint does not load: %v", err)
+		}
+		if !reflect.DeepEqual(back, ck) {
+			t.Fatalf("Save → LoadCheckpoint changed the checkpoint:\n%+v\n%+v", ck, back)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"localbp/internal/audit"
 	"localbp/internal/core"
 )
 
@@ -18,69 +17,48 @@ const (
 	PhaseCanceled = "canceled" // run never executed: context canceled first
 )
 
-// ErrorClass is the retry classification of a failed run: whether
-// re-attempting the same run could plausibly succeed.
+// ErrorClass is the one distinction drawn between failed runs: a run cut
+// short by cancellation (SIGINT, -deadline) is resumable — exit 4, never
+// memoized, not counted as a failure — while every other error is a failure
+// (exit 1). The simulation is deterministic, so a failed run would fail the
+// same way again and is never re-attempted.
 type ErrorClass string
 
 const (
-	// ClassPermanent failures are deterministic in the inputs (validation,
-	// trace generation): retrying reproduces them, so the runner never does.
-	ClassPermanent ErrorClass = "permanent"
-	// ClassTransient failures (stalls, integrity trips, injected faults,
-	// panics) may be attempt-dependent; the runner retries them up to
-	// Options.Retries times.
-	ClassTransient ErrorClass = "transient"
-	// ClassExhausted marks a transient failure that persisted through every
-	// allowed retry — distinguished from ClassPermanent in failure summaries
-	// because the remedy differs (raise -retries / investigate the fault vs
-	// fix the configuration).
-	ClassExhausted ErrorClass = "retry-exhausted"
+	// ClassFailed marks a run that failed: validation, trace generation, a
+	// watchdog stall, an integrity trip, a panic, or a per-run -timeout that
+	// expired while the sweep was live.
+	ClassFailed ErrorClass = "failed"
 	// ClassCanceled marks a run aborted (or never started) because the
-	// context was canceled or its deadline expired; never retried.
+	// sweep's context was canceled or its deadline expired.
 	ClassCanceled ErrorClass = "canceled"
 )
 
-// ErrInjected is the sentinel for chaos-plan transient faults (see
-// ChaosPlan): a deliberately injected, attempt-dependent failure used to
-// exercise the retry machinery end-to-end. Always ClassTransient.
-var ErrInjected = errors.New("harness: injected transient fault")
+// isCancellation reports whether err is a context cancellation or deadline,
+// directly or through the core's ErrCanceled.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, core.ErrCanceled)
+}
 
-// Classify maps a run failure to its retry class using errors.Is over the
-// structured error chain: context cancellation/deadline → ClassCanceled;
-// watchdog stalls (core.ErrStalled), integrity violations
-// (audit.ErrIntegrity), injected chaos faults and recovered panics →
-// ClassTransient; validation and trace-generation failures →
-// ClassPermanent. A nil error classifies as "".
+// Classify maps an error to its class. A RunError carries the runner's own
+// verdict in Class (which alone knows whether the sweep context was live when
+// the run stopped); any other error classifies by its chain: cancellation or
+// deadline → ClassCanceled, anything else → ClassFailed. A nil error
+// classifies as "".
 func Classify(err error) ErrorClass {
 	if err == nil {
 		return ""
 	}
-	switch {
-	case errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, core.ErrCanceled):
-		return ClassCanceled
-	case errors.Is(err, ErrInjected),
-		errors.Is(err, core.ErrStalled),
-		errors.Is(err, audit.ErrIntegrity):
-		return ClassTransient
-	}
 	var re *RunError
-	if errors.As(err, &re) {
-		switch re.Phase {
-		case PhaseValidate, PhaseGenerate:
-			return ClassPermanent
-		case PhaseCanceled:
-			return ClassCanceled
-		}
-		if re.Stack != "" {
-			// A recovered panic: possibly fault-induced state corruption, so
-			// one clean re-attempt is worth the cost; a deterministic bug
-			// simply exhausts its retries and is reported as such.
-			return ClassTransient
-		}
+	if errors.As(err, &re) && re.Class != "" {
+		return re.Class
 	}
-	return ClassPermanent
+	if isCancellation(err) {
+		return ClassCanceled
+	}
+	return ClassFailed
 }
 
 // RunError is the structured failure record for one workload × spec run.
@@ -90,15 +68,10 @@ func Classify(err error) ErrorClass {
 type RunError struct {
 	Workload  string // workload name ("" for spec-level validation failures)
 	SpecLabel string
-	Phase     string // PhaseValidate, PhaseGenerate, PhaseSimulate or PhaseCanceled
-	Err       error  // underlying cause; errors.Is(err, core.ErrStalled) works through it
-	Stack     string // goroutine stack when recovered from a panic, else ""
-
-	// Attempts is how many times the run was executed before this error was
-	// accepted as final (1 = no retries). Class is the final classification:
-	// ClassExhausted when retries were spent, else Classify(Err).
-	Attempts int
-	Class    ErrorClass
+	Phase     string     // PhaseValidate, PhaseGenerate, PhaseSimulate or PhaseCanceled
+	Err       error      // underlying cause; errors.Is(err, core.ErrStalled) works through it
+	Stack     string     // goroutine stack when recovered from a panic, else ""
+	Class     ErrorClass // ClassFailed or ClassCanceled, decided by the runner
 }
 
 // Error renders the workload, spec, phase and cause on one line; the panic
@@ -109,9 +82,6 @@ func (e *RunError) Error() string {
 		w = "(all workloads)"
 	}
 	msg := fmt.Sprintf("run %s × %s failed in %s: %v", w, e.SpecLabel, e.Phase, e.Err)
-	if e.Attempts > 1 {
-		msg = fmt.Sprintf("%s (after %d attempts)", msg, e.Attempts)
-	}
 	if e.Stack != "" {
 		msg += "\n" + e.Stack
 	}

@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"localbp/internal/bpu/loop"
 	"localbp/internal/core"
@@ -30,17 +34,19 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestPanicIsolation: an injected panic in one workload run yields a
-// structured RunError naming the workload and spec while every other
-// workload's results are intact.
+// structured RunError naming the workload and spec — a failure, run once and
+// not re-attempted — while every other workload's results are intact.
 func TestPanicIsolation(t *testing.T) {
 	victim := workloads.QuickSuite()[3].Name
 	opts := Options{Insts: 20_000, Quick: true}
 
 	clean := NewRunner(opts).Run(BaselineSpec())
 
+	var victimRuns atomic.Int32
 	spec := BaselineSpec()
 	spec.preRun = func(w string) {
 		if w == victim {
+			victimRuns.Add(1)
 			panic("injected fault: " + w)
 		}
 	}
@@ -62,6 +68,10 @@ func TestPanicIsolation(t *testing.T) {
 			}
 			if re.Stack == "" || !strings.Contains(re.Err.Error(), "injected fault") {
 				t.Fatalf("RunError lacks stack or cause: %v", re)
+			}
+			if re.Class != ClassFailed || victimRuns.Load() != 1 {
+				t.Fatalf("panicking run: class %s after %d runs, want %s after 1",
+					re.Class, victimRuns.Load(), ClassFailed)
 			}
 		} else {
 			if out[i].Err != nil {
@@ -93,14 +103,14 @@ func TestWatchdogSurfacesAsRunError(t *testing.T) {
 		if !errors.Is(re, core.ErrStalled) {
 			t.Fatalf("error is not ErrStalled: %v", re)
 		}
-		if re.Phase != PhaseSimulate {
-			t.Fatalf("stall attributed to phase %s", re.Phase)
+		if re.Phase != PhaseSimulate || re.Class != ClassFailed {
+			t.Fatalf("stall attributed to phase %s, class %s", re.Phase, re.Class)
 		}
 	}
 }
 
 // TestSpecValidationFailsFast: a malformed spec fails every outcome with a
-// PhaseValidate error before any simulation runs.
+// PhaseValidate failure before any simulation runs.
 func TestSpecValidationFailsFast(t *testing.T) {
 	spec := BaselineSpec()
 	spec.Label = "bad-core"
@@ -108,8 +118,8 @@ func TestSpecValidationFailsFast(t *testing.T) {
 	r := NewRunner(Options{Insts: 5_000, Quick: true})
 	out := r.Run(spec)
 	for i := range out {
-		if out[i].Err == nil || out[i].Err.Phase != PhaseValidate {
-			t.Fatalf("outcome %d: want PhaseValidate error, got %v", i, out[i].Err)
+		if out[i].Err == nil || out[i].Err.Phase != PhaseValidate || out[i].Err.Class != ClassFailed {
+			t.Fatalf("outcome %d: want a PhaseValidate failure, got %+v", i, out[i].Err)
 		}
 		if !strings.Contains(out[i].Err.Error(), "Width") {
 			t.Fatalf("validation error does not name the field: %v", out[i].Err)
@@ -157,6 +167,86 @@ func TestRunnerFailuresOrdering(t *testing.T) {
 	}
 	if fs[0].Workload != suite[1].Name || fs[1].Workload != suite[4].Name {
 		t.Fatalf("failures out of workload order: %s, %s", fs[0].Workload, fs[1].Workload)
+	}
+}
+
+// TestRunTimeoutExhausts: a per-run wall-clock cap that expires while the
+// sweep context stays live is a failure, not a cancellation: the run is
+// attempted once, its error wraps the deadline cause, it is listed in
+// Failures(), and the spec is memoized like any other finished spec.
+func TestRunTimeoutExhausts(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	spec := BaselineSpec()
+	spec.preRun = func(w string) {
+		mu.Lock()
+		calls[w]++
+		mu.Unlock()
+	}
+	r := NewRunner(Options{Insts: 30_000, Quick: true, Workers: 1, RunTimeout: time.Nanosecond})
+	out := r.Run(spec)
+	re := out[0].Err
+	if re == nil {
+		t.Fatal("1ns run timeout did not trip")
+	}
+	if re.Class != ClassFailed {
+		t.Fatalf("class %s, want %s", re.Class, ClassFailed)
+	}
+	if !errors.Is(re, context.DeadlineExceeded) {
+		t.Fatalf("cause is not DeadlineExceeded: %v", re)
+	}
+	if n := calls[out[0].Result.Workload]; n != 1 {
+		t.Fatalf("timed-out run attempted %d times, want 1", n)
+	}
+	fs := r.Failures()
+	if len(fs) == 0 || fs[0] != re {
+		t.Fatalf("timed-out run not listed first in Failures(): %v", fs)
+	}
+
+	runs := func() (n int) {
+		for _, c := range calls {
+			n += c
+		}
+		return n
+	}
+	before := runs()
+	r.Run(spec)
+	if runs() != before || len(r.Failures()) != len(fs) {
+		t.Fatalf("spec re-ran after a timeout failure (%d → %d runs, %d → %d failures): not memoized",
+			before, runs(), len(fs), len(r.Failures()))
+	}
+}
+
+// TestCanceledRunNotMemoized: cancelling a sweep poisons neither the memo
+// nor the failure record — the same runner re-runs the spec in full under a
+// live context and produces clean results.
+func TestCanceledRunNotMemoized(t *testing.T) {
+	spec := BaselineSpec()
+	r := NewRunner(Options{Insts: 20_000, Quick: true})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := r.RunContext(ctx, spec)
+	canceled := 0
+	for i := range out {
+		if e := out[i].Err; e != nil && e.Class == ClassCanceled {
+			if e.Phase != PhaseCanceled && !errors.Is(e, context.Canceled) {
+				t.Fatalf("canceled outcome carries wrong cause: %v", e)
+			}
+			canceled++
+		}
+	}
+	if canceled == 0 {
+		t.Fatal("pre-canceled context produced no canceled outcomes")
+	}
+	if len(r.Failures()) != 0 {
+		t.Fatalf("cancellations recorded as failures: %d", len(r.Failures()))
+	}
+
+	clean := NewRunner(Options{Insts: 20_000, Quick: true}).Run(spec)
+	rerun := r.Run(spec)
+	if !reflect.DeepEqual(rerun, clean) {
+		t.Fatal("post-cancel rerun differs from a fresh run: canceled outcomes were memoized")
 	}
 }
 

@@ -353,29 +353,11 @@ type Options struct {
 	// bit-identical statistics, so memoized results are unaffected.
 	AuditSample int
 
-	// Retries is how many times a ClassTransient failure (stall, integrity
-	// trip, panic, injected chaos fault) is re-attempted per workload run.
-	// Retries reuse the cached trace and build a fresh scheme, so a retried
-	// run that succeeds is bit-identical to one that succeeded first try.
-	// Permanent and canceled failures are never retried.
-	Retries int
-
-	// RunTimeout, when > 0, bounds each workload attempt's wall-clock time
-	// via a per-attempt context deadline. It composes with the core's
-	// cycle-domain watchdog: whichever trips first aborts the attempt.
+	// RunTimeout, when > 0, bounds each workload run's wall-clock time via
+	// a per-run context deadline. It composes with the core's cycle-domain
+	// watchdog: whichever trips first aborts the run, and either way the run
+	// is a failure (ClassFailed), not a cancellation.
 	RunTimeout time.Duration
-
-	// Backoff, when non-nil, returns the delay before retry attempt
-	// `attempt` (1-based: the delay before the second attempt has
-	// attempt=1) of spec × workload. The sleep respects the run context.
-	// Nil means retry immediately.
-	Backoff func(spec, workload string, attempt int) time.Duration
-
-	// Chaos, when non-nil, deterministically fails the leading attempts of
-	// selected runs with ErrInjected (see ChaosPlan) to exercise the retry
-	// machinery; with Retries >= Chaos.MaxFaults every run still completes,
-	// bit-identically to an un-chaosed sweep.
-	Chaos *ChaosPlan
 }
 
 // DefaultOptions balances fidelity and single-CPU runtime.

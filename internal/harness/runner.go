@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"localbp/internal/metrics"
 	"localbp/internal/repair"
@@ -73,13 +72,14 @@ func (r *Runner) Run(spec Spec) []Outcome { return r.RunContext(context.Backgrou
 // The spec is validated first: a malformed configuration fails every
 // outcome with a PhaseValidate RunError before any simulation starts.
 // Individual workload failures (panics, stalls) are isolated into their
-// Outcome.Err; the remaining workloads still produce results, and
-// ClassTransient failures are re-attempted up to Options.Retries times.
+// Outcome.Err; the remaining workloads still produce results. A failed run
+// is not re-attempted: the simulation is deterministic, so it would fail the
+// same way again.
 //
 // Cancelling ctx drains the worker pool: every not-yet-started workload
-// (and any attempt in flight, within one cancellation-check stride) yields
-// a ClassCanceled outcome, and the partially-run spec is NOT memoized —
-// a later RunContext with a live context re-runs it in full.
+// (and any run in flight, within one cancellation-check stride) yields a
+// ClassCanceled outcome, and the partially-run spec is NOT memoized — a
+// later RunContext with a live context re-runs it in full.
 func (r *Runner) RunContext(ctx context.Context, spec Spec) []Outcome {
 	if ctx == nil {
 		ctx = context.Background()
@@ -101,7 +101,7 @@ func (r *Runner) RunContext(ctx context.Context, spec Spec) []Outcome {
 		for i, w := range ws {
 			out[i].Result = metrics.Result{Workload: w.Name, Category: w.Category.String()}
 			out[i].Err = &RunError{Workload: w.Name, SpecLabel: spec.Label,
-				Phase: PhaseValidate, Err: err, Attempts: 1, Class: ClassPermanent}
+				Phase: PhaseValidate, Err: err, Class: ClassFailed}
 		}
 		r.finish(ctx, spec, out)
 		return out
@@ -132,61 +132,34 @@ func (r *Runner) RunContext(ctx context.Context, spec Spec) []Outcome {
 	return out
 }
 
-// runOne executes one workload under spec with the retry policy: transient
-// failures (stalls, integrity trips, panics, chaos faults) are re-attempted
-// up to Options.Retries times with optional backoff; permanent and canceled
-// failures return immediately. A per-attempt deadline that expires while
-// the sweep context is still live classifies as transient — the timeout may
-// have been machine load — whereas a canceled sweep context stops the run
-// for good.
+// runOne executes one workload under spec and classifies any failure. Only
+// the sweep context's own cancellation makes a run ClassCanceled: a
+// per-run RunTimeout that expires while the sweep is live is a failure.
 func (r *Runner) runOne(ctx context.Context, i int, w workloads.Workload, spec Spec) Outcome {
-	maxAttempts := max(1, r.Opts.Retries+1)
-	chaosFaults := r.Opts.Chaos.FaultyAttempts(spec.Label, w.Name)
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Outcome{
-				Result: metrics.Result{Workload: w.Name, Category: w.Category.String()},
-				Err: &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseCanceled,
-					Err: err, Attempts: attempt - 1, Class: ClassCanceled},
-			}
-		}
-		o := r.attemptOne(ctx, i, w, spec, attempt, chaosFaults)
-		if o.Err == nil {
-			return o
-		}
-		o.Err.Attempts = attempt
-		o.Err.Class = Classify(o.Err)
-		if o.Err.Class == ClassCanceled && ctx.Err() == nil {
-			// The per-attempt RunTimeout expired but the sweep is alive:
-			// retryable.
-			o.Err.Class = ClassTransient
-		}
-		if o.Err.Class != ClassTransient {
-			return o
-		}
-		if attempt >= maxAttempts {
-			if r.Opts.Retries > 0 {
-				o.Err.Class = ClassExhausted
-			}
-			return o
-		}
-		if bo := r.Opts.Backoff; bo != nil {
-			if d := bo(spec.Label, w.Name, attempt); d > 0 {
-				sleepCtx(ctx, d)
-			}
+	if err := ctx.Err(); err != nil {
+		return Outcome{
+			Result: metrics.Result{Workload: w.Name, Category: w.Category.String()},
+			Err: &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseCanceled,
+				Err: err, Class: ClassCanceled},
 		}
 	}
+	o := r.simulateOne(ctx, i, w, spec)
+	if o.Err != nil {
+		o.Err.Class = ClassFailed
+		if ctx.Err() != nil && isCancellation(o.Err.Err) {
+			o.Err.Class = ClassCanceled
+		}
+	}
+	return o
 }
 
-// attemptOne executes a single attempt of one workload under spec,
-// converting panics and watchdog errors into a structured Outcome.Err. The
-// deferred recover is the isolation boundary: a panicking predictor, scheme
-// or core kills only this outcome, not the sweep. Workload index i drives
-// the deterministic audit sample (Options.AuditSample): audited runs report
-// bit-identical metrics, so sampling composes with memoization. Chaos-plan
-// faults fire before the simulation starts, so a later clean attempt is
-// bit-identical to a first-try success.
-func (r *Runner) attemptOne(ctx context.Context, i int, w workloads.Workload, spec Spec, attempt, chaosFaults int) (o Outcome) {
+// simulateOne executes one workload under spec, converting panics and
+// watchdog errors into a structured Outcome.Err. The deferred recover is the
+// isolation boundary: a panicking predictor, scheme or core kills only this
+// outcome, not the sweep. Workload index i drives the deterministic audit
+// sample (Options.AuditSample): audited runs report bit-identical metrics,
+// so sampling composes with memoization.
+func (r *Runner) simulateOne(ctx context.Context, i int, w workloads.Workload, spec Spec) (o Outcome) {
 	if n := r.Opts.AuditSample; n > 0 && i%n == 0 {
 		spec.Audit, spec.Golden = true, true
 	}
@@ -214,11 +187,6 @@ func (r *Runner) attemptOne(ctx context.Context, i int, w workloads.Workload, sp
 	spec.memTrack = track
 
 	phase = PhaseSimulate
-	if attempt <= chaosFaults {
-		o.Err = &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseSimulate,
-			Err: fmt.Errorf("%w: chaos plan fails attempt %d/%d", ErrInjected, attempt, chaosFaults)}
-		return o
-	}
 	if spec.preRun != nil {
 		spec.preRun(w.Name)
 	}
@@ -240,16 +208,6 @@ func (r *Runner) attemptOne(ctx context.Context, i int, w workloads.Workload, sp
 		o.Repair = *res.Repair
 	}
 	return o
-}
-
-// sleepCtx waits d or until ctx is canceled, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }
 
 // finish memoizes the outcomes, records failures in workload order, and
@@ -277,35 +235,13 @@ func (r *Runner) finish(ctx context.Context, spec Spec, out []Outcome) {
 	r.failures = append(r.failures, failed...)
 	r.mu.Unlock()
 	if len(failed) > 0 {
-		r.logf("spec %s: %d/%d workload runs FAILED (%s; first: %v)\n",
-			spec.Label, len(failed), len(out), classSummary(failed), failed[0].Err)
+		r.logf("spec %s: %d/%d workload runs FAILED (first: %v)\n",
+			spec.Label, len(failed), len(out), failed[0].Err)
 	}
 	if canceled > 0 {
 		r.logf("spec %s: %d/%d workload runs canceled (spec not memoized)\n",
 			spec.Label, canceled, len(out))
 	}
-}
-
-// classSummary renders failure counts by retry class, e.g.
-// "2 permanent, 1 retry-exhausted".
-func classSummary(failed []*RunError) string {
-	counts := map[ErrorClass]int{}
-	for _, f := range failed {
-		counts[f.Class]++
-	}
-	var b []byte
-	for _, c := range []ErrorClass{ClassPermanent, ClassTransient, ClassExhausted, ClassCanceled} {
-		if n := counts[c]; n > 0 {
-			if len(b) > 0 {
-				b = append(b, ", "...)
-			}
-			b = fmt.Appendf(b, "%d %s", n, c)
-		}
-	}
-	if len(b) == 0 {
-		return "unclassified"
-	}
-	return string(b)
 }
 
 // Results extracts the metrics side of Run.

@@ -2,39 +2,36 @@ package service
 
 import "localbp/internal/harness"
 
-// The process exit codes shared by every CLI entry point. lbpsweep and the
-// shard coordinator return them via SweepStatus / Report.Status; lbpsim maps
-// its single run through ExitCodeForError. The numeric values are API:
-// scripts and the coordinator's worker classification depend on them, and
+// The process exit codes shared by every CLI entry point. lbpsweep returns
+// them via SweepStatus; lbpsim maps its single run through
+// ExitCodeForError. The numeric values are API: scripts depend on them, and
 // the table-driven test in exitcode_test.go pins every mapping.
 const (
 	// ExitOK: every requested unit of work succeeded.
 	ExitOK = 0
-	// ExitFailure: some work failed (a run, an experiment, a shard) but the
+	// ExitFailure: some work failed (a run, an experiment) but the
 	// invocation itself was well-formed and produced partial output.
 	ExitFailure = 1
 	// ExitConfigError: the invocation never meaningfully started — bad
-	// flags, unknown ids, checkpoint mismatch, lease contention.
+	// flags, unknown ids, checkpoint mismatch.
 	ExitConfigError = 2
 	// ExitAllFailed: every attempted unit failed to produce output.
 	ExitAllFailed = 3
-	// ExitCanceled: the work was cut short by SIGINT/SIGTERM, a -timeout /
-	// -deadline expiry, or a lost shard lease; completed work is durable
-	// (checkpoints, journals) and the invocation can be resumed.
+	// ExitCanceled: the work was cut short by SIGINT/SIGTERM or a -deadline
+	// expiry; completed work is durable (checkpoints) and the invocation can
+	// be resumed.
 	ExitCanceled = 4
 )
 
-// ExitCodeForClass folds the harness retry taxonomy onto the exit codes:
-// cancellation is resumable and distinguished (4); permanent, transient and
-// retry-exhausted failures all surface as 1 — the taxonomy's finer grain
-// lives in failure summaries and journals, not the exit status.
+// ExitCodeForClass folds the harness error classes onto the exit codes:
+// cancellation is resumable and distinguished (4); a failure is 1.
 func ExitCodeForClass(c harness.ErrorClass) int {
 	switch c {
 	case "":
 		return ExitOK
 	case harness.ClassCanceled:
 		return ExitCanceled
-	default: // ClassPermanent, ClassTransient, ClassExhausted
+	default: // harness.ClassFailed
 		return ExitFailure
 	}
 }

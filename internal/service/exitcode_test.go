@@ -14,18 +14,15 @@ import (
 // TestExitCodeTaxonomy pins the documented 0/1/2/3/4 exit-code scheme
 // against every layer that feeds it: the ErrorClass taxonomy, representative
 // structured errors, and the SweepStatus folding. lbpsweep exits
-// int(SweepStatus), lbpsim exits ExitCodeForError, the shard coordinator
-// classifies worker exits by these values — drift in any of them is a
-// breaking change and must fail here first.
+// int(SweepStatus) and lbpsim exits ExitCodeForError — drift in any of them
+// is a breaking change and must fail here first.
 func TestExitCodeTaxonomy(t *testing.T) {
 	classes := []struct {
 		class harness.ErrorClass
 		want  int
 	}{
 		{"", ExitOK},
-		{harness.ClassPermanent, ExitFailure},
-		{harness.ClassTransient, ExitFailure},
-		{harness.ClassExhausted, ExitFailure},
+		{harness.ClassFailed, ExitFailure},
 		{harness.ClassCanceled, ExitCanceled},
 	}
 	for _, tc := range classes {
@@ -45,7 +42,6 @@ func TestExitCodeTaxonomy(t *testing.T) {
 		{"core.ErrCanceled", fmt.Errorf("run: %w", core.ErrCanceled), ExitCanceled},
 		{"core.ErrStalled", fmt.Errorf("run: %w", core.ErrStalled), ExitFailure},
 		{"audit.ErrIntegrity", fmt.Errorf("run: %w", audit.ErrIntegrity), ExitFailure},
-		{"injected chaos fault", harness.ErrInjected, ExitFailure},
 		{"validation failure", &harness.RunError{Phase: harness.PhaseValidate, Err: errors.New("bad cfg")}, ExitFailure},
 		{"canceled before start", &harness.RunError{Phase: harness.PhaseCanceled, Err: context.Canceled}, ExitCanceled},
 		{"unclassified", errors.New("mystery"), ExitFailure},
@@ -56,8 +52,8 @@ func TestExitCodeTaxonomy(t *testing.T) {
 		}
 	}
 
-	// The sweep status values ARE the exit codes: lbpsweep and the shard
-	// coordinator return int(status) directly.
+	// The sweep status values ARE the exit codes: lbpsweep returns
+	// int(status) directly.
 	statuses := []struct {
 		status SweepStatus
 		want   int

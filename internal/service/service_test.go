@@ -8,37 +8,9 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"localbp/internal/harness"
 )
-
-// TestRetryDelayDeterministic: the jitter is a pure function of
-// (seed, key, attempt), bounded by [base/2, base) scaled into the
-// exponential schedule and capped at MaxDelay.
-func TestRetryDelayDeterministic(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Seed: 1}
-	for attempt := 1; attempt <= 6; attempt++ {
-		a := p.Delay("spec\x00workload", attempt)
-		b := p.Delay("spec\x00workload", attempt)
-		if a != b {
-			t.Fatalf("attempt %d: delay not deterministic: %v then %v", attempt, a, b)
-		}
-		step := min(p.BaseDelay<<(attempt-1), p.MaxDelay)
-		if a < step/2 || a >= step {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, a, step/2, step)
-		}
-	}
-	if d := p.Delay("other-key", 1); d == p.Delay("spec\x00workload", 1) {
-		t.Log("distinct keys drew the same jitter (possible but unlikely)")
-	}
-	if p.Delay("k", 0) != 0 {
-		t.Fatal("attempt 0 should have no delay")
-	}
-	if (RetryPolicy{}).Delay("k", 3) != 0 {
-		t.Fatal("zero policy should have no delay")
-	}
-}
 
 // TestRunSweepUnknownID: id validation is complete and fails before any
 // simulation.
@@ -132,17 +104,17 @@ func TestSweepStatusMapping(t *testing.T) {
 	}
 }
 
-// TestReportSummaryClasses: the sweep summary distinguishes permanent from
-// retry-exhausted failures.
+// TestReportSummaryClasses: the sweep summary counts failed workload runs
+// on top of the experiment tally, without a class breakdown — a failed run
+// is simply a failure.
 func TestReportSummaryClasses(t *testing.T) {
 	rep := SweepReport{Total: 3, Completed: 3, RunFailures: []*harness.RunError{
-		{Class: harness.ClassPermanent},
-		{Class: harness.ClassPermanent},
-		{Class: harness.ClassExhausted},
+		{Class: harness.ClassFailed},
+		{Class: harness.ClassFailed},
+		{Class: harness.ClassFailed},
 	}}
-	s := rep.Summary()
-	if !strings.Contains(s, "2 permanent") || !strings.Contains(s, "1 retry-exhausted") {
-		t.Fatalf("summary does not break down classes: %q", s)
+	if got, want := rep.Summary(), "3/3 experiments ok; 3 workload run(s) failed"; got != want {
+		t.Fatalf("summary %q, want %q", got, want)
 	}
 }
 

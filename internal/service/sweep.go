@@ -1,10 +1,8 @@
 // Package service is the cancellation-aware orchestration core: it lifts
-// sweep execution, classified retry, checkpoint lifecycle and graceful
-// shutdown out of the CLI mains so every entry point (lbpsweep, the shard
-// coordinator, tests) shares one hardened implementation. Everything here is context-first —
-// cancellation propagates through the harness into the cycle loop within one
-// check stride — and deterministic: retry jitter and chaos faults are drawn
-// from seeded hashes, never the wall clock.
+// sweep execution, checkpoint lifecycle and graceful shutdown out of the CLI
+// mains so every entry point (lbpsweep, tests) shares one implementation.
+// Everything here is context-first: cancellation propagates through the
+// harness into the cycle loop within one check stride.
 package service
 
 import (
@@ -56,10 +54,8 @@ func (s SweepStatus) String() string {
 
 // SweepConfig parameterizes RunSweep. Zero-value writers discard.
 type SweepConfig struct {
-	// Opts configures the underlying harness (instruction budget, retry
-	// budget, per-run timeout, chaos plan, ...). When Opts.Retries > 0 and
-	// no backoff is set, the default retry policy's jittered exponential
-	// backoff is installed.
+	// Opts configures the underlying harness (instruction budget, worker
+	// count, per-run timeout, ...).
 	Opts harness.Options
 	// IDs selects experiments; empty means all, in paper order.
 	IDs []string
@@ -78,7 +74,7 @@ type SweepReport struct {
 	Completed   int                 // experiments that produced output this run
 	Replayed    int                 // experiments replayed from the checkpoint
 	Failed      int                 // experiments whose aggregation failed outright
-	RunFailures []*harness.RunError // classified workload-run failures (graceful degradation)
+	RunFailures []*harness.RunError // workload-run failures (graceful degradation)
 	Interrupted bool                // context canceled mid-sweep
 	Note        string              // checkpoint recovery note, "" if none
 }
@@ -97,8 +93,8 @@ func (r *SweepReport) Status() SweepStatus {
 }
 
 // Summary renders the one-line sweep outcome, e.g.
-// "14/15 experiments ok (1 replayed), 1 failed; 3 workload runs failed
-// (2 permanent, 1 retry-exhausted)".
+// "14/15 experiments ok (1 replayed from checkpoint), 1 failed; 3 workload
+// run(s) failed".
 func (r *SweepReport) Summary() string {
 	ok := r.Completed + r.Replayed
 	var b strings.Builder
@@ -113,16 +109,16 @@ func (r *SweepReport) Summary() string {
 		fmt.Fprintf(&b, ", %d pending (interrupted)", pending)
 	}
 	if n := len(r.RunFailures); n > 0 {
-		fmt.Fprintf(&b, "; %d workload run(s) failed (%s)", n, classBreakdown(r.RunFailures))
+		fmt.Fprintf(&b, "; %d workload run(s) failed", n)
 	}
 	return b.String()
 }
 
-// RunSweep executes the selected experiments with checkpoint/resume,
-// classified retry and graceful cancellation. A non-nil error means the
-// sweep could not be configured or a checkpoint flush failed
-// (SweepConfigError territory); everything else — including run failures and
-// interruption — is reported through the SweepReport.
+// RunSweep executes the selected experiments with checkpoint/resume and
+// graceful cancellation. A non-nil error means the sweep could not be
+// configured or a checkpoint flush failed (SweepConfigError territory);
+// everything else — including run failures and interruption — is reported
+// through the SweepReport.
 func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 	out := cfg.Out
 	if out == nil {
@@ -151,11 +147,6 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		return nil, fmt.Errorf("unknown experiment ids: %s (use -list)", strings.Join(unknown, ", "))
 	}
 
-	opts := cfg.Opts
-	if opts.Retries > 0 && opts.Backoff == nil {
-		opts.Backoff = DefaultRetryPolicy().BackoffFunc()
-	}
-
 	rep := &SweepReport{Total: len(ids)}
 	var ck *harness.Checkpoint
 	if cfg.Checkpoint != "" {
@@ -165,9 +156,9 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		}
 		ck = loaded
 		if ck == nil {
-			ck = harness.NewCheckpoint(opts)
+			ck = harness.NewCheckpoint(cfg.Opts)
 		} else {
-			if !ck.Matches(opts) {
+			if !ck.Matches(cfg.Opts) {
 				return nil, fmt.Errorf(
 					"checkpoint %s was written with -insts %d -warmup %d -quick %v; rerun with those flags or delete it",
 					cfg.Checkpoint, ck.Insts, ck.Warmup, ck.Quick)
@@ -179,7 +170,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		}
 	}
 
-	r := harness.NewRunner(opts)
+	r := harness.NewRunner(cfg.Opts)
 	r.Log = cfg.Log
 
 	reported := 0 // failures already attributed to earlier experiments
@@ -221,14 +212,9 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		failures := r.Failures()
 		if fresh := failures[reported:]; len(fresh) > 0 {
 			var b strings.Builder
-			fmt.Fprintf(&b, "!! %d workload run(s) failed (%s); aggregates above cover the remaining runs:\n",
-				len(fresh), classBreakdown(fresh))
+			fmt.Fprintf(&b, "!! %d workload run(s) failed; aggregates above cover the remaining runs:\n", len(fresh))
 			for _, f := range fresh {
-				fmt.Fprintf(&b, "!!   %s × %s [%s, %s", f.Workload, f.SpecLabel, f.Phase, f.Class)
-				if f.Attempts > 1 {
-					fmt.Fprintf(&b, " after %d attempts", f.Attempts)
-				}
-				fmt.Fprintf(&b, "]: %s\n", firstLine(f.Err.Error()))
+				fmt.Fprintf(&b, "!!   %s × %s [%s]: %s\n", f.Workload, f.SpecLabel, f.Phase, firstLine(f.Err.Error()))
 			}
 			text += "\n" + b.String()
 			rep.RunFailures = append(rep.RunFailures, fresh...)
@@ -246,31 +232,6 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// classBreakdown renders failure counts by retry class in severity order,
-// e.g. "2 permanent, 1 retry-exhausted".
-func classBreakdown(failures []*harness.RunError) string {
-	counts := map[harness.ErrorClass]int{}
-	for _, f := range failures {
-		counts[f.Class]++
-	}
-	var b strings.Builder
-	for _, c := range []harness.ErrorClass{
-		harness.ClassPermanent, harness.ClassExhausted, harness.ClassTransient, harness.ClassCanceled,
-	} {
-		if counts[c] == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d %s", counts[c], c)
-	}
-	if b.Len() == 0 {
-		return "unclassified"
-	}
-	return b.String()
 }
 
 // firstLine truncates multi-line error text (stall dumps, panic stacks) for

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +28,7 @@ const (
 var errMmapUnsupported = errors.New("trace: mmap not supported on this platform")
 
 // OpenSource opens a trace file as a streaming Source, sniffing the format:
-// LBP1 and LBP2 by magic, ChampSim-style external traces by extension
+// LBP2 by magic, ChampSim-style external traces by extension
 // (.champsim / .cst). The returned source holds an open file or mapping;
 // release it with CloseSource.
 func OpenSource(path string) (Source, error) { return OpenSourceMode(path, OpenAuto) }
@@ -60,14 +59,8 @@ func openSourceFile(f *os.File, mode OpenMode) (Source, error) {
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("read magic: %w", err)
 	}
-	switch binary.LittleEndian.Uint32(magic[:]) {
-	case lbp2Magic:
+	if binary.LittleEndian.Uint32(magic[:]) == lbp2Magic {
 		return openLBP2File(f, size, mode)
-	case traceMagic:
-		if mode == OpenMmap {
-			return nil, errors.New("LBP1 has no seekable index; mmap backend requires LBP2")
-		}
-		return openLBP1File(f, size)
 	}
 	if ext := strings.ToLower(filepath.Ext(f.Name())); ext == ".champsim" || ext == ".cst" {
 		if mode == OpenMmap {
@@ -75,7 +68,7 @@ func openSourceFile(f *os.File, mode OpenMode) (Source, error) {
 		}
 		return openChampSim(f, size)
 	}
-	return nil, errors.New("unrecognized trace format (not LBP1, LBP2, or .champsim/.cst)")
+	return nil, errors.New("unrecognized trace format (not LBP2 or .champsim/.cst)")
 }
 
 // openLBP2File parses the seekable layout and wires the chosen chunk loader.
@@ -98,77 +91,3 @@ func openLBP2File(f *os.File, size int64, mode OpenMode) (Source, error) {
 	}
 	return newLBP2Source(layout, &fileChunks{ra: f, layout: layout}), nil
 }
-
-// lbp1Source streams an LBP1 file with positioned reads, decoding records
-// into the caller's chunk so memory stays fixed regardless of trace length.
-type lbp1Source struct {
-	f     *os.File
-	total int
-	pos   int // next record index
-	buf   []byte
-}
-
-// openLBP1File validates the LBP1 header against the file size.
-func openLBP1File(f *os.File, size int64) (Source, error) {
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("lbp1 header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != traceVersion {
-		return nil, fmt.Errorf("unsupported LBP1 version %d", v)
-	}
-	total, err := checkCount(uint64(binary.LittleEndian.Uint32(hdr[8:])), "lbp1 count")
-	if err != nil {
-		return nil, err
-	}
-	if want := int64(len(hdr)) + int64(total)*recordSize; size < want {
-		return nil, fmt.Errorf("lbp1 file truncated: %d bytes, header promises %d", size, want)
-	}
-	return &lbp1Source{f: f, total: total}, nil
-}
-
-// Next implements Source.
-func (s *lbp1Source) Next(dst []Inst) (int, error) {
-	if s.pos >= s.total {
-		return 0, io.EOF
-	}
-	n := len(dst)
-	if left := s.total - s.pos; n > left {
-		n = left
-	}
-	need := n * recordSize
-	if cap(s.buf) < need {
-		s.buf = make([]byte, need)
-	}
-	b := s.buf[:need]
-	if _, err := s.f.ReadAt(b, 12+int64(s.pos)*recordSize); err != nil {
-		return 0, fmt.Errorf("trace: lbp1 read at record %d: %w", s.pos, err)
-	}
-	for i := 0; i < n; i++ {
-		rec := b[i*recordSize:]
-		if rec[24] >= byte(numClasses) {
-			return 0, fmt.Errorf("trace: lbp1 record %d: bad class %d", s.pos+i, rec[24])
-		}
-		dst[i] = Inst{
-			PC:     binary.LittleEndian.Uint64(rec[0:]),
-			Addr:   binary.LittleEndian.Uint64(rec[8:]),
-			Target: binary.LittleEndian.Uint64(rec[16:]),
-			Class:  Class(rec[24]),
-			Taken:  rec[25] != 0,
-			Dst:    rec[26],
-			Src1:   rec[27],
-			Src2:   rec[28],
-		}
-	}
-	s.pos += n
-	return n, nil
-}
-
-// Reset implements Source.
-func (s *lbp1Source) Reset() error { s.pos = 0; return nil }
-
-// Len implements Source.
-func (s *lbp1Source) Len() int { return s.total }
-
-// Close releases the file.
-func (s *lbp1Source) Close() error { return s.f.Close() }

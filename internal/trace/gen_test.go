@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -180,13 +183,16 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestEncodeRoundTrip: a generated trace survives the trace encoder
+// unchanged, so the generator only emits records the on-disk format can
+// represent (no Addr outside loads and stores, no Target outside branches).
 func TestEncodeRoundTrip(t *testing.T) {
 	tr := Generate(simpleProgram(), 5000, 13)
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
+	if err := WriteTraceLBP2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTraceLBP2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,30 +201,33 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeRoundTripProperty: arbitrary 64-bit PCs, addresses and targets
+// round trip, so the zigzag deltas hold across wraparound, not only across
+// the small strides real traces take.
 func TestEncodeRoundTripProperty(t *testing.T) {
 	f := func(pcs []uint64, classes []uint8, takens []bool) bool {
-		n := len(pcs)
-		if len(classes) < n {
-			n = len(classes)
-		}
-		if len(takens) < n {
-			n = len(takens)
-		}
+		n := min(len(pcs), len(classes), len(takens))
 		tr := make([]Inst, n)
 		for i := 0; i < n; i++ {
-			tr[i] = Inst{
+			in := Inst{
 				PC:    pcs[i],
 				Class: Class(classes[i] % uint8(numClasses)),
 				Taken: takens[i],
-				Addr:  pcs[i] >> 3,
 				Dst:   uint8(pcs[i] % NumRegs),
 			}
+			switch in.Class {
+			case ClassBranch:
+				in.Target = ^pcs[i]
+			case ClassLoad, ClassStore:
+				in.Addr = pcs[i] >> 3
+			}
+			tr[i] = in
 		}
 		var buf bytes.Buffer
-		if err := WriteTrace(&buf, tr); err != nil {
+		if err := WriteTraceLBP2(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadTrace(&buf)
+		got, err := ReadTraceLBP2(&buf)
 		if err != nil {
 			return false
 		}
@@ -237,13 +246,27 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsGarbage: a file that is neither LBP2 nor a
+// .champsim/.cst trace, and an empty file, are refused with an error naming
+// the file rather than replayed as an empty or garbled stream.
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	var empty bytes.Buffer
-	if _, err := ReadTrace(&empty); err == nil {
-		t.Fatal("empty input accepted")
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"garbage.trace": "not a trace file at all",
+		"empty.lbp2":    "",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenSource(path)
+		if err == nil {
+			CloseSource(src)
+			t.Fatalf("%s accepted", name)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: error does not name the file: %v", name, err)
+		}
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 // LBP2 is the compact on-disk trace format: delta-encoded PCs, varint
 // operands, chunked framing with a per-chunk CRC-32C, and a seekable chunk
 // index so both buffered-file and mmap readers can ingest multi-million-
-// instruction traces at fixed memory. It reuses the CRC-32C (Castagnoli)
-// framing discipline of the service journals (internal/service.EncodeFrame):
-// a torn or corrupted chunk is detected before any of its records are
-// trusted. DESIGN.md §16 specifies the wire format.
+// instruction traces at fixed memory. Every chunk carries a CRC-32C
+// (Castagnoli), so a torn or corrupted chunk is detected before any of its
+// records are trusted. DESIGN.md §16 specifies the wire format.
 //
 // Layout:
 //
@@ -25,7 +24,7 @@ import (
 //	end marker (12 B)  payloadLen = 0xFFFFFFFF, records = 0, crc = 0
 //	index           chunkCount × (offset u64 | records u32 | reserved u32)
 //	footer  (32 B)  indexOff u64 | total u64 | chunkCount u32 | indexCRC u32 |
-//	                reserved u32 | magic "2PBL" u32
+//	                reserved u32 | magic "PBP2" u32
 //
 // Each chunk is independently decodable (delta state resets per chunk), which
 // is what makes the index seekable and the mmap reader trivially parallel-
@@ -38,7 +37,7 @@ import (
 //	dAddr   uvarint, zigzag(Addr - prevAddr) — loads and stores only
 
 const (
-	lbp2Magic       = uint32(0x4c425032) // "LBP2" (matches LBP1's spelling scheme)
+	lbp2Magic       = uint32(0x4c425032) // "LBP2"
 	lbp2FooterMagic = uint32(0x32504250) // "PBP2" reversed marker for tail sniffing
 	lbp2Version     = uint32(1)
 
@@ -61,8 +60,7 @@ const (
 	flagReserved  = 0xE0
 )
 
-// castagnoli is the CRC-32C table shared by every chunk and the index
-// (the same polynomial the service journals frame with).
+// castagnoli is the CRC-32C table shared by every chunk and the index.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // zigzag maps a signed delta to an unsigned varint-friendly value.
@@ -630,6 +628,11 @@ func (mc *mmapChunks) Close() error {
 	return u()
 }
 
+// RawRecordBytes is the width of one instruction's fields packed flat: PC,
+// Addr and Target (8 B each), class, taken and three register bytes. It is
+// the uncompressed baseline LBP2's compression is measured against.
+const RawRecordBytes = 8 + 8 + 8 + 1 + 1 + 3
+
 // Stats2 summarizes an LBP2 file's framing for lbptrace -stat.
 type Stats2 struct {
 	Records   int
@@ -638,7 +641,8 @@ type Stats2 struct {
 	FileBytes int64
 }
 
-// BytesPerInst is the compression figure of merit (LBP1 is a flat 29 B/inst).
+// BytesPerInst is the compression figure of merit (raw records are a flat
+// RawRecordBytes per instruction).
 func (s Stats2) BytesPerInst() float64 {
 	if s.Records == 0 {
 		return 0
@@ -648,9 +652,9 @@ func (s Stats2) BytesPerInst() float64 {
 
 // String renders the stats on one line.
 func (s Stats2) String() string {
-	return fmt.Sprintf("lbp2: records=%d chunks=%d chunkLen=%d bytes=%d (%.2f B/inst, %.1fx vs LBP1)",
+	return fmt.Sprintf("lbp2: records=%d chunks=%d chunkLen=%d bytes=%d (%.2f B/inst, %.1fx vs %d-B raw records)",
 		s.Records, s.Chunks, s.ChunkLen, s.FileBytes,
-		s.BytesPerInst(), float64(recordSize)/s.BytesPerInst())
+		s.BytesPerInst(), RawRecordBytes/s.BytesPerInst(), RawRecordBytes)
 }
 
 // StatLBP2 parses just the seekable metadata of an LBP2 file.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,35 +98,6 @@ func TestLBP2SmallChunks(t *testing.T) {
 	}
 }
 
-// TestLBP1ToLBP2RoundTrip is the satellite property test: LBP1 → LBP2 → LBP1
-// preserves every record bit-exactly.
-func TestLBP1ToLBP2RoundTrip(t *testing.T) {
-	tr := randomTrace(5000, 7)
-	var lbp1 bytes.Buffer
-	if err := WriteTrace(&lbp1, tr); err != nil {
-		t.Fatal(err)
-	}
-	dec1, err := ReadTrace(bytes.NewReader(lbp1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lbp2 bytes.Buffer
-	if err := WriteTraceLBP2(&lbp2, dec1); err != nil {
-		t.Fatal(err)
-	}
-	dec2, err := ReadTraceLBP2(bytes.NewReader(lbp2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back bytes.Buffer
-	if err := WriteTrace(&back, dec2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lbp1.Bytes(), back.Bytes()) {
-		t.Fatal("LBP1 -> LBP2 -> LBP1 bytes differ")
-	}
-}
-
 // writeTempLBP2 writes tr as an LBP2 file with the given chunk length.
 func writeTempLBP2(t *testing.T, tr []Inst, chunkLen int) string {
 	t.Helper()
@@ -167,20 +139,11 @@ func drainSource(t *testing.T, src Source) []Inst {
 	}
 }
 
-// TestOpenSourceBackends checks both LBP2 backends and the LBP1 file source
-// yield identical streams, and that Reset replays from the start.
+// TestOpenSourceBackends checks both LBP2 backends yield identical streams,
+// and that Reset replays from the start.
 func TestOpenSourceBackends(t *testing.T) {
 	tr := randomTrace(10_000, 99)
 	lbp2Path := writeTempLBP2(t, tr, 1024)
-	lbp1Path := filepath.Join(t.TempDir(), "trace.lbp1")
-	f, err := os.Create(lbp1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrace(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	for _, tc := range []struct {
 		name string
@@ -189,7 +152,6 @@ func TestOpenSourceBackends(t *testing.T) {
 	}{
 		{"lbp2-auto", lbp2Path, OpenAuto},
 		{"lbp2-file", lbp2Path, OpenFile},
-		{"lbp1-file", lbp1Path, OpenFile},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := OpenSourceMode(tc.path, tc.mode)
@@ -317,8 +279,8 @@ func TestLBP2Stat(t *testing.T) {
 	if stats.Records != len(tr) {
 		t.Fatalf("stat records = %d, want %d", stats.Records, len(tr))
 	}
-	if bpi := stats.BytesPerInst(); bpi >= recordSize/2 {
-		t.Fatalf("LBP2 %.2f B/inst is not ≥2x smaller than LBP1's %d", bpi, recordSize)
+	if bpi := stats.BytesPerInst(); bpi >= RawRecordBytes/2 {
+		t.Fatalf("LBP2 %.2f B/inst is not ≥2x smaller than the %d-B raw record", bpi, RawRecordBytes)
 	}
 }
 
@@ -413,6 +375,53 @@ func FuzzReadTraceLBP2(f *testing.F) {
 			}
 			if in.Dst >= NumRegs || in.Src1 >= NumRegs || in.Src2 >= NumRegs {
 				t.Fatalf("decoder produced out-of-range register %+v", in)
+			}
+		}
+	})
+}
+
+// FuzzChampSim hardens the ChampSim adapter: arbitrary bytes written as a
+// .champsim file and opened through OpenSource must yield an error naming
+// the file or a source of size/64 records, each with an in-range class and
+// registers — never a panic.
+func FuzzChampSim(f *testing.F) {
+	seed := make([]byte, 2*champsimRecSize)
+	binary.LittleEndian.PutUint64(seed[0:], 0x1000)
+	seed[8], seed[9] = 1, 1 // taken branch; its target is the next ip
+	binary.LittleEndian.PutUint64(seed[champsimRecSize:], 0x2000)
+	binary.LittleEndian.PutUint64(seed[champsimRecSize+32:], 0xdeadbeef) // load
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add(seed[:champsimRecSize+1]) // torn final record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == lbp2Magic {
+			t.Skip("LBP2 magic sniffs as LBP2, which FuzzReadTraceLBP2 covers")
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.champsim")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenSource(path)
+		if err != nil {
+			if !strings.Contains(err.Error(), "fuzz.champsim") {
+				t.Fatalf("error does not name the file: %v", err)
+			}
+			return
+		}
+		defer CloseSource(src)
+		if want := len(data) / champsimRecSize; src.Len() != want {
+			t.Fatalf("Len = %d for %d bytes, want %d", src.Len(), len(data), want)
+		}
+		got := drainSource(t, src)
+		if len(got) != src.Len() {
+			t.Fatalf("drained %d records, Len promised %d", len(got), src.Len())
+		}
+		for _, in := range got {
+			if in.Class >= numClasses {
+				t.Fatalf("adapter produced invalid class %d", in.Class)
+			}
+			if in.Dst >= NumRegs || in.Src1 >= NumRegs || in.Src2 >= NumRegs {
+				t.Fatalf("adapter produced out-of-range register %+v", in)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -41,40 +40,5 @@ func TestGenerateIntoReusesBuffer(t *testing.T) {
 	small := GenerateInto(make([]Inst, 0, 10), p, n, 42)
 	if !reflect.DeepEqual(small, want) {
 		t.Fatalf("GenerateInto with small dst differs from Generate")
-	}
-}
-
-// TestReadTraceIntoReusesBuffer checks the binary decode path writes into a
-// recycled chunk without reallocating.
-func TestReadTraceIntoReusesBuffer(t *testing.T) {
-	tr := Generate(reuseProgram(), 3_000, 11)
-	var b bytes.Buffer
-	if err := WriteTrace(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := b.Bytes()
-
-	buf := make([]Inst, 0, len(tr))
-	got, err := ReadTraceInto(buf, bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("ReadTraceInto roundtrip differs")
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Fatalf("ReadTraceInto allocated despite sufficient capacity")
-	}
-
-	// A dirty recycled buffer must not leak stale contents.
-	for i := range got {
-		got[i].PC = ^uint64(0)
-	}
-	again, err := ReadTraceInto(got[:0], bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, tr) {
-		t.Fatalf("ReadTraceInto into dirty buffer differs")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // stateful and single-consumer; callers needing concurrent replays open one
 // source each.
 //
-// Implementations: SliceSource (in-memory), the LBP1/LBP2 file and mmap
+// Implementations: SliceSource (in-memory), the LBP2 file and mmap
 // sources returned by OpenSource, and the ChampSim-style external adapter.
 type Source interface {
 	// Next fills dst with the next instructions of the stream and returns

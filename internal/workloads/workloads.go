@@ -125,7 +125,7 @@ type Workload struct {
 	// Stress selects a stressor program instead of the Profile builder
 	// (loop-exit ladders, history cliffs, aliasing populations).
 	Stress *StressSpec
-	// TraceFile replays an on-disk trace (LBP1/LBP2/ChampSim) instead of
+	// TraceFile replays an on-disk trace (LBP2/ChampSim) instead of
 	// generating; Seed and Profile are unused.
 	TraceFile string
 }

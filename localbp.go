@@ -213,11 +213,11 @@ const (
 )
 
 // Source is the canonical streaming trace contract (see trace.Source):
-// FromSource consumes one, OpenTrace builds one from an on-disk LBP1/LBP2/
+// FromSource consumes one, OpenTrace builds one from an on-disk LBP2/
 // ChampSim file, and trace.NewSliceSource wraps an in-memory stream.
 type Source = trace.Source
 
-// OpenTrace opens an on-disk trace (LBP1, LBP2 or .champsim/.cst external
+// OpenTrace opens an on-disk trace (LBP2 or .champsim/.cst external
 // format, sniffed automatically; LBP2 is memory-mapped when the platform
 // supports it) as a streaming Source. Release it with CloseTrace.
 func OpenTrace(path string) (Source, error) { return trace.OpenSource(path) }
@@ -303,7 +303,7 @@ func WithObserver(fn func(Event)) Option {
 	return func(c *simConfig) { c.observer = fn }
 }
 
-// WithTraceFile replays an on-disk trace (LBP1/LBP2/ChampSim) instead of
+// WithTraceFile replays an on-disk trace (LBP2/ChampSim) instead of
 // generating the workload's stream: Simulate streams the file at fixed
 // memory, capped at n instructions when n > 0 (n <= 0 replays the whole
 // file). The workload's name is kept for labeling; its seed and profile are
