@@ -49,7 +49,7 @@ perf-smoke:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s ./internal/bpu/loop
 	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
-	$(GO) test -fuzz='FuzzReadTraceLBP2$$' -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzLBP2 -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzChampSim -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzCheckpointEnvelope -fuzztime=10s ./internal/harness
 	$(GO) test -fuzz=FuzzCoreConfigValidate -fuzztime=10s ./internal/core

@@ -4,8 +4,6 @@
 //
 //	lbpsweep [-insts N] [-quick] [-workers N] [-checkpoint file] [-timeout D] [-deadline D] [-list] [experiment ids...]
 //	lbpsweep -cpistack [-scheme name] [-insts N] [-quick]
-//	lbpsweep -trace-events file -workload name [-scheme name] [-insts N] [-seed N]
-//	lbpsweep -trace-file file [-scheme name] [-insts N]
 //
 // Without arguments it runs every experiment (table1 … fig14b, ext*) in
 // paper order; results for configurations shared between experiments are
@@ -42,10 +40,11 @@
 //     representative workload per category under -scheme (default the
 //     paper's forward-coalesce). Attribution is audited: every cycle lands
 //     in exactly one bucket and the buckets must sum to total cycles.
-//   - -trace-events runs -workload under -scheme with the structured event
-//     tracer and writes the retained events as JSONL.
 //   - -pprof DIR profiles the process: cpu.pprof and heap.pprof plus a
 //     runtime-metrics dump (runtime/metrics) land in DIR.
+//
+// Single runs — one workload or one saved trace file under one scheme, with
+// or without the event tracer — belong to lbpsim.
 package main
 
 import (
@@ -61,10 +60,7 @@ import (
 	"syscall"
 
 	"localbp/internal/harness"
-	"localbp/internal/obs"
 	"localbp/internal/service"
-	"localbp/internal/trace"
-	"localbp/internal/workloads"
 )
 
 func main() { os.Exit(run()) }
@@ -82,20 +78,10 @@ func run() int {
 	auditSample := flag.Int("audit-sample", 0, "run the integrity auditor + golden model on every Nth workload per spec (0 = off)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	verbose := flag.Bool("v", false, "print per-configuration progress")
-	schemeName := flag.String("scheme", "forward-coalesce", "scheme for -cpistack / -trace-events (see internal/schemes)")
-	workload := flag.String("workload", "", "workload for -trace-events")
-	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed for -trace-events (0 = workload default)")
+	schemeName := flag.String("scheme", "forward-coalesce", "scheme for -cpistack (see internal/schemes)")
 	cpistack := flag.Bool("cpistack", false, "print the per-category CPI-stack table instead of running experiments")
-	traceEvents := flag.String("trace-events", "", "write one run's structured events as JSONL to this file (requires -workload)")
-	traceFile := flag.String("trace-file", "", "replay this saved trace file (lbp2 or champsim) under -scheme and print the result")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof, heap.pprof and a runtime-metrics dump to this directory")
 	flag.Parse()
-	instsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "insts" {
-			instsSet = true
-		}
-	})
 
 	if *list {
 		for _, e := range harness.Experiments() {
@@ -144,32 +130,6 @@ func run() int {
 		return 0
 	}
 
-	if *traceFile != "" {
-		n := 0
-		if instsSet {
-			n = *insts
-		}
-		if err := replayTraceFile(ctx, *traceFile, *schemeName, n); err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
-			if ctx.Err() != nil {
-				return int(service.SweepInterrupted)
-			}
-			return int(service.SweepConfigError)
-		}
-		return 0
-	}
-
-	if *traceEvents != "" {
-		if err := traceOneRun(ctx, opts, *workload, *schemeName, *seed, *traceEvents); err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
-			if ctx.Err() != nil {
-				return int(service.SweepInterrupted)
-			}
-			return int(service.SweepConfigError)
-		}
-		return 0
-	}
-
 	suite := "full suite (202 workloads)"
 	if *quick {
 		suite = "quick suite (50 workloads)"
@@ -199,80 +159,6 @@ func run() int {
 			*checkpoint)
 	}
 	return int(status)
-}
-
-// replayTraceFile streams one saved trace file through the simulator under
-// one scheme and prints the result line; n > 0 truncates the replay. The
-// whole path is fixed-memory: the file is never loaded as a slice.
-func replayTraceFile(ctx context.Context, path, schemeName string, n int) error {
-	spec, err := harness.SpecFor(schemeName)
-	if err != nil {
-		return err
-	}
-	src, err := workloads.FromFile(path).Open(n)
-	if err != nil {
-		return err
-	}
-	defer trace.CloseSource(src)
-	res, err := harness.Run(ctx, src, spec)
-	if err != nil {
-		return err
-	}
-	st := res.Stats
-	fmt.Printf("%s × %s: %d insts, %d cycles, IPC %.3f, MPKI %.3f\n",
-		filepath.Base(path), schemeName, st.Insts, st.Cycles, st.IPC(), st.MPKI())
-	return nil
-}
-
-// traceOneRun simulates one workload under one scheme with the event tracer
-// attached and writes the retained events as JSONL.
-func traceOneRun(ctx context.Context, o harness.Options, workload, schemeName string, seed int64, path string) error {
-	if workload == "" {
-		return fmt.Errorf("-trace-events requires -workload (see lbptrace -list)")
-	}
-	w, ok := workloads.ByName(workload)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", workload)
-	}
-	if seed != 0 {
-		w.Seed = seed
-	}
-	spec, err := harness.SpecFor(schemeName)
-	if err != nil {
-		return err
-	}
-	var tracer *obs.Tracer
-	spec.Obs = &harness.ObsSpec{TraceCap: 1 << 16, Done: func(h *obs.Hooks) { tracer = h.Tracer }}
-	tr := w.Generate(o.Insts)
-	if err := trace.Validate(tr); err != nil {
-		return err
-	}
-	res, err := harness.Run(ctx, trace.NewSliceSource(tr), spec)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	labels := map[string]string{
-		"workload": w.Name,
-		"scheme":   schemeName,
-		"insts":    fmt.Sprint(o.Insts),
-	}
-	if err := tracer.WriteJSONL(f, labels); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	st := res.Stats
-	fmt.Printf("%s × %s: %d cycles, IPC %.3f, MPKI %.3f\n",
-		w.Name, schemeName, st.Cycles, st.IPC(), st.MPKI())
-	fmt.Printf("wrote %s (%d events emitted, %d retained)\n",
-		path, tracer.Total(), len(tracer.Events()))
-	return nil
 }
 
 // startProfiles begins CPU profiling into dir and returns the stop hook

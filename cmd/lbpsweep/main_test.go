@@ -133,8 +133,8 @@ func TestSweepSIGINTResume(t *testing.T) {
 
 // TestSweepExitCodeConfigError: unknown experiment ids exit 2 before any
 // simulation, and so does every retired flag (retries, chaos injection,
-// sharding), so a script still passing one fails loudly instead of running a
-// different sweep.
+// sharding, and the single-run flags that moved to lbpsim), so a script
+// still passing one fails loudly instead of running a different sweep.
 func TestSweepExitCodeConfigError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -146,6 +146,10 @@ func TestSweepExitCodeConfigError(t *testing.T) {
 		{"-shards", "2", "table1"},
 		{"-merge", "table1"},
 		{"-inject", "transient", "table1"},
+		{"-trace-file", "t.lbp2", "table1"},
+		{"-trace-events", "ev.jsonl", "table1"},
+		{"-workload", "cloud-compression", "table1"},
+		{"-seed", "7", "table1"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-quick", "-insts", "5000"}, args...)...)
 		out, _ := cmd.CombinedOutput()

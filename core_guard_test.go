@@ -14,14 +14,15 @@ import (
 // it:
 //
 //  1. scaling — doubling the trace length must not grow the allocation
-//     count (the pre-overhaul loop boxed every branch resolution through
-//     the heap interface, which this catches immediately);
+//     count (a resolution queue that boxes or copies each branch resolution
+//     onto the heap adds thousands, which this catches immediately);
 //  2. budget — the absolute per-run count stays within the known setup
 //     cost, so steady-state allocations cannot hide behind a shrinking
 //     setup elsewhere;
 //  3. bytes — every run hands its memory hierarchy's cache arrays back for
-//     the next (harness.Run recycles them), so back-to-back runs allocate
-//     only the per-run setup.
+//     the next (harness.Run recycles them) and the resolution heap is one
+//     slice that grows to the in-flight branch count, so back-to-back runs
+//     allocate only the per-run setup.
 func TestCoreLoopAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run allocation measurement")
@@ -54,7 +55,7 @@ func TestCoreLoopAllocGuard(t *testing.T) {
 	if aShort > 4096 {
 		t.Fatalf("per-run setup allocations %.0f exceed the 4096 budget", aShort)
 	}
-	// A recycling run allocates about 0.55 MB at 30k insts; one that builds
+	// A recycling run allocates about 0.31 MB at 30k insts; one that builds
 	// a fresh hierarchy allocates its ~1.7 MB of cache arrays on top.
 	const runs = 4
 	var before, after runtime.MemStats
@@ -63,8 +64,8 @@ func TestCoreLoopAllocGuard(t *testing.T) {
 		run(short)
 	}
 	runtime.ReadMemStats(&after)
-	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 1<<20 {
-		t.Fatalf("a 30k-inst run allocates %d B, over the 1 MiB budget (is the memory hierarchy recycled?)", b)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 512<<10 {
+		t.Fatalf("a 30k-inst run allocates %d B, over the 512 KiB budget (is the memory hierarchy recycled?)", b)
 	}
 	t.Logf("%.0f allocations at 30k insts, %.0f at 60k; %d B per 30k-inst run",
 		aShort, aLong, (after.TotalAlloc-before.TotalAlloc)/runs)

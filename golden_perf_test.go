@@ -15,10 +15,10 @@ import (
 // retired instructions, branches, final mispredictions, and the full CPI
 // stack — for every quick-suite workload under three repair schemes. It was
 // generated by the pre-optimization model (PR 4 state) and guards the hot-
-// path overhaul of PR 5: the calendar resolution queue, the idle-cycle
-// fast-forward and the allocation pools must all be bit-identical
-// transformations. Regenerate only when the *model* (not the engine)
-// deliberately changes:
+// path overhaul and every engine change since: the resolution
+// queue, the idle-cycle fast-forward and the allocation pools must all be
+// bit-identical transformations. Regenerate only when the *model* (not the
+// engine) deliberately changes:
 //
 //	go test -run TestGoldenBitIdentical -update-golden .
 var updateGolden = flag.Bool("update-golden", false,

@@ -74,16 +74,16 @@ func TestCancelDeadlineMidRun(t *testing.T) {
 	}
 }
 
-// TestBackgroundContextBitIdentical pins the zero-cost default path:
-// RunChecked (Background context) and an explicit never-canceled context
-// produce bit-identical statistics.
+// TestBackgroundContextBitIdentical pins the zero-cost default path: a run
+// under the Background context and one under an explicit, never-canceled
+// context produce bit-identical statistics.
 func TestBackgroundContextBitIdentical(t *testing.T) {
 	tr := aluTrace(60_000,
 		func(i int) uint8 { return uint8(1 + i%60) },
 		func(i int) uint8 { return 0 })
 
 	a := New(DefaultConfig(), baselineUnit(), tr)
-	stA, errA := a.RunChecked()
+	stA, errA := simulate(a)
 	if errA != nil {
 		t.Fatal(errA)
 	}

@@ -72,20 +72,13 @@ type Config struct {
 	// StallError and a pipeline dump. 0 selects DefaultStallCycles.
 	StallCycles int64
 
-	// DisableFastForward forces the cycle loop to iterate every cycle
-	// instead of jumping over provably idle windows (see fastforward.go).
-	// The skip is exact — results are bit-identical either way — so this
-	// exists only for differential testing and micro-benchmarking of the
-	// plain loop. Attaching an Audit also disables the fast-forward, since
-	// the auditor's periodic scans are cycle-driven.
-	DisableFastForward bool
-
 	// Audit, when non-nil, enables the integrity auditor's core-loop checks
 	// (retire monotonicity, ROB age ordering, occupancy bounds, resolution
 	// consistency) in addition to the always-on structural invariants. The
 	// first violation aborts the run with its *audit.IntegrityError. All
 	// checks are read-only: reported statistics are bit-identical to an
-	// unaudited run.
+	// unaudited run. The auditor's periodic scans are cycle-driven, so an
+	// audited run iterates every cycle instead of skipping idle windows.
 	Audit *audit.Auditor
 
 	// Golden, when non-nil, cross-checks every real-path retirement (and the

@@ -32,7 +32,7 @@ type fetchSlot struct {
 }
 
 // resolution is a pending branch-execution event. Pending resolutions live in
-// a calQueue (see calendar.go) and pop in (done, seq) ascending order.
+// a resolutionHeap (see resolutions.go) and pop in (done, seq) ascending order.
 type resolution struct {
 	done int64
 	seq  uint64
@@ -240,7 +240,7 @@ type Core struct {
 	// fqRec runs parallel to fetchQ, for the same reason as robRec.
 	fqRec []*bpu.BranchRec
 
-	resolutions calQueue
+	resolutions resolutionHeap
 
 	regReady [trace.NumRegs]int64
 
@@ -250,6 +250,12 @@ type Core struct {
 	cycle int64
 	seq   uint64
 	seqBr uint64
+
+	// disableFastForward makes the cycle loop iterate every cycle instead of
+	// skipping provably idle windows (see fastforward.go). The skip is exact,
+	// so only the in-package differential tests set it, to compare the two
+	// loops.
+	disableFastForward bool
 
 	// Divergence state: set while an unresolved branch's prediction
 	// disagrees with the trace; fetch synthesizes wrong-path instructions
@@ -276,10 +282,6 @@ type Core struct {
 	lastRetSeq uint64
 	hasRetired bool
 
-	dbgFQEmpty, dbgROBFull, dbgNotReady int64
-	dbgDoneSum                          int64
-	dbgDoneN                            int64
-
 	// Observability (all nil/zero when disabled; the per-cycle nil checks
 	// are the entire disabled-path cost).
 	cpi    *obs.CPIStack
@@ -291,16 +293,6 @@ type Core struct {
 	// front-end-resteer: the fetch hold plus the front-end refill depth
 	// after a mispredict flush, early resteer, or BTB miss.
 	cpiFrontHold int64
-}
-
-// DebugAllocStalls returns (fqEmpty, robFull, notReady, avgExecLatency)
-// diagnostics for model analysis.
-func (c *Core) DebugAllocStalls() (int64, int64, int64, float64) {
-	avg := 0.0
-	if c.dbgDoneN > 0 {
-		avg = float64(c.dbgDoneSum) / float64(c.dbgDoneN)
-	}
-	return c.dbgFQEmpty, c.dbgROBFull, c.dbgNotReady, avg
 }
 
 // BlockMemoCounters reports (hits, misses, stores, invalidations) of the
@@ -355,27 +347,26 @@ func MemTrack(cfg mem.HierarchyConfig, prog []trace.Inst) []mem.Outcome {
 
 func newCore(cfg Config, unit *bpu.Unit, prog []trace.Inst, h *mem.Hierarchy) *Core {
 	c := &Core{
-		cfg:         cfg,
-		unit:        unit,
-		mem:         h,
-		prog:        prog,
-		total:       len(prog),
-		rob:         make([]robEntry, nextPow2(cfg.ROBSize)),
-		robRec:      make([]*bpu.BranchRec, nextPow2(cfg.ROBSize)),
-		robMask:     int64(nextPow2(cfg.ROBSize) - 1),
-		robSize:     cfg.ROBSize,
-		fetchQ:      make([]fetchSlot, nextPow2(cfg.AllocQueue)),
-		fqRec:       make([]*bpu.BranchRec, nextPow2(cfg.AllocQueue)),
-		fqMask:      nextPow2(cfg.AllocQueue) - 1,
-		fqSize:      cfg.AllocQueue,
-		resolutions: newCalQueue(),
-		alus:        newResource(cfg.ALUs),
-		muls:        newResource(cfg.Muls),
-		fps:         newResource(cfg.FPs),
-		ldPorts:     newResource(cfg.LoadPorts),
-		stPorts:     newResource(cfg.StorePorts),
-		ldBuf:       newOccBuf(cfg.LoadBuffer),
-		stBuf:       newOccBuf(cfg.StoreBuffer),
+		cfg:     cfg,
+		unit:    unit,
+		mem:     h,
+		prog:    prog,
+		total:   len(prog),
+		rob:     make([]robEntry, nextPow2(cfg.ROBSize)),
+		robRec:  make([]*bpu.BranchRec, nextPow2(cfg.ROBSize)),
+		robMask: int64(nextPow2(cfg.ROBSize) - 1),
+		robSize: cfg.ROBSize,
+		fetchQ:  make([]fetchSlot, nextPow2(cfg.AllocQueue)),
+		fqRec:   make([]*bpu.BranchRec, nextPow2(cfg.AllocQueue)),
+		fqMask:  nextPow2(cfg.AllocQueue) - 1,
+		fqSize:  cfg.AllocQueue,
+		alus:    newResource(cfg.ALUs),
+		muls:    newResource(cfg.Muls),
+		fps:     newResource(cfg.FPs),
+		ldPorts: newResource(cfg.LoadPorts),
+		stPorts: newResource(cfg.StorePorts),
+		ldBuf:   newOccBuf(cfg.LoadBuffer),
+		stBuf:   newOccBuf(cfg.StoreBuffer),
 	}
 	// Pre-size the branch-record pool for the worst-case in-flight branch
 	// population (alloc queue + ROB, plus slack for records awaiting a
@@ -473,35 +464,20 @@ func (c *Core) fqFlush() {
 	}
 }
 
-// Run simulates until the program is exhausted and the pipeline drains,
-// returning the statistics. If the forward-progress watchdog fires (or an
-// integrity invariant is violated) it panics with the structured
-// *StallError / *audit.IntegrityError; fault-tolerant callers should use
-// RunChecked.
-func (c *Core) Run() Stats {
-	st, err := c.RunChecked()
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// RunChecked simulates like Run but converts a watchdog trip — a cycle
-// budget overrun or StallCycles consecutive cycles without a retirement —
-// into an ErrStalled-wrapping *StallError carrying a pipeline-state dump.
-// The partial statistics accumulated up to the abort are returned alongside.
-func (c *Core) RunChecked() (Stats, error) {
-	return c.RunContext(context.Background())
-}
-
-// RunContext simulates like RunChecked under a context: cancellation or a
-// deadline aborts the run within cancelCheckMask+1 loop iterations with an
-// ErrCanceled-wrapping *CancelError (errors.Is also matches the context
-// cause). The context checks are read-only — a run that completes reports
-// statistics bit-identical to RunChecked — and a context that can never be
-// canceled (Background) costs only a counter increment per iteration. The
-// wall-clock deadline composes with the cycle-domain watchdog (MaxCycles,
-// StallCycles): whichever bound trips first aborts the run.
+// RunContext simulates until the program is exhausted and the pipeline
+// drains, returning the statistics. It is the core's one run entry point.
+//
+// A watchdog trip — a cycle budget overrun or StallCycles consecutive cycles
+// without a retirement — returns an ErrStalled-wrapping *StallError carrying
+// a pipeline-state dump; an integrity violation returns its
+// *audit.IntegrityError. Cancellation or a deadline of ctx aborts the run
+// within cancelCheckMask+1 loop iterations with an ErrCanceled-wrapping
+// *CancelError (errors.Is also matches the context cause). Every abort
+// returns the partial statistics accumulated so far. The context checks are
+// read-only — a run that completes reports the same statistics under any
+// context — and a context that can never be canceled (Background) costs
+// only a counter increment per iteration. The wall-clock deadline composes
+// with the cycle-domain watchdog: whichever bound trips first aborts the run.
 func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -523,7 +499,7 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	// skip is exact — counters, CPI attribution and watchdog behavior are
 	// bit-identical to the cycle-by-cycle run (see fastforward.go). The
 	// auditor's periodic scans are cycle-driven, so auditing disables it.
-	ff := c.cfg.Audit == nil && !c.cfg.DisableFastForward
+	ff := c.cfg.Audit == nil && !c.disableFastForward
 	for c.pos < c.total || c.robLen() > 0 || c.fqCount > 0 {
 		if iter&cancelCheckMask == 0 && done != nil {
 			if err := ctx.Err(); err != nil {
@@ -541,27 +517,6 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 			}
 			if x := c.idleUntil(limit); x > c.cycle {
 				c.skipIdle(x - c.cycle)
-				continue
-			}
-			if n := c.retireBurst(budget - 1); n > 0 {
-				// The burst already applied every per-cycle effect; only the
-				// live loop's post-iteration bookkeeping remains. It always
-				// retires at least one instruction per consumed cycle, so the
-				// no-retire deadman cannot be pending.
-				if c.integrity != nil {
-					c.stats.Cycles = c.cycle
-					return c.stats, c.integrity
-				}
-				lastInsts = c.stats.Insts
-				lastRetireCycle = c.cycle
-				if c.cycle >= budget {
-					c.stats.Cycles = c.cycle
-					return c.stats, &StallError{
-						Reason: fmt.Sprintf("cycle budget: exceeded %d cycles for %d instructions", budget, c.total),
-						Cycle:  c.cycle,
-						Dump:   c.dumpState(),
-					}
-				}
 				continue
 			}
 		}
@@ -651,7 +606,7 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	return c.stats, nil
 }
 
-// fail latches the first integrity violation; RunChecked aborts on it at the
+// fail latches the first integrity violation; RunContext aborts on it at the
 // end of the current cycle.
 func (c *Core) fail(e *audit.IntegrityError) {
 	if c.integrity == nil {
@@ -676,7 +631,7 @@ func (c *Core) violation(pc uint64, invariant, detail string) {
 func (c *Core) auditScan() {
 	a := c.cfg.Audit
 	n := c.robLen()
-	a.Note(3 + 2*n + c.resolutions.len())
+	a.Note(3 + 2*n + len(c.resolutions))
 	if n < 0 || n > c.robSize || c.fqCount < 0 || c.fqCount > c.fqSize {
 		c.violation(0, audit.InvOccupancy, fmt.Sprintf(
 			"  rob occupancy %d/%d, alloc-queue occupancy %d/%d", n, c.robSize, c.fqCount, c.fqSize))
@@ -703,11 +658,11 @@ func (c *Core) auditScan() {
 		}
 	}
 	pending := 0
-	c.resolutions.each(func(r *resolution) {
-		if !r.rec.Squashed {
+	for i := range c.resolutions {
+		if !c.resolutions[i].rec.Squashed {
 			pending++
 		}
-	})
+	}
 	if pending != unresolved {
 		c.violation(0, audit.InvResolutions, fmt.Sprintf(
 			"  %d live pending resolutions vs %d unresolved real-path branches in the ROB",
@@ -761,7 +716,8 @@ func (c *Core) stepResolutions() {
 	c.resolutions.drain(c.cycle, c.resolveOne)
 }
 
-// resolveOne handles a single due resolution (the calQueue drain callback).
+// resolveOne handles a single due resolution (the resolutionHeap drain
+// callback).
 func (c *Core) resolveOne(r *resolution) {
 	rec := r.rec
 	rec.InFlight = false
@@ -876,16 +832,7 @@ func (c *Core) stepRetire() {
 // computing their execution timing.
 func (c *Core) stepAlloc() {
 	for n := 0; n < c.cfg.Width; n++ {
-		if c.fqCount == 0 {
-			c.dbgFQEmpty++
-			return
-		}
-		if c.robLen() >= c.robSize {
-			c.dbgROBFull++
-			return
-		}
-		if c.fqPeek().ready > c.cycle {
-			c.dbgNotReady++
+		if c.fqCount == 0 || c.robLen() >= c.robSize || c.fqPeek().ready > c.cycle {
 			return
 		}
 		s, rec := c.fqPop()
@@ -913,8 +860,6 @@ func (c *Core) stepAlloc() {
 
 		done := c.execTiming(&s.inst)
 		e.done = done
-		c.dbgDoneSum += done - c.cycle
-		c.dbgDoneN++
 		if e.isBranch {
 			if rec == nil {
 				c.violation(s.inst.PC, audit.InvBranchRecord, fmt.Sprintf(
@@ -925,7 +870,7 @@ func (c *Core) stepAlloc() {
 				c.handleEarlyResteer(e, rec)
 			}
 			rec.InFlight = true
-			c.resolutions.insert(resolution{done: done, seq: e.seq, rob: abs, rec: rec})
+			c.resolutions.push(resolution{done: done, seq: e.seq, rob: abs, rec: rec})
 		}
 	}
 }

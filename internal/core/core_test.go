@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"localbp/internal/bpu"
@@ -12,10 +13,23 @@ import (
 
 func baselineUnit() *bpu.Unit { return bpu.NewUnit(tage.KB8(), nil) }
 
+// simulate runs c to completion under a Background context: the one path
+// by which core tests reach RunContext outside the cancellation tests.
+func simulate(c *Core) (Stats, error) { return c.RunContext(context.Background()) }
+
+// mustSimulate is simulate for runs that must complete without error.
+func mustSimulate(t testing.TB, c *Core) Stats {
+	t.Helper()
+	st, err := simulate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func run(t *testing.T, cfg Config, tr []trace.Inst) Stats {
 	t.Helper()
-	c := New(cfg, baselineUnit(), tr)
-	return c.Run()
+	return mustSimulate(t, New(cfg, baselineUnit(), tr))
 }
 
 func aluTrace(n int, dst func(i int) uint8, src func(i int) uint8) []trace.Inst {
@@ -91,8 +105,7 @@ func TestDeterminism(t *testing.T) {
 	tr := trace.Generate(prog, 30_000, 11)
 	mk := func() Stats {
 		scheme := repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		c := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), scheme), tr)
-		return c.Run()
+		return mustSimulate(t, New(DefaultConfig(), bpu.NewUnit(tage.KB8(), scheme), tr))
 	}
 	a, b := mk(), mk()
 	if a != b {
@@ -209,9 +222,9 @@ func TestSchemeIntegration(t *testing.T) {
 	}}
 	tr := trace.Generate(prog, 150_000, 21)
 
-	base := New(DefaultConfig(), baselineUnit(), tr).Run()
-	perfect := New(DefaultConfig(),
-		bpu.NewUnit(tage.KB8(), repair.NewPerfect(loop.Loop128())), tr).Run()
+	base := run(t, DefaultConfig(), tr)
+	perfect := mustSimulate(t, New(DefaultConfig(),
+		bpu.NewUnit(tage.KB8(), repair.NewPerfect(loop.Loop128())), tr))
 	if perfect.MPKI() >= base.MPKI() {
 		t.Fatalf("perfect repair did not reduce MPKI: %.3f -> %.3f", base.MPKI(), perfect.MPKI())
 	}

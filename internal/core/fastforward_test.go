@@ -13,12 +13,11 @@ import (
 )
 
 // TestFastForwardDifferential pins the fast-forward's exactness contract:
-// a fast-forwarded run (idle skips plus closed-form retire bursts) must be
-// bit-identical — every Stats field, the debug stall counters, and the full
-// CPI stack — to the cycle-by-cycle run. Two subtests cover it: AllSchemes
-// runs every scheme on the first quick-suite workloads, and FullSuite runs
-// forward-coalesce over the full quick suite plus the 37-rung stressor
-// ladder at a shorter length.
+// a run that skips idle windows must be bit-identical — every Stats field
+// and the full CPI stack — to the cycle-by-cycle run. Two subtests cover
+// it: AllSchemes runs every scheme on the first quick-suite workloads, and
+// FullSuite runs forward-coalesce over the full quick suite plus the
+// 37-rung stressor ladder at a shorter length.
 func TestFastForwardDifferential(t *testing.T) {
 	forwardCoalesce := func() repair.Scheme {
 		return repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
@@ -33,29 +32,25 @@ func TestFastForwardDifferential(t *testing.T) {
 		{"forward-coalesce", forwardCoalesce},
 		{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
 	}
-	runOne := func(tr []trace.Inst, sc scheme, disableFF bool) (Stats, [3]int64, [obs.NumCPIBuckets]int64) {
+	runOne := func(t *testing.T, tr []trace.Inst, sc scheme, disableFF bool) (Stats, [obs.NumCPIBuckets]int64) {
 		cfg := DefaultConfig()
-		cfg.DisableFastForward = disableFF
 		cpi := obs.NewCPIStack()
 		cfg.Obs = &obs.Hooks{CPI: cpi}
 		c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
-		st := c.Run()
-		fq, rf, nr, _ := c.DebugAllocStalls()
+		c.disableFastForward = disableFF
+		st := mustSimulate(t, c)
 		var stacks [obs.NumCPIBuckets]int64
 		cpi.Buckets(func(b obs.CPIBucket, n int64) { stacks[b] = n })
-		return st, [3]int64{fq, rf, nr}, stacks
+		return st, stacks
 	}
 	check := func(t *testing.T, ws []workloads.Workload, insts int, schemes []scheme) {
 		for _, w := range ws {
 			tr := w.Generate(insts)
 			for _, sc := range schemes {
-				ffSt, ffDbg, ffCPI := runOne(tr, sc, false)
-				plainSt, plainDbg, plainCPI := runOne(tr, sc, true)
+				ffSt, ffCPI := runOne(t, tr, sc, false)
+				plainSt, plainCPI := runOne(t, tr, sc, true)
 				if ffSt != plainSt {
 					t.Errorf("%s/%s: stats diverge\n  ff:    %+v\n  plain: %+v", w.Name, sc.name, ffSt, plainSt)
-				}
-				if ffDbg != plainDbg {
-					t.Errorf("%s/%s: dbg stall counters diverge: ff=%v plain=%v", w.Name, sc.name, ffDbg, plainDbg)
 				}
 				if ffCPI != plainCPI {
 					t.Errorf("%s/%s: CPI stacks diverge\n  ff:    %v\n  plain: %v", w.Name, sc.name, ffCPI, plainCPI)
@@ -88,10 +83,10 @@ func TestFastForwardWatchdogIdentical(t *testing.T) {
 	}
 	runOne := func(disableFF bool) (Stats, error) {
 		cfg := DefaultConfig()
-		cfg.DisableFastForward = disableFF
 		cfg.StallCycles = 40 // below a DRAM round trip: guaranteed trip
 		c := New(cfg, baselineUnit(), tr)
-		return c.RunChecked()
+		c.disableFastForward = disableFF
+		return simulate(c)
 	}
 	ffSt, ffErr := runOne(false)
 	plainSt, plainErr := runOne(true)
@@ -109,33 +104,42 @@ func TestFastForwardWatchdogIdentical(t *testing.T) {
 	}
 }
 
-// TestCalQueueOrdering exercises the calendar queue directly: (done, seq)
-// pop order, overflow migration, and nextDue across window advances.
-func TestCalQueueOrdering(t *testing.T) {
-	q := newCalQueue()
+// TestResolutionHeapOrdering exercises the resolution heap directly:
+// interleaved same-cycle and far-future events pop in (done, seq) order as
+// the clock advances cycle by cycle, and a warm heap pushes and drains
+// without allocating (drain hands fn the heap's own storage).
+func TestResolutionHeapOrdering(t *testing.T) {
+	var q resolutionHeap
 	var seq uint64
 	mk := func(done int64) resolution {
 		seq++
 		return resolution{done: done, seq: seq}
 	}
-	// In-window, same-cycle, and far-overflow events interleaved.
-	ins := []int64{5, 3, 5, calWindow + 100, 3, 7, 3*calWindow + 9, calWindow + 50}
+	// Same-cycle and far-future events, interleaved.
+	ins := []int64{5, 3, 5, 2148, 3, 7, 6153, 2098}
 	for _, d := range ins {
-		q.insert(mk(d))
+		q.push(mk(d))
 	}
-	if got := q.len(); got != len(ins) {
-		t.Fatalf("len = %d, want %d", got, len(ins))
+	if len(q) != len(ins) {
+		t.Fatalf("len = %d, want %d", len(q), len(ins))
 	}
 	if d, ok := q.nextDue(); !ok || d != 3 {
 		t.Fatalf("nextDue = %d,%v, want 3,true", d, ok)
 	}
 	var popped []resolution
-	// Drain cycle by cycle far enough to cross both overflow horizons.
-	for cyc := int64(0); cyc <= 3*calWindow+10; cyc++ {
-		q.drain(cyc, func(r *resolution) { popped = append(popped, *r) })
+	for cyc := int64(0); cyc <= 6154; cyc++ {
+		q.drain(cyc, func(r *resolution) {
+			if r.done > cyc {
+				t.Fatalf("entry due at %d delivered at cycle %d", r.done, cyc)
+			}
+			popped = append(popped, *r)
+		})
 	}
-	if q.len() != 0 {
-		t.Fatalf("queue not empty after full drain: %d left", q.len())
+	if len(q) != 0 {
+		t.Fatalf("heap not empty after full drain: %d left", len(q))
+	}
+	if _, ok := q.nextDue(); ok {
+		t.Fatal("nextDue reports an event on an empty heap")
 	}
 	if len(popped) != len(ins) {
 		t.Fatalf("popped %d, want %d", len(popped), len(ins))
@@ -147,31 +151,18 @@ func TestCalQueueOrdering(t *testing.T) {
 				i, a.done, a.seq, b.done, b.seq)
 		}
 	}
-}
 
-// TestCalQueueJumpOntoOverflow reproduces the fast-forward/overflow corner:
-// with only an overflow entry pending, a clock jump straight to its due
-// cycle must still drain it (idleUntil stops one cycle short; the queue
-// itself must migrate correctly when drained at due-1 then due).
-func TestCalQueueJumpOntoOverflow(t *testing.T) {
-	q := newCalQueue()
-	due := 2*calWindow + 7
-	q.insert(resolution{done: due, seq: 1})
-	if d, ok := q.nextDue(); !ok || d != due {
-		t.Fatalf("nextDue = %d,%v, want %d,true", d, ok, due)
-	}
-	// Jump exactly as the fast-forward does: drain at due-1 (migration
-	// cycle), then at due (delivery cycle).
-	var got []int64
-	q.drain(due-1, func(r *resolution) { got = append(got, r.done) })
-	if len(got) != 0 {
-		t.Fatalf("entry delivered early at cycle %d", due-1)
-	}
-	q.drain(due, func(r *resolution) { got = append(got, r.done) })
-	if len(got) != 1 || got[0] != due {
-		t.Fatalf("entry not delivered at its due cycle: got %v", got)
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue should be empty")
+	var last uint64
+	cyc := int64(10_000)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range 8 {
+			q.push(mk(cyc + int64(8-i)))
+		}
+		cyc += 8
+		q.drain(cyc, func(r *resolution) { last = r.seq })
+	})
+	if allocs != 0 || len(q) != 0 || last == 0 {
+		t.Fatalf("warm push/drain: %.1f allocations per round, %d left, last seq %d; want 0, 0, > 0",
+			allocs, len(q), last)
 	}
 }

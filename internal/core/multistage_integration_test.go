@@ -27,14 +27,14 @@ func loopHeavyTrace(n int, seed int64) []trace.Inst {
 	return trace.Generate(prog, n, seed)
 }
 
-func runScheme(tr []trace.Inst, mk func() repair.Scheme) (Stats, *repair.Stats) {
+func runScheme(t *testing.T, tr []trace.Inst, mk func() repair.Scheme) (Stats, *repair.Stats) {
+	t.Helper()
 	var scheme repair.Scheme
 	if mk != nil {
 		scheme = mk()
 	}
 	unit := bpu.NewUnit(tage.KB8(), scheme)
-	c := New(DefaultConfig(), unit, tr)
-	st := c.Run()
+	st := mustSimulate(t, New(DefaultConfig(), unit, tr))
 	if scheme != nil {
 		return st, scheme.Stats()
 	}
@@ -43,8 +43,8 @@ func runScheme(tr []trace.Inst, mk func() repair.Scheme) (Stats, *repair.Stats) 
 
 func TestMultiStageEndToEnd(t *testing.T) {
 	tr := loopHeavyTrace(200_000, 17)
-	base, _ := runScheme(tr, nil)
-	ms, rst := runScheme(tr, func() repair.Scheme {
+	base, _ := runScheme(t, tr, nil)
+	ms, rst := runScheme(t, tr, func() repair.Scheme {
 		return repair.NewMultiStage(loop.Loop128(), 32, true)
 	})
 	if ms.MPKI() >= base.MPKI() {
@@ -68,7 +68,7 @@ func TestEarlyResteerCheaperThanFullMispredict(t *testing.T) {
 	// With the deferred override correcting a would-be misprediction, the
 	// branch must not count as mispredicted at resolve.
 	tr := loopHeavyTrace(200_000, 29)
-	ms, _ := runScheme(tr, func() repair.Scheme {
+	ms, _ := runScheme(t, tr, func() repair.Scheme {
 		return repair.NewMultiStage(loop.Loop128(), 32, true)
 	})
 	if ms.EarlyResteers == 0 {
@@ -85,8 +85,7 @@ func TestWrongPathBudgetBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxWrongPathPerFlush = 8
 	unit := bpu.NewUnit(tage.KB8(), nil)
-	c := New(cfg, unit, tr)
-	st := c.Run()
+	st := mustSimulate(t, New(cfg, unit, tr))
 	if st.Flushes > 0 && st.WrongPathInsts > st.Flushes*8+uint64(cfg.MaxWrongPathPerFlush) {
 		t.Fatalf("wrong-path budget exceeded: %d insts over %d flushes",
 			st.WrongPathInsts, st.Flushes)
@@ -109,7 +108,7 @@ func TestRepairSchemesAllRunEndToEnd(t *testing.T) {
 		"limited": func() repair.Scheme { return repair.NewLimitedPC(c, 4, 4, false) },
 	}
 	for name, mk := range schemes {
-		st, _ := runScheme(tr, mk)
+		st, _ := runScheme(t, tr, mk)
 		if st.Insts != 120_000 {
 			t.Errorf("%s: retired %d of 120000", name, st.Insts)
 		}
@@ -122,8 +121,8 @@ func TestRepairSchemesAllRunEndToEnd(t *testing.T) {
 func TestPerfectBeatsUnrepairedEverywhere(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		tr := loopHeavyTrace(150_000, seed)
-		perfect, _ := runScheme(tr, func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) })
-		none, _ := runScheme(tr, func() repair.Scheme { return repair.NewNone(loop.Loop128()) })
+		perfect, _ := runScheme(t, tr, func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) })
+		none, _ := runScheme(t, tr, func() repair.Scheme { return repair.NewNone(loop.Loop128()) })
 		if perfect.MPKI() > none.MPKI() {
 			t.Errorf("seed %d: perfect repair (%.3f MPKI) worse than no repair (%.3f)",
 				seed, perfect.MPKI(), none.MPKI())

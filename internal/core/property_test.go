@@ -30,9 +30,10 @@ func TestPipelineInvariantsProperty(t *testing.T) {
 		const n = 20_000
 		tr := trace.Generate(prog, n, seed)
 		scheme := repair.NewForwardWalk(loop.Loop128(), 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		c := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), scheme), tr)
-		st := c.Run()
-
+		st, err := simulate(New(DefaultConfig(), bpu.NewUnit(tage.KB8(), scheme), tr))
+		if err != nil {
+			return false
+		}
 		if st.Insts != n {
 			return false
 		}

@@ -42,7 +42,7 @@ func (c *Core) dumpState() string {
 		fmt.Fprintf(&b, "  rob head:    seq=%d class=%s done=%d branch=%v resolved=%v wrongPath=%v\n",
 			e.seq, e.class, e.done, e.isBranch, e.resolved, e.wrongPath)
 	}
-	fmt.Fprintf(&b, "  resolutions: %d pending", c.resolutions.len())
+	fmt.Fprintf(&b, "  resolutions: %d pending", len(c.resolutions))
 	if d, ok := c.resolutions.nextDue(); ok {
 		fmt.Fprintf(&b, " (next due cycle %d)", d)
 	}

@@ -62,7 +62,7 @@ func TestStreamBitIdentical(t *testing.T) {
 		for _, sc := range schemes {
 			cfg := DefaultConfig()
 			resident := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
-			wantSt, err := resident.RunChecked()
+			wantSt, err := simulate(resident)
 			if err != nil {
 				t.Fatalf("%s/%s resident: %v", w.Name, sc.name, err)
 			}
@@ -74,7 +74,7 @@ func TestStreamBitIdentical(t *testing.T) {
 			if len(streamed.prog) != 0 || cap(streamed.prog) >= insts {
 				t.Fatalf("streamed core holds a resident-scale buffer (cap %d)", cap(streamed.prog))
 			}
-			gotSt, err := streamed.RunChecked()
+			gotSt, err := simulate(streamed)
 			if err != nil {
 				t.Fatalf("%s/%s streamed: %v", w.Name, sc.name, err)
 			}
@@ -96,7 +96,7 @@ func TestStreamSliceFastPath(t *testing.T) {
 	if c.src != nil || len(c.prog) != len(tr) {
 		t.Fatal("slice-backed source did not take the resident fast path")
 	}
-	if _, err := c.RunChecked(); err != nil {
+	if _, err := simulate(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,7 +110,7 @@ func TestStreamSourceFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.RunChecked()
+	_, err = simulate(c)
 	if !errors.Is(err, ErrTraceSource) {
 		t.Fatalf("got %v, want ErrTraceSource", err)
 	}
@@ -130,7 +130,7 @@ func TestStreamShortStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunChecked(); !errors.Is(err, ErrTraceSource) {
+	if _, err := simulate(c); !errors.Is(err, ErrTraceSource) {
 		t.Fatalf("got %v, want ErrTraceSource", err)
 	}
 }

@@ -92,6 +92,6 @@ func FuzzCoreConfigValidate(f *testing.F) {
 		}
 		// A stall or cycle-budget error is a legitimate outcome for a
 		// starved configuration; only a panic fails.
-		_, _ = New(cfg, bpu.NewUnit(tage.KB8(), nil), tr).RunChecked()
+		_, _ = simulate(New(cfg, bpu.NewUnit(tage.KB8(), nil), tr))
 	})
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"localbp/internal/bpu"
-	"localbp/internal/bpu/tage"
 	"localbp/internal/trace"
 )
 
@@ -12,8 +10,7 @@ func TestWarmupExcludesLeadingInstructions(t *testing.T) {
 	tr := loopHeavyTrace(80_000, 41)
 	cfg := DefaultConfig()
 	cfg.WarmupInsts = 30_000
-	c := New(cfg, bpu.NewUnit(tage.KB8(), nil), tr)
-	st := c.Run()
+	st := run(t, cfg, tr)
 	if st.Insts != 50_000 {
 		t.Fatalf("post-warmup instructions %d, want 50000", st.Insts)
 	}
@@ -22,7 +19,7 @@ func TestWarmupExcludesLeadingInstructions(t *testing.T) {
 	}
 
 	// The warmed measurement must not exceed the full-run cycle count.
-	full := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	full := run(t, DefaultConfig(), tr)
 	if st.Cycles >= full.Cycles {
 		t.Fatalf("warmed cycles %d not below full %d", st.Cycles, full.Cycles)
 	}
@@ -37,10 +34,10 @@ func TestWarmupLowersMPKI(t *testing.T) {
 		}},
 	}}
 	tr := trace.Generate(prog, 100_000, 3)
-	full := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	full := run(t, DefaultConfig(), tr)
 	cfg := DefaultConfig()
 	cfg.WarmupInsts = 50_000
-	warm := New(cfg, bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	warm := run(t, cfg, tr)
 	if warm.MPKI() > full.MPKI() {
 		t.Fatalf("warmed MPKI %.3f above full-run %.3f", warm.MPKI(), full.MPKI())
 	}
@@ -48,7 +45,7 @@ func TestWarmupLowersMPKI(t *testing.T) {
 
 func TestBTBMissesCounted(t *testing.T) {
 	tr := loopHeavyTrace(60_000, 43)
-	st := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	st := run(t, DefaultConfig(), tr)
 	if st.BTBMisses == 0 {
 		t.Fatal("no cold BTB misses on a fresh core")
 	}
@@ -64,11 +61,11 @@ func TestBTBDisableRemovesBubbles(t *testing.T) {
 	tr := loopHeavyTrace(60_000, 47)
 	cfg := DefaultConfig()
 	cfg.BTB.Entries = 0 // disable
-	st := New(cfg, bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	st := run(t, cfg, tr)
 	if st.BTBMisses != 0 {
 		t.Fatal("BTB misses counted with the BTB disabled")
 	}
-	withBTB := New(DefaultConfig(), bpu.NewUnit(tage.KB8(), nil), tr).Run()
+	withBTB := run(t, DefaultConfig(), tr)
 	if withBTB.Cycles < st.Cycles {
 		t.Fatalf("BTB bubbles made the run faster? %d vs %d", withBTB.Cycles, st.Cycles)
 	}

@@ -23,8 +23,8 @@ func watchdogCore(cfg Config, n int) *Core {
 	return New(cfg, bpu.NewUnit(tage.KB8(), nil), watchdogProgram(n))
 }
 
-func TestRunCheckedCompletesNormally(t *testing.T) {
-	st, err := watchdogCore(DefaultConfig(), 5_000).RunChecked()
+func TestRunCompletesNormally(t *testing.T) {
+	st, err := simulate(watchdogCore(DefaultConfig(), 5_000))
 	if err != nil {
 		t.Fatalf("clean run errored: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestWatchdogNoRetireDeadman(t *testing.T) {
 	// execution latency; a deadman shorter than that must fire.
 	cfg.FrontendDepth = 50
 	cfg.StallCycles = 10
-	_, err := watchdogCore(cfg, 1_000).RunChecked()
+	_, err := simulate(watchdogCore(cfg, 1_000))
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
 	}
@@ -60,7 +60,7 @@ func TestWatchdogNoRetireDeadman(t *testing.T) {
 func TestWatchdogCycleBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 100 // far below what 10k instructions need
-	_, err := watchdogCore(cfg, 10_000).RunChecked()
+	_, err := simulate(watchdogCore(cfg, 10_000))
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
 	}
@@ -71,22 +71,6 @@ func TestWatchdogCycleBudget(t *testing.T) {
 	if se.Cycle < 100 {
 		t.Fatalf("watchdog fired at cycle %d, before the budget of 100", se.Cycle)
 	}
-}
-
-func TestRunPanicsOnStall(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 100
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("Run did not panic on a watchdog trip")
-		}
-		err, ok := p.(error)
-		if !ok || !errors.Is(err, ErrStalled) {
-			t.Fatalf("Run panicked with %v, want an ErrStalled-wrapping error", p)
-		}
-	}()
-	watchdogCore(cfg, 10_000).Run()
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -81,8 +81,8 @@ func (a observed) diff(b observed) string {
 // included), the latency histograms and the full event stream. The matrix is
 // every Table 3 spec plus the iso-storage, 57KB-TAGE and oracle specs, over
 // the quick suite and the stressor ladder, with and without warmup. The
-// failure subtests pin the track's integrity errors and its lifetime in the
-// TraceCache.
+// other subtests pin how the TraceCache builds and shares the track, and the
+// track's integrity errors.
 func TestMemTrackDifferential(t *testing.T) {
 	cfg := core.DefaultConfig().Mem
 	t.Run("Matrix", func(t *testing.T) {
@@ -147,6 +147,9 @@ func TestMemTrackDifferential(t *testing.T) {
 				t.Fatal("concurrent requests did not share one track")
 			}
 		}
+		if !slices.Equal(tracks[0], core.MemTrack(cfg, w.Generate(4_000))) {
+			t.Fatal("cached track differs from a fresh recording")
+		}
 	})
 
 	w := workloads.QuickSuite()[0]
@@ -170,39 +173,6 @@ func TestMemTrackDifferential(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("ReleaseDropsTrack", func(t *testing.T) {
-		ws := workloads.QuickSuite()
-		a, b := ws[0], ws[1]
-		const n = 4_000
-		tc := NewTraceCache()
-		trA, trackA, err := tc.getTracked(a, n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := &trA[0]
-		if !slices.Equal(trackA, core.MemTrack(cfg, a.Generate(n))) {
-			t.Fatal("cached track differs from a fresh recording")
-		}
-		tc.Release(a, n)
-		trB, trackB, err := tc.getTracked(b, n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &trB[0] != base {
-			t.Fatal("generation after Release did not reuse the parked buffer")
-		}
-		if !slices.Equal(trackB, core.MemTrack(cfg, b.Generate(n))) {
-			t.Fatal("a trace in a recycled buffer was served a stale track")
-		}
-		trA2, trackA2, err := tc.getTracked(a, n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(trA2, a.Generate(n)) || !slices.Equal(trackA2, trackA) {
-			t.Fatal("regenerating a released trace did not rebuild its track")
-		}
-	})
 
 	t.Run("OtherConfigRunsLive", func(t *testing.T) {
 		tc := NewTraceCache()

@@ -423,14 +423,11 @@ type traceEntry struct {
 
 // TraceCache memoizes generated workload traces across configurations so a
 // sweep generates each (workload, insts) pair once and, through getTracked,
-// simulates its memory hierarchy once. It recycles released trace buffers so
-// sequential single-use patterns (generate, simulate, release, next
-// workload) reuse one flat []trace.Inst chunk instead of allocating per
-// workload. It is safe for concurrent use by multiple goroutines.
+// simulates its memory hierarchy once. It is safe for concurrent use by
+// multiple goroutines.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
-	spare   [][]trace.Inst // released generation buffers, ready for reuse
 }
 
 // NewTraceCache returns an empty cache.
@@ -438,22 +435,9 @@ func NewTraceCache() *TraceCache {
 	return &TraceCache{entries: map[traceKey]*traceEntry{}}
 }
 
-// takeSpare pops a recycled generation buffer (nil when none is parked).
-func (tc *TraceCache) takeSpare() []trace.Inst {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if n := len(tc.spare); n > 0 {
-		buf := tc.spare[n-1]
-		tc.spare = tc.spare[:n-1]
-		return buf
-	}
-	return nil
-}
-
 // Get returns the trace for w at n instructions, generating (or, for
 // file-backed workloads, reading and validating the file) on first use.
-// Generation decodes into a recycled buffer when one is available (see
-// Release). Concurrent callers for the same key share one generation;
+// Concurrent callers for the same key share one generation;
 // different keys generate in parallel. A file-backed workload's key includes
 // the file's (path, mtime, size), so a regenerated file is re-read.
 func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
@@ -467,7 +451,7 @@ func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
 // getTracked is Get plus the trace's memory-outcome track under cfg. The
 // track is built once per cached trace, for the configuration of the first
 // request; a request under any other configuration gets a nil track and
-// runs live. Release drops the track with the trace.
+// runs live.
 func (tc *TraceCache) getTracked(w workloads.Workload, n int, cfg mem.HierarchyConfig) ([]trace.Inst, []mem.Outcome, error) {
 	e, err := tc.entry(w, n)
 	if err != nil {
@@ -506,7 +490,7 @@ func (tc *TraceCache) entry(w workloads.Workload, n int) (*traceEntry, error) {
 			e.err = fmt.Errorf("trace length: got %d instructions, want > 0", n)
 			return
 		}
-		tr := w.GenerateInto(tc.takeSpare(), n)
+		tr := w.Generate(n)
 		if err := trace.Validate(tr); err != nil {
 			e.err = err
 			return
@@ -535,33 +519,4 @@ func readFileTrace(w workloads.Workload, n int) ([]trace.Inst, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// Release evicts the cached trace for w at n instructions, with its memory
-// track, and parks its buffer for reuse by a later generation. Only call it
-// when no simulation still holds the slice returned by Get — the next Get
-// for any workload may overwrite its contents in place.
-func (tc *TraceCache) Release(w workloads.Workload, n int) {
-	k, err := keyFor(w, n)
-	if err != nil {
-		return // the file vanished; nothing cached under its current stamp
-	}
-	tc.mu.Lock()
-	e, ok := tc.entries[k]
-	if ok {
-		delete(tc.entries, k)
-	}
-	tc.mu.Unlock()
-	if !ok {
-		return
-	}
-	// Synchronize with a concurrent generation: Do blocks until the first
-	// call completes, establishing the happens-before for reading e.tr.
-	e.once.Do(func() {})
-	if e.tr == nil {
-		return
-	}
-	tc.mu.Lock()
-	tc.spare = append(tc.spare, e.tr[:0])
-	tc.mu.Unlock()
 }

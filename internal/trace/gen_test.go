@@ -192,7 +192,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 	if err := WriteTraceLBP2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceLBP2(&buf)
+	got, err := decodeLBP2(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 		if err := WriteTraceLBP2(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadTraceLBP2(&buf)
+		got, err := decodeLBP2(t, buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 )
 
 // LBP2 is the compact on-disk trace format: delta-encoded PCs, varint
@@ -41,12 +40,14 @@ const (
 	lbp2FooterMagic = uint32(0x32504250) // "PBP2" reversed marker for tail sniffing
 	lbp2Version     = uint32(1)
 
-	lbp2HeaderSize  = 16
-	lbp2ChunkHdr    = 12
-	lbp2IndexEntry  = 16
-	lbp2FooterSize  = 32
-	lbp2EndMarker   = uint32(0xFFFFFFFF)
-	lbp2MaxRecBytes = 1 + binary.MaxVarintLen64 + 3 + 2*binary.MaxVarintLen64
+	lbp2HeaderSize = 16
+	lbp2ChunkHdr   = 12
+	lbp2IndexEntry = 16
+	lbp2FooterSize = 32
+	lbp2EndMarker  = uint32(0xFFFFFFFF)
+	// lbp2MinRecBytes is the smallest encoded record: the flags byte and a
+	// one-byte PC delta.
+	lbp2MinRecBytes = 2
 
 	// DefaultChunkLen is the records-per-chunk default: 64 Ki instructions
 	// (~2 MiB decoded) balances seek granularity against framing overhead.
@@ -173,11 +174,13 @@ func decodeChunk(dst []Inst, payload []byte, records int) error {
 	return nil
 }
 
-// chunkIx locates one chunk: the file offset of its 12-byte header and its
-// record count.
+// chunkIx locates one chunk: the file offset of its 12-byte header, its
+// record count and its payload length. The writer's index stores only the
+// first two; the reader derives payload from the next chunk's offset.
 type chunkIx struct {
 	off     int64
 	records int
+	payload int64
 }
 
 // LBP2Writer streams instructions into the LBP2 format: Append any number of
@@ -329,92 +332,13 @@ func WriteTraceLBP2(w io.Writer, tr []Inst) error {
 	return lw.Close()
 }
 
-// ReadTraceLBP2 decodes a whole LBP2 stream from r into memory (conversion
-// tooling; streaming consumers use OpenSource). It needs no seeking: chunks
-// are read sequentially until the end marker.
-func ReadTraceLBP2(r io.Reader) ([]Inst, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	chunkLen, err := readLBP2Header(br)
-	if err != nil {
-		return nil, err
-	}
-	var out []Inst
-	var payload []byte
-	var chunk []Inst
-	for {
-		var hdr [lbp2ChunkHdr]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("trace: lbp2 chunk header: %w", err)
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:])
-		if plen == lbp2EndMarker {
-			return out, nil
-		}
-		records := int(binary.LittleEndian.Uint32(hdr[4:]))
-		if err := checkChunkHeader(plen, records, chunkLen); err != nil {
-			return nil, err
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("trace: lbp2 chunk payload: %w", err)
-		}
-		if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[8:]); got != want {
-			return nil, fmt.Errorf("trace: lbp2 chunk CRC mismatch (got %#x, want %#x)", got, want)
-		}
-		if cap(chunk) < records {
-			chunk = make([]Inst, records)
-		}
-		chunk = chunk[:records]
-		if err := decodeChunk(chunk, payload, records); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-}
-
-// readLBP2Header validates the 16-byte stream header and returns chunkLen.
-func readLBP2Header(r io.Reader) (int, error) {
-	var hdr [lbp2HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("trace: lbp2 header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != lbp2Magic {
-		return 0, errors.New("trace: bad magic (not an LBP2 trace)")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != lbp2Version {
-		return 0, fmt.Errorf("trace: unsupported LBP2 version %d", v)
-	}
-	chunkLen := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if chunkLen <= 0 || chunkLen > maxChunkLen {
-		return 0, fmt.Errorf("trace: lbp2 chunk length %d out of range", chunkLen)
-	}
-	return chunkLen, nil
-}
-
-// checkChunkHeader bounds a chunk's payload length and record count before
-// anything is sized from them.
-func checkChunkHeader(plen uint32, records, chunkLen int) error {
-	if records <= 0 || records > chunkLen {
-		return fmt.Errorf("trace: lbp2 chunk record count %d out of range (chunkLen %d)", records, chunkLen)
-	}
-	if int64(plen) > int64(records)*lbp2MaxRecBytes {
-		return fmt.Errorf("trace: lbp2 chunk payload %d bytes exceeds %d records' maximum", plen, records)
-	}
-	if plen == 0 {
-		return errors.New("trace: lbp2 empty chunk payload")
-	}
-	return nil
-}
-
 // lbp2Layout is the parsed index of a seekable LBP2 file: everything a
 // random-access reader needs besides the chunk bytes themselves.
 type lbp2Layout struct {
-	chunkLen int
-	total    int
-	index    []chunkIx
+	chunkLen   int
+	total      int
+	maxRecords int // largest chunk's record count: the decode buffer's size
+	index      []chunkIx
 }
 
 // parseLBP2Layout reads the header, footer and index via ra. size is the
@@ -424,9 +348,15 @@ func parseLBP2Layout(ra io.ReaderAt, size int64) (*lbp2Layout, error) {
 	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: lbp2 header: %w", err)
 	}
-	chunkLen, err := readLBP2Header(bytesReader(hdr[:]))
-	if err != nil {
-		return nil, err
+	if binary.LittleEndian.Uint32(hdr[0:]) != lbp2Magic {
+		return nil, errors.New("trace: bad magic (not an LBP2 trace)")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != lbp2Version {
+		return nil, fmt.Errorf("trace: unsupported LBP2 version %d", v)
+	}
+	chunkLen := int(binary.LittleEndian.Uint32(hdr[8:]))
+	if chunkLen <= 0 || chunkLen > maxChunkLen {
+		return nil, fmt.Errorf("trace: lbp2 chunk length %d out of range", chunkLen)
 	}
 	if size < lbp2HeaderSize+lbp2ChunkHdr+lbp2FooterSize {
 		return nil, errors.New("trace: lbp2 file too short for header, end marker and footer")
@@ -460,16 +390,53 @@ func parseLBP2Layout(ra io.ReaderAt, size int64) (*lbp2Layout, error) {
 	for i := range l.index {
 		off := int64(binary.LittleEndian.Uint64(ix[i*lbp2IndexEntry:]))
 		records := int(binary.LittleEndian.Uint32(ix[i*lbp2IndexEntry+8:]))
-		if off < lbp2HeaderSize || off >= indexOff || records <= 0 || records > chunkLen {
-			return nil, fmt.Errorf("trace: lbp2 index entry %d invalid (off %d, %d records)", i, off, records)
+		// Chunks tile the file in index order: a chunk's payload runs to the
+		// next chunk's header, the last one's to the end marker. A record
+		// count its payload cannot hold is rejected here, so no reader sizes
+		// a buffer from a count the file's bytes do not back.
+		end := indexOff - lbp2ChunkHdr
+		if i+1 < chunks {
+			end = int64(binary.LittleEndian.Uint64(ix[(i+1)*lbp2IndexEntry:]))
 		}
-		l.index[i] = chunkIx{off: off, records: records}
+		payload := end - off - lbp2ChunkHdr
+		if off < lbp2HeaderSize || records <= 0 || records > chunkLen || payload < int64(records)*lbp2MinRecBytes {
+			return nil, fmt.Errorf("trace: lbp2 index entry %d invalid (off %d, %d records, %d payload bytes)",
+				i, off, records, payload)
+		}
+		l.index[i] = chunkIx{off: off, records: records, payload: payload}
+		l.maxRecords = max(l.maxRecords, records)
 		sum += records
 	}
 	if sum != total {
 		return nil, fmt.Errorf("trace: lbp2 index records sum %d != footer total %d", sum, total)
 	}
 	return l, nil
+}
+
+// checkChunk validates chunk k's 12-byte header against its index entry
+// before anything is sized from it, and returns the payload length.
+func (l *lbp2Layout) checkChunk(k int, hdr []byte) (int, error) {
+	c := l.index[k]
+	if records := int(binary.LittleEndian.Uint32(hdr[4:])); records != c.records {
+		return 0, fmt.Errorf("trace: lbp2 chunk %d: header records %d != index records %d", k, records, c.records)
+	}
+	if plen := int64(binary.LittleEndian.Uint32(hdr[0:])); plen != c.payload {
+		return 0, fmt.Errorf("trace: lbp2 chunk %d: payload %d bytes != the %d bytes before the next chunk", k, plen, c.payload)
+	}
+	return int(c.payload), nil
+}
+
+// decodeVerified checks chunk k's payload against the CRC in its header and
+// decodes its records into dst.
+func (l *lbp2Layout) decodeVerified(k int, hdr, payload []byte, dst []Inst) (int, error) {
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[8:]); got != want {
+		return 0, fmt.Errorf("trace: lbp2 chunk %d CRC mismatch (got %#x, want %#x)", k, got, want)
+	}
+	n := l.index[k].records
+	if err := decodeChunk(dst[:n], payload, n); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // chunkLoader fetches and verifies one chunk's decoded records.
@@ -495,7 +462,7 @@ func newLBP2Source(layout *lbp2Layout, loader chunkLoader) *lbp2Source {
 	return &lbp2Source{
 		layout: layout,
 		loader: loader,
-		chunk:  make([]Inst, layout.chunkLen),
+		chunk:  make([]Inst, layout.maxRecords),
 	}
 }
 
@@ -552,38 +519,29 @@ type readAtCloser interface {
 }
 
 func (fc *fileChunks) load(k int, dst []Inst) (int, error) {
-	c := fc.layout.index[k]
-	if _, err := fc.ra.ReadAt(fc.hdr[:], c.off); err != nil {
+	off := fc.layout.index[k].off
+	if _, err := fc.ra.ReadAt(fc.hdr[:], off); err != nil {
 		return 0, fmt.Errorf("trace: lbp2 chunk %d header: %w", k, err)
 	}
-	plen := binary.LittleEndian.Uint32(fc.hdr[0:])
-	records := int(binary.LittleEndian.Uint32(fc.hdr[4:]))
-	if err := checkChunkHeader(plen, records, fc.layout.chunkLen); err != nil {
+	plen, err := fc.layout.checkChunk(k, fc.hdr[:])
+	if err != nil {
 		return 0, err
 	}
-	if records != c.records {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d: header records %d != index records %d", k, records, c.records)
-	}
-	if cap(fc.payload) < int(plen) {
+	if cap(fc.payload) < plen {
 		fc.payload = make([]byte, plen)
 	}
 	fc.payload = fc.payload[:plen]
-	if _, err := fc.ra.ReadAt(fc.payload, c.off+lbp2ChunkHdr); err != nil {
+	if _, err := fc.ra.ReadAt(fc.payload, off+lbp2ChunkHdr); err != nil {
 		return 0, fmt.Errorf("trace: lbp2 chunk %d payload: %w", k, err)
 	}
-	if got, want := crc32.Checksum(fc.payload, castagnoli), binary.LittleEndian.Uint32(fc.hdr[8:]); got != want {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d CRC mismatch (got %#x, want %#x)", k, got, want)
-	}
-	if err := decodeChunk(dst[:records], fc.payload, records); err != nil {
-		return 0, err
-	}
-	return records, nil
+	return fc.layout.decodeVerified(k, fc.hdr[:], fc.payload, dst)
 }
 
 func (fc *fileChunks) Close() error { return fc.ra.Close() }
 
-// mmapChunks loads chunks by slicing a read-only memory mapping: ingestion
-// with zero read syscalls after open.
+// mmapChunks loads chunks by slicing a read-only memory mapping of the whole
+// file: ingestion with zero read syscalls after open. parseLBP2Layout bounds
+// every chunk inside the file, so the slices stay inside the mapping.
 type mmapChunks struct {
 	data   []byte
 	layout *lbp2Layout
@@ -591,31 +549,14 @@ type mmapChunks struct {
 }
 
 func (mc *mmapChunks) load(k int, dst []Inst) (int, error) {
-	c := mc.layout.index[k]
-	if c.off+lbp2ChunkHdr > int64(len(mc.data)) {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d header beyond mapping", k)
-	}
-	hdr := mc.data[c.off:]
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	records := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if err := checkChunkHeader(plen, records, mc.layout.chunkLen); err != nil {
+	off := mc.layout.index[k].off
+	hdr := mc.data[off : off+lbp2ChunkHdr]
+	plen, err := mc.layout.checkChunk(k, hdr)
+	if err != nil {
 		return 0, err
 	}
-	if records != c.records {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d: header records %d != index records %d", k, records, c.records)
-	}
-	start := c.off + lbp2ChunkHdr
-	if start+int64(plen) > int64(len(mc.data)) {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d payload beyond mapping", k)
-	}
-	payload := mc.data[start : start+int64(plen)]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[8:]); got != want {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d CRC mismatch (got %#x, want %#x)", k, got, want)
-	}
-	if err := decodeChunk(dst[:records], payload, records); err != nil {
-		return 0, err
-	}
-	return records, nil
+	start := off + lbp2ChunkHdr
+	return mc.layout.decodeVerified(k, hdr, mc.data[start:start+int64(plen)], dst)
 }
 
 func (mc *mmapChunks) Close() error {
@@ -670,40 +611,3 @@ func StatLBP2(ra io.ReaderAt, size int64) (Stats2, error) {
 		FileBytes: size,
 	}, nil
 }
-
-// bytesReader adapts a small byte slice to io.Reader without importing
-// bytes (kept tiny on purpose; header-sized inputs only).
-type byteSliceReader struct {
-	b   []byte
-	pos int
-}
-
-func bytesReader(b []byte) io.Reader { return &byteSliceReader{b: b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-// sizeHint estimates the encoded size of one instruction (used by tools to
-// preallocate): 1 flag + dPC + regs + operand varints.
-func sizeHint(in *Inst, prevPC, prevAddr uint64) int {
-	n := 1 + uvarintLen(zigzag(int64(in.PC-prevPC)))
-	if !(in.Dst == 0 && in.Src1 == 0 && in.Src2 == 0) {
-		n += 3
-	}
-	if in.Class == ClassBranch {
-		n += uvarintLen(zigzag(int64(in.Target - in.PC)))
-	}
-	if in.Class == ClassLoad || in.Class == ClassStore {
-		n += uvarintLen(zigzag(int64(in.Addr - prevAddr)))
-	}
-	return n
-}
-
-// uvarintLen is the encoded length of u.
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }

@@ -3,10 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,6 +46,37 @@ func randomTrace(n int, seed int64) []Inst {
 	return tr
 }
 
+// nopCloser gives an in-memory reader the Close the file loader expects.
+type nopCloser struct{ *bytes.Reader }
+
+func (nopCloser) Close() error { return nil }
+
+// decodeLBP2 reads an in-memory LBP2 file the way OpenSource reads one from
+// disk: parseLBP2Layout, then a full drain through each chunk loader —
+// positioned reads (fileChunks) and slices of a mapping (mmapChunks). The
+// two loaders must agree on whether the file is rejected and on every
+// record, and an accepted file must hold the Len() its footer promised.
+func decodeLBP2(t testing.TB, data []byte) ([]Inst, error) {
+	t.Helper()
+	layout, err := parseLBP2Layout(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	viaFile, errFile := ReadAll(newLBP2Source(layout, &fileChunks{ra: nopCloser{bytes.NewReader(data)}, layout: layout}))
+	viaMmap, errMmap := ReadAll(newLBP2Source(layout, &mmapChunks{data: data, layout: layout}))
+	if (errFile == nil) != (errMmap == nil) || !slices.Equal(viaFile, viaMmap) {
+		t.Fatalf("chunk loaders disagree: file read %d records (err %v), mmap %d (err %v)",
+			len(viaFile), errFile, len(viaMmap), errMmap)
+	}
+	if errFile != nil {
+		return nil, errFile
+	}
+	if len(viaFile) != layout.total {
+		t.Fatalf("drained %d records, the footer promised %d", len(viaFile), layout.total)
+	}
+	return viaFile, nil
+}
+
 // TestLBP2RoundTrip is the core property: encode → decode is the identity,
 // across chunk boundaries and partial final chunks.
 func TestLBP2RoundTrip(t *testing.T) {
@@ -51,7 +86,7 @@ func TestLBP2RoundTrip(t *testing.T) {
 		if err := WriteTraceLBP2(&buf, tr); err != nil {
 			t.Fatalf("n=%d: write: %v", n, err)
 		}
-		got, err := ReadTraceLBP2(bytes.NewReader(buf.Bytes()))
+		got, err := decodeLBP2(t, buf.Bytes())
 		if err != nil {
 			t.Fatalf("n=%d: read: %v", n, err)
 		}
@@ -84,7 +119,7 @@ func TestLBP2SmallChunks(t *testing.T) {
 	if err := lw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceLBP2(bytes.NewReader(buf.Bytes()))
+	got, err := decodeLBP2(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +241,7 @@ func TestOpenSourceMmap(t *testing.T) {
 }
 
 // TestLBP2CorruptionDetected flips one payload byte and expects the chunk CRC
-// to catch it on every read path.
+// to catch it on both loaders, in memory and through a file.
 func TestLBP2CorruptionDetected(t *testing.T) {
 	tr := randomTrace(2000, 11)
 	var buf bytes.Buffer
@@ -216,8 +251,8 @@ func TestLBP2CorruptionDetected(t *testing.T) {
 	data := buf.Bytes()
 	corrupt := bytes.Clone(data)
 	corrupt[lbp2HeaderSize+lbp2ChunkHdr+100] ^= 0x40 // inside first chunk payload
-	if _, err := ReadTraceLBP2(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("sequential reader accepted corrupt payload")
+	if _, err := decodeLBP2(t, corrupt); err == nil {
+		t.Fatal("chunk loaders accepted corrupt payload")
 	}
 	path := filepath.Join(t.TempDir(), "corrupt.lbp2")
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
@@ -354,9 +389,88 @@ func TestSliceSourceAndLimit(t *testing.T) {
 	}
 }
 
-// FuzzReadTraceLBP2 hardens the LBP2 decoder: arbitrary bytes must produce an
-// error or a valid trace, never a panic or an out-of-range Class.
-func FuzzReadTraceLBP2(f *testing.F) {
+// craftLBP2 returns a 90-byte LBP2 file — one chunk holding one 2-byte
+// record — whose header chunkLen, record counts (chunk header, index entry
+// and footer total) and chunk payload length are then overwritten with the
+// given claims. The index CRC is recomputed, so only the claims are wrong.
+func craftLBP2(t testing.TB, chunkLen, records, plen uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	lw, err := NewLBP2Writer(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Append([]Inst{{PC: 4, Class: ClassALU}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if len(b) != 90 {
+		t.Fatalf("base file is %d bytes, want 90", len(b))
+	}
+	binary.LittleEndian.PutUint32(b[8:], chunkLen)
+	binary.LittleEndian.PutUint32(b[lbp2HeaderSize:], plen)
+	binary.LittleEndian.PutUint32(b[lbp2HeaderSize+4:], records)
+	ix := b[len(b)-lbp2FooterSize-lbp2IndexEntry : len(b)-lbp2FooterSize]
+	binary.LittleEndian.PutUint32(ix[8:], records)
+	foot := b[len(b)-lbp2FooterSize:]
+	binary.LittleEndian.PutUint64(foot[8:], uint64(records))
+	binary.LittleEndian.PutUint32(foot[20:], crc32.Checksum(ix, castagnoli))
+	return b
+}
+
+// TestLBP2CraftedClaimsBoundAllocation opens, on both backends, two 90-byte
+// files whose headers claim far more than their bytes hold: a 4 Mi chunkLen
+// over one 1-record chunk, and a chunk and index entry claiming 4 Mi records
+// in a 100 MB payload. The first reads its one record and the second is
+// refused at open; open plus one Next allocates under 1 MiB either way,
+// because buffers are sized from what the file's bytes can back.
+func TestLBP2CraftedClaimsBoundAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		accept bool
+	}{
+		{"chunkLen-4Mi", craftLBP2(t, 4<<20, 1, 2), true},
+		{"records-4Mi-payload-100MB", craftLBP2(t, 4<<20, 4<<20, 100<<20), false},
+	} {
+		path := filepath.Join(t.TempDir(), tc.name+".lbp2")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []OpenMode{OpenFile, OpenMmap} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n := 0
+			src, err := OpenSourceMode(path, mode)
+			if err == nil {
+				n, err = src.Next(make([]Inst, 16))
+				CloseSource(src)
+			}
+			runtime.ReadMemStats(&after)
+			if errors.Is(err, errMmapUnsupported) {
+				continue
+			}
+			if tc.accept && (err != nil || n != 1) {
+				t.Errorf("%s mode %d: read %d records (err %v), want the 1 record", tc.name, mode, n, err)
+			}
+			if !tc.accept && err == nil {
+				t.Errorf("%s mode %d: accepted", tc.name, mode)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+				t.Errorf("%s mode %d: open and one Next allocated %d B, over 1 MiB", tc.name, mode, b)
+			}
+		}
+	}
+}
+
+// FuzzLBP2 hardens the production LBP2 read path, the layout parser and both
+// chunk loaders: arbitrary bytes must be rejected by both loaders alike or
+// decode identically on both, never panic or yield an out-of-range class or
+// register, and never allocate more than the file's bytes can back.
+func FuzzLBP2(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteTraceLBP2(&seed, randomTrace(100, 1))
 	f.Add(seed.Bytes())
@@ -364,8 +478,18 @@ func FuzzReadTraceLBP2(f *testing.F) {
 	f.Add([]byte("garbage that is definitely not a trace"))
 	trunc := bytes.Clone(seed.Bytes())
 	f.Add(trunc[:len(trunc)/2])
+	f.Add(craftLBP2(f, 4<<20, 1, 2))
+	f.Add(craftLBP2(f, 4<<20, 4<<20, 100<<20))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadTraceLBP2(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := decodeLBP2(t, data)
+		runtime.ReadMemStats(&after)
+		// Every record takes at least 2 bytes, so buffers sized from what
+		// the bytes back stay within a small multiple of the input.
+		if b, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+128*len(data)); b > limit {
+			t.Fatalf("decoding %d bytes allocated %d B, over %d", len(data), b, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -395,7 +519,7 @@ func FuzzChampSim(f *testing.F) {
 	f.Add(seed[:champsimRecSize+1]) // torn final record
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == lbp2Magic {
-			t.Skip("LBP2 magic sniffs as LBP2, which FuzzReadTraceLBP2 covers")
+			t.Skip("LBP2 magic sniffs as LBP2, whose layout parser and loaders FuzzLBP2 covers")
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.champsim")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -173,12 +173,11 @@ func TestLBP2CompressionOnQuickSuite(t *testing.T) {
 	const insts = 12_000
 	var rawTotal, lbp2Total int64
 	var buf bytes.Buffer
-	var scratch []trace.Inst
 	for _, w := range QuickSuite() {
-		scratch = w.GenerateInto(scratch, insts)
-		rawTotal += int64(trace.RawRecordBytes * len(scratch))
+		tr := w.Generate(insts)
+		rawTotal += int64(trace.RawRecordBytes * len(tr))
 		buf.Reset()
-		if err := trace.WriteTraceLBP2(&buf, scratch); err != nil {
+		if err := trace.WriteTraceLBP2(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 		lbp2Total += int64(buf.Len())

@@ -139,18 +139,10 @@ func FromFile(path string) Workload {
 // instructions. Generation is deterministic in the workload seed; a
 // file-backed workload panics (its stream comes from disk — use Open).
 func (w Workload) Generate(n int) []trace.Inst {
-	return w.GenerateInto(nil, n)
-}
-
-// GenerateInto is Generate writing into dst's storage (see
-// trace.GenerateInto): recycling one flat chunk across workloads avoids a
-// per-trace allocation. The stream is bit-identical to Generate's.
-func (w Workload) GenerateInto(dst []trace.Inst, n int) []trace.Inst {
 	if w.TraceFile != "" {
 		panic(fmt.Sprintf("workloads: %s is file-backed; use Open, not Generate", w.Name))
 	}
-	prog := w.buildProgram()
-	return trace.GenerateInto(dst, prog, n, w.Seed^0x5bd1e995)
+	return trace.Generate(w.buildProgram(), n, w.Seed^0x5bd1e995)
 }
 
 // buildProgram picks the stressor or profile builder.
