@@ -44,15 +44,18 @@ audit:
 perf-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
-# fuzz-smoke gives each native fuzz target a short budget; failures minimize
-# into testdata/fuzz corpora as usual.
+# fuzz-smoke gives each native fuzz target a short budget; failures still
+# fail the run and are saved under testdata/fuzz. -fuzzminimizetime=100x
+# caps the minimization of each new interesting input at 100 runs (Go's
+# default is 60 s), so a target spends its budget fuzzing rather than
+# minimizing its first finds.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s ./internal/bpu/loop
-	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s ./internal/bpu/tage
-	$(GO) test -fuzz=FuzzLBP2 -fuzztime=10s ./internal/trace
-	$(GO) test -fuzz=FuzzChampSim -fuzztime=10s ./internal/trace
-	$(GO) test -fuzz=FuzzCheckpointEnvelope -fuzztime=10s ./internal/harness
-	$(GO) test -fuzz=FuzzCoreConfigValidate -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzLoopPredictor -fuzztime=10s -fuzzminimizetime=100x ./internal/bpu/loop
+	$(GO) test -fuzz=FuzzTAGE -fuzztime=10s -fuzzminimizetime=100x ./internal/bpu/tage
+	$(GO) test -fuzz=FuzzLBP2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
+	$(GO) test -fuzz=FuzzChampSim -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
+	$(GO) test -fuzz=FuzzCheckpointEnvelope -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
+	$(GO) test -fuzz=FuzzCoreConfigValidate -fuzztime=10s -fuzzminimizetime=100x ./internal/core
 
 # trace-smoke is the end-to-end trace-pipeline check (< 30 s): build the real
 # lbptrace and lbpsim binaries, generate an LBP2 trace, re-encode it with

@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"localbp/internal/bpu/loop"
@@ -82,7 +83,10 @@ func main() {
 		}
 	})
 
-	var w workloads.Workload
+	var (
+		w     workloads.Workload
+		label string // the workload label of the trace-event output
+	)
 	if *traceFile != "" {
 		// File replay: the stream IS the workload; -seed has nothing to
 		// perturb and -oracle needs the whole trace resident.
@@ -94,7 +98,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lbpsim: -oracle requires an in-process generated trace, not -trace-file")
 			os.Exit(service.ExitConfigError)
 		}
-		w = workloads.FromFile(*traceFile)
+		label = filepath.Base(*traceFile)
 	} else {
 		var ok bool
 		w, ok = workloads.ByName(*name)
@@ -102,6 +106,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lbpsim: unknown workload %q\n", *name)
 			os.Exit(service.ExitConfigError)
 		}
+		label = w.Name
 	}
 
 	var lcfg loop.Config
@@ -185,19 +190,18 @@ func main() {
 
 	var src trace.Source
 	if *traceFile != "" {
-		// -insts limits the replay only when given explicitly; the default
-		// is the whole file.
-		n := 0
-		if instsSet {
-			n = *insts
-		}
-		opened, err := w.Open(n)
+		file, err := trace.OpenSource(*traceFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
 			os.Exit(service.ExitConfigError)
 		}
-		defer trace.CloseSource(opened)
-		src = opened
+		defer trace.CloseSource(file)
+		src = file
+		// -insts limits the replay only when given explicitly; the default
+		// is the whole file.
+		if instsSet {
+			src = trace.Limit(file, *insts)
+		}
 		fmt.Printf("trace file: %s, %d instructions\n", *traceFile, src.Len())
 	} else {
 		fmt.Printf("workload: %s (%s), %d instructions\n", w.Name, w.Category, *insts)
@@ -266,7 +270,7 @@ func main() {
 	}
 	if tracer != nil {
 		labels := map[string]string{
-			"workload": w.Name,
+			"workload": label,
 			"scheme":   *schemeName,
 			"insts":    fmt.Sprint(*insts),
 		}

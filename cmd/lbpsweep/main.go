@@ -3,14 +3,15 @@
 // Usage:
 //
 //	lbpsweep [-insts N] [-quick] [-workers N] [-checkpoint file] [-timeout D] [-deadline D] [-list] [experiment ids...]
-//	lbpsweep -cpistack [-scheme name] [-insts N] [-quick]
 //
 // Without arguments it runs every experiment (table1 … fig14b, ext*) in
 // paper order; results for configurations shared between experiments are
 // computed once, and workload runs within a configuration fan out across
 // -workers goroutines (GOMAXPROCS by default; results are deterministic in
 // the worker count). With -quick the reduced, category-balanced workload
-// subset is used.
+// subset is used. Every flag value is checked before any run: a
+// non-positive -insts or a negative -warmup, -workers, -audit-sample,
+// -timeout or -deadline exits 2.
 //
 // Resilience:
 //
@@ -34,17 +35,15 @@
 // runs failed); 2 configuration error; 3 every attempted experiment failed;
 // 4 interrupted (signal or -deadline).
 //
-// Observability modes:
-//
-//   - -cpistack prints a CPI stack (cycle-accounting breakdown) for one
-//     representative workload per category under -scheme (default the
-//     paper's forward-coalesce). Attribution is audited: every cycle lands
-//     in exactly one bucket and the buckets must sum to total cycles.
-//   - -pprof DIR profiles the process: cpu.pprof and heap.pprof plus a
-//     runtime-metrics dump (runtime/metrics) land in DIR.
+// Observability: experiment ext2 prints a CPI stack (cycle-accounting
+// breakdown) for one representative workload per category under the
+// paper's forward-coalesce; attribution is audited, so every cycle lands in
+// exactly one bucket and the buckets sum to total cycles. -pprof DIR
+// profiles the process: cpu.pprof and heap.pprof plus a runtime-metrics
+// dump (runtime/metrics) land in DIR.
 //
 // Single runs — one workload or one saved trace file under one scheme, with
-// or without the event tracer — belong to lbpsim.
+// or without the CPI stack or the event tracer — belong to lbpsim.
 package main
 
 import (
@@ -78,8 +77,6 @@ func run() int {
 	auditSample := flag.Int("audit-sample", 0, "run the integrity auditor + golden model on every Nth workload per spec (0 = off)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	verbose := flag.Bool("v", false, "print per-configuration progress")
-	schemeName := flag.String("scheme", "forward-coalesce", "scheme for -cpistack (see internal/schemes)")
-	cpistack := flag.Bool("cpistack", false, "print the per-category CPI-stack table instead of running experiments")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof, heap.pprof and a runtime-metrics dump to this directory")
 	flag.Parse()
 
@@ -88,6 +85,10 @@ func run() int {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
+	}
+	if *deadline < 0 {
+		fmt.Fprintf(os.Stderr, "lbpsweep: -deadline: got %v, want >= 0\n", *deadline)
+		return int(service.SweepConfigError)
 	}
 
 	// SIGINT/SIGTERM cancel the sweep context; workers observe it within one
@@ -116,19 +117,6 @@ func run() int {
 
 	opts := harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
 		AuditSample: *auditSample, RunTimeout: *timeout}
-
-	if *cpistack {
-		out, err := harness.CPIStackTable(ctx, opts, *schemeName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
-			if ctx.Err() != nil {
-				return int(service.SweepInterrupted)
-			}
-			return int(service.SweepConfigError)
-		}
-		fmt.Printf("CPI stacks, %d instructions per workload, scheme %s:\n%s", *insts, *schemeName, out)
-		return 0
-	}
 
 	suite := "full suite (202 workloads)"
 	if *quick {

@@ -131,10 +131,12 @@ func TestSweepSIGINTResume(t *testing.T) {
 	}
 }
 
-// TestSweepExitCodeConfigError: unknown experiment ids exit 2 before any
-// simulation, and so does every retired flag (retries, chaos injection,
-// sharding, and the single-run flags that moved to lbpsim), so a script
-// still passing one fails loudly instead of running a different sweep.
+// TestSweepExitCodeConfigError: unknown experiment ids and out-of-range flag
+// values exit 2 before any simulation, and so does every retired flag
+// (retries, chaos injection, sharding, the single-run flags that moved to
+// lbpsim, and -cpistack/-scheme, which experiment ext2 replaced), so a
+// script still passing one fails loudly instead of running a different
+// sweep.
 func TestSweepExitCodeConfigError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -150,6 +152,14 @@ func TestSweepExitCodeConfigError(t *testing.T) {
 		{"-trace-events", "ev.jsonl", "table1"},
 		{"-workload", "cloud-compression", "table1"},
 		{"-seed", "7", "table1"},
+		{"-cpistack", "table1"},
+		{"-scheme", "forward-coalesce", "table1"},
+		{"-insts", "-1", "fig4"},
+		{"-warmup", "-5", "fig8"},
+		{"-workers", "-3", "fig8"},
+		{"-audit-sample", "-1", "fig8"},
+		{"-timeout", "-1s", "fig8"},
+		{"-deadline", "-1s", "fig8"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-quick", "-insts", "5000"}, args...)...)
 		out, _ := cmd.CombinedOutput()

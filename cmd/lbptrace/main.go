@@ -92,6 +92,10 @@ func main() {
 		if *gen && *out == "" {
 			fatal(fmt.Errorf("-gen requires -out"))
 		}
+		if *insts <= 0 {
+			fmt.Fprintf(os.Stderr, "lbptrace: -insts: got %d, want > 0\n", *insts)
+			os.Exit(service.ExitConfigError)
+		}
 		tr := w.Generate(*insts)
 		fmt.Printf("%s (%s): %s\n", w.Name, w.Category, trace.Summarize(tr))
 		if *out != "" {

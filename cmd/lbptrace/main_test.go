@@ -99,3 +99,42 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatalf("-format lbp1 exited %d, want 2\n%s", code, out)
 	}
 }
+
+// TestTraceInputChecks: a non-positive -insts exits 2 before generating (no
+// summary, no output file), and -stat on a record-less LBP2 file reports the
+// layout without a compression ratio.
+func TestTraceInputChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real binary")
+	}
+	lbptrace := buildBinary(t, "localbp/cmd/lbptrace")
+	path := filepath.Join(t.TempDir(), "empty.lbp2")
+	for _, args := range [][]string{
+		{"-workload", "cloud-compression", "-insts", "-5"},
+		{"-workload", "cloud-compression", "-insts", "0", "-out", path},
+	} {
+		cmd := exec.Command(lbptrace, args...)
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || strings.Contains(string(out), "insts=") {
+			t.Fatalf("%v exited %d, want 2 before generating\n%s", args, code, out)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("-insts 0 -out wrote %s (stat: %v)", path, err)
+	}
+
+	var empty bytes.Buffer
+	lw, err := trace.NewLBP2Writer(&empty, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, empty.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := runCmd(t, lbptrace, "-stat", path); !strings.Contains(st, "lbp2: records=0 ") || strings.Contains(st, "raw records") {
+		t.Fatalf("-stat on a record-less LBP2 file:\n%s", st)
+	}
+}

@@ -49,14 +49,6 @@ func TestFromSourceMatchesSimulate(t *testing.T) {
 	}
 
 	path := writeLBP2File(t, t.TempDir(), "w.lbp2", tr)
-	replay, err := Simulate(w, 0, ForwardWalk(), WithTraceFile(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, replay) {
-		t.Fatalf("file replay diverges\n  file: %+v\n  sim:  %+v", replay, want)
-	}
-
 	src, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +71,14 @@ func TestFromSourceOptionValidation(t *testing.T) {
 	w := QuickWorkloads()[0]
 	tr := w.Generate(2000)
 	path := writeLBP2File(t, t.TempDir(), "w.lbp2", tr)
-	if _, err := Simulate(w, 0, BaselineTAGE(), WithTraceFile(path), WithSeed(7)); err == nil {
-		t.Fatal("WithSeed on a file replay accepted")
-	}
 	src, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer CloseTrace(src)
+	if _, err := FromSource(src, BaselineTAGE(), WithSeed(7)); err == nil {
+		t.Fatal("WithSeed on a file replay accepted")
+	}
 	if _, err := FromSource(src, BaselineTAGE(), WithGolden()); err == nil {
 		t.Fatal("WithGolden on a streaming source accepted")
 	}
@@ -116,7 +108,12 @@ func TestTraceFileReplayFixedMemory(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := Simulate(w, 0, BaselineTAGE(), WithTraceFile(p))
+		src, err := OpenTrace(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := FromSource(src, BaselineTAGE())
+		CloseTrace(src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,34 +76,23 @@ const maxViolations = 16
 // auditor serves one simulation run; it is not safe for concurrent use (the
 // core is single-threaded).
 type Auditor struct {
-	// Interval is the cycle stride of the expensive structural scans (full
-	// ROB order scan, OBQ walk). Cheap O(1) checks run on every event.
-	// Zero selects DefaultInterval.
-	Interval int64
-
 	violations []*IntegrityError
 	dropped    uint64
 	checks     uint64
 }
 
-// DefaultInterval is the structural-scan stride when Auditor.Interval is
-// zero: frequent enough to catch corruption within one misprediction window,
-// cheap enough to keep audited runs well under the 2x overhead budget.
-const DefaultInterval = 64
+// scanStride is the cycle (or fetched-branch) stride of the expensive
+// structural scans (full ROB order scan, OBQ walk); cheap O(1) checks run
+// on every event. It is frequent enough to catch corruption within one
+// misprediction window and cheap enough to keep audited runs well under
+// the 2x overhead budget.
+const scanStride = 64
 
-// New returns an auditor with the default scan interval.
+// New returns an auditor.
 func New() *Auditor { return &Auditor{} }
 
-// interval resolves the structural-scan stride.
-func (a *Auditor) interval() int64 {
-	if a.Interval > 0 {
-		return a.Interval
-	}
-	return DefaultInterval
-}
-
 // ScanDue reports whether the periodic structural scan should run at cycle.
-func (a *Auditor) ScanDue(cycle int64) bool { return cycle%a.interval() == 0 }
+func (a *Auditor) ScanDue(cycle int64) bool { return cycle%scanStride == 0 }
 
 // Note counts n individual invariant checks (telemetry for reports).
 func (a *Auditor) Note(n int) { a.checks += uint64(n) }

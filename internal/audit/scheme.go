@@ -70,12 +70,12 @@ func (w *schemeAuditor) FetchPredict(pc uint64, cycle int64) loop.Prediction {
 }
 
 // OnFetchBranch implements repair.Scheme, running the periodic OBQ
-// structural scan on the auditor's interval (in fetched-branch events).
+// structural scan every scanStride fetched branches.
 func (w *schemeAuditor) OnFetchBranch(ctx *repair.BranchCtx, cycle int64) {
 	w.lastCycle = cycle
 	w.inner.OnFetchBranch(ctx, cycle)
 	w.fetches++
-	if w.q != nil && w.fetches%w.aud.interval() == 0 {
+	if w.q != nil && w.fetches%scanStride == 0 {
 		w.checkOBQ(cycle)
 	}
 }

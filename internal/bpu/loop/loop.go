@@ -135,10 +135,6 @@ type Predictor struct {
 	// generation, letting RepairStart mark every entry in O(1).
 	repairGen   uint32
 	repairStamp []uint32
-
-	statPredict  uint64
-	statOverride uint64
-	statAllocBHT uint64
 }
 
 // New builds a predictor with its own PatternTable.
@@ -255,7 +251,6 @@ func (p *Predictor) touchLRU(idx int) {
 // Predict returns the loop predictor's opinion for pc. It does not modify
 // any state; callers follow with SpecUpdate using the final chosen direction.
 func (p *Predictor) Predict(pc uint64) Prediction {
-	p.statPredict++
 	pt := p.pt.Info(pc)
 	if !pt.Valid || pt.Conf < p.cfg.ConfThresh || pt.Period == 0 {
 		return Prediction{}
@@ -279,7 +274,6 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 // count lags by the branch's in-flight instances, which a per-PC in-flight
 // counter measures exactly (paper §6.2).
 func (p *Predictor) PredictWithOffset(pc uint64, offset uint16) Prediction {
-	p.statPredict++
 	pt := p.pt.Info(pc)
 	if !pt.Valid || pt.Conf < p.cfg.ConfThresh || pt.Period == 0 {
 		return Prediction{}
@@ -328,7 +322,6 @@ func (p *Predictor) SpecUpdate(pc uint64, d bool) (allocated bool) {
 		}
 		i = p.bhtVictim(pc)
 		p.bht[i] = bhtEntry{tag: p.tagOf(pc), dir: pt.Dir, alloc: true, valid: true}
-		p.statAllocBHT++
 		p.repairStamp[i] = p.repairGen
 		p.touchLRU(i)
 		return true
@@ -449,7 +442,6 @@ func (p *Predictor) RetireSync(pc uint64, taken, finalMispredicted bool) {
 	}
 	i := p.bhtVictim(pc)
 	p.bht[i] = bhtEntry{tag: p.tagOf(pc), dir: pt.Dir, alloc: true, valid: true, lru: p.bht[i].lru}
-	p.statAllocBHT++
 	p.repairStamp[i] = p.repairGen
 	p.touchLRU(i)
 }
@@ -468,32 +460,6 @@ func (p *Predictor) RepairBitSet(pc uint64) bool {
 	}
 	return p.repairStamp[i] != p.repairGen
 }
-
-// RepairedEntries returns the PCs-worth of entries written during the
-// current repair generation; the split-BHT design uses it to copy repaired
-// state from BHT-Defer into BHT-TAGE. The returned count is the number of
-// writes a second-stage repair needs.
-func (p *Predictor) RepairedEntries(fn func(State)) int {
-	n := 0
-	for i := range p.bht {
-		if p.repairStamp[i] == p.repairGen && p.bht[i].alloc {
-			n++
-			if fn != nil {
-				e := &p.bht[i]
-				fn(State{Count: e.count, Dir: e.dir, Valid: e.valid})
-			}
-		}
-	}
-	return n
-}
-
-// Stats returns predictor activity counters.
-func (p *Predictor) Stats() (predicts, overrides, allocBHT uint64) {
-	return p.statPredict, p.statOverride, p.statAllocBHT
-}
-
-// NoteOverride records that the loop prediction overrode TAGE (metrics).
-func (p *Predictor) NoteOverride() { p.statOverride++ }
 
 // FullState is the complete image of one BHT entry, including the tag and
 // allocation bit, for whole-table snapshots (perfect repair and the snapshot

@@ -353,17 +353,3 @@ func TestGeometryValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestStatsAdvance(t *testing.T) {
-	p := New(Loop128())
-	p.Predict(0x400000)
-	pr, _, _ := p.Stats()
-	if pr != 1 {
-		t.Fatalf("predict counter %d", pr)
-	}
-	p.NoteOverride()
-	_, ov, _ := p.Stats()
-	if ov != 1 {
-		t.Fatalf("override counter %d", ov)
-	}
-}

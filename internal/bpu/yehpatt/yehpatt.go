@@ -64,9 +64,6 @@ type Predictor struct {
 
 	repairGen   uint32
 	repairStamp []uint32
-
-	statPredict uint64
-	statAlloc   uint64
 }
 
 var _ loop.LocalPredictor = (*Predictor)(nil)
@@ -174,7 +171,6 @@ func (p *Predictor) confident(ctr uint8) bool {
 
 // Predict implements loop.LocalPredictor.
 func (p *Predictor) Predict(pc uint64) loop.Prediction {
-	p.statPredict++
 	i := p.lookup(pc)
 	if i < 0 {
 		return loop.Prediction{}
@@ -279,7 +275,6 @@ func (p *Predictor) Retire(pc uint64, taken, finalMispredicted bool) {
 		}
 		i = p.victim(pc)
 		p.bht[i] = bhtEntry{tag: p.tagOf(pc), alloc: true, valid: true, lru: p.bht[i].lru}
-		p.statAlloc++
 		p.repairStamp[i] = p.repairGen
 		p.touchLRU(i)
 	}
@@ -421,6 +416,3 @@ func (p *Predictor) BHTStorageBits() int {
 func (p *Predictor) StorageBits() int {
 	return p.BHTStorageBits() + len(p.pt)*p.cfg.CtrBits
 }
-
-// Stats returns (predictions, allocations).
-func (p *Predictor) Stats() (uint64, uint64) { return p.statPredict, p.statAlloc }

@@ -38,8 +38,7 @@ func (s *chunkedSource) Next(dst []trace.Inst) (int, error) {
 	return n, nil
 }
 
-func (s *chunkedSource) Reset() error { s.pos = 0; return nil }
-func (s *chunkedSource) Len() int     { return len(s.tr) }
+func (s *chunkedSource) Len() int { return len(s.tr) }
 
 // TestStreamBitIdentical pins the sliding-window contract: a streamed run
 // must produce statistics bit-identical to the resident-program run, across

@@ -10,28 +10,19 @@ import (
 	"localbp/internal/workloads"
 )
 
-// CPIStackTable runs one representative workload per category under the
-// named scheme with CPI-stack accounting and renders where every cycle
-// went. The attribution is audited inside the core: a run whose buckets do
-// not sum to its total cycles aborts with InvCPIAccounting.
-func CPIStackTable(ctx context.Context, o Options, schemeName string) (string, error) {
-	return cpiStackTable(ctx, o, NewTraceCache(), schemeName)
-}
-
-// Ext2 is the CPI-stack experiment under the paper's headline scheme.
+// Ext2 runs one representative workload per category under the paper's
+// headline scheme (forward-coalesce) with CPI-stack accounting and renders
+// where every cycle went. The attribution is audited inside the core: a run
+// whose buckets do not sum to its total cycles aborts with InvCPIAccounting.
 func Ext2(ctx context.Context, r *Runner) (string, error) {
-	return cpiStackTable(ctx, r.Opts, r.cache, "forward-coalesce")
-}
-
-func cpiStackTable(ctx context.Context, o Options, cache *TraceCache, schemeName string) (string, error) {
-	spec, err := SpecFor(schemeName)
+	spec, err := SpecFor("forward-coalesce")
 	if err != nil {
 		return "", err
 	}
 	header := append([]string{"Workload", "Category", "Cycles"}, obs.CPIBucketNames()...)
 	t := &metrics.Table{Header: header}
-	for _, w := range perCategory(o.suite()) {
-		tr, err := cache.Get(w, o.Insts)
+	for _, w := range perCategory(r.Opts.suite()) {
+		tr, err := r.cache.Get(w, r.Opts.Insts)
 		if err != nil {
 			return "", err
 		}

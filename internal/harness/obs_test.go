@@ -93,7 +93,7 @@ func TestRunnerParallelObs(t *testing.T) {
 // TestCPIStackTable checks the rendered ext2 artifact: one row per
 // category, every bucket column present.
 func TestCPIStackTable(t *testing.T) {
-	out, err := CPIStackTable(context.Background(), Options{Insts: 15_000, Quick: true}, "forward-coalesce")
+	out, err := Ext2(context.Background(), NewRunner(Options{Insts: 15_000, Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,6 +130,21 @@ func TestSpecValidationFailsFast(t *testing.T) {
 	}
 }
 
+// TestOptionsValidate: out-of-range sweep options are all reported in one
+// error that names each field; the defaults and zero-valued knobs pass.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("default options rejected: %v", err)
+	}
+	bad := Options{Insts: 0, Warmup: -1, Workers: -1, AuditSample: -1, RunTimeout: -1}
+	err := bad.Validate()
+	for _, field := range []string{"Insts", "Warmup", "Workers", "AuditSample", "RunTimeout"} {
+		if err == nil || !strings.Contains(err.Error(), field+":") {
+			t.Fatalf("error does not name %s: %v", field, err)
+		}
+	}
+}
+
 // TestSpecValidateCatchesBadScheme: a scheme whose construction panics
 // (invalid loop geometry) becomes a validation error, not a crash.
 func TestSpecValidateCatchesBadScheme(t *testing.T) {

@@ -46,9 +46,6 @@ type Spec struct {
 	// Golden enables the differential oracle: every retirement is
 	// cross-checked against a timing-free in-order execution of the trace.
 	Golden bool
-	// AuditInterval overrides the auditor's structural-scan stride in
-	// cycles/events (0 selects audit.DefaultInterval).
-	AuditInterval int64
 	// Inject, when non-nil, wraps the scheme with deterministic fault
 	// injection (robustness testing; see internal/faultinject).
 	Inject *faultinject.Config
@@ -127,9 +124,6 @@ func (s Spec) Validate() error {
 		if err := s.Inject.Validate(); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	if s.AuditInterval < 0 {
-		errs = append(errs, fmt.Errorf("spec: AuditInterval: got %d, want >= 0", s.AuditInterval))
 	}
 	if s.Obs != nil && s.Obs.TraceCap < 0 {
 		errs = append(errs, fmt.Errorf("spec: Obs.TraceCap: got %d, want >= 0", s.Obs.TraceCap))
@@ -276,7 +270,6 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 	var aud *audit.Auditor
 	if spec.Audit {
 		aud = audit.New()
-		aud.Interval = spec.AuditInterval
 		cfg.Audit = aud
 		if scheme != nil {
 			// Injection innermost, audit outermost: the auditor observes
@@ -344,7 +337,7 @@ type Options struct {
 	Insts   int  // instructions per workload
 	Quick   bool // use the reduced suite
 	Warmup  int  // leading retired instructions excluded from statistics
-	Workers int  // concurrent workload runs; <= 0 means GOMAXPROCS
+	Workers int  // concurrent workload runs; 0 means GOMAXPROCS
 
 	// AuditSample enables the integrity auditor and golden model on every
 	// Nth workload (by suite index) of every spec: a deterministic,
@@ -358,6 +351,29 @@ type Options struct {
 	// watchdog: whichever trips first aborts the run, and either way the run
 	// is a failure (ClassFailed), not a cancellation.
 	RunTimeout time.Duration
+}
+
+// Validate checks the options before any run: Insts must be positive, and
+// Warmup, Workers, AuditSample and RunTimeout non-negative. All violations
+// are reported at once.
+func (o Options) Validate() error {
+	var errs []error
+	if o.Insts <= 0 {
+		errs = append(errs, fmt.Errorf("options: Insts: got %d, want > 0", o.Insts))
+	}
+	if o.Warmup < 0 {
+		errs = append(errs, fmt.Errorf("options: Warmup: got %d, want >= 0", o.Warmup))
+	}
+	if o.Workers < 0 {
+		errs = append(errs, fmt.Errorf("options: Workers: got %d, want >= 0", o.Workers))
+	}
+	if o.AuditSample < 0 {
+		errs = append(errs, fmt.Errorf("options: AuditSample: got %d, want >= 0", o.AuditSample))
+	}
+	if o.RunTimeout < 0 {
+		errs = append(errs, fmt.Errorf("options: RunTimeout: got %v, want >= 0", o.RunTimeout))
+	}
+	return errors.Join(errs...)
 }
 
 // DefaultOptions balances fidelity and single-CPU runtime.
@@ -379,31 +395,10 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// traceKey identifies one cached trace. Generated workloads key by
-// workload × instruction count; file-backed workloads additionally key by
-// (path, mtime, size), so a trace file regenerated on disk is re-read
-// instead of served stale.
+// traceKey identifies one cached trace: workload × instruction count.
 type traceKey struct {
 	name  string
 	insts int
-	path  string
-	mtime int64 // file modification time, UnixNano (0 for generated)
-	size  int64 // file size in bytes (0 for generated)
-}
-
-// keyFor builds the cache key, statting file-backed workloads.
-func keyFor(w workloads.Workload, n int) (traceKey, error) {
-	k := traceKey{name: w.Name, insts: n}
-	if w.TraceFile != "" {
-		st, err := os.Stat(w.TraceFile)
-		if err != nil {
-			return k, fmt.Errorf("harness: stat trace file: %w", err)
-		}
-		k.path = w.TraceFile
-		k.mtime = st.ModTime().UnixNano()
-		k.size = st.Size()
-	}
-	return k, nil
 }
 
 // traceEntry is one cache slot; once ensures a trace is generated exactly
@@ -435,11 +430,9 @@ func NewTraceCache() *TraceCache {
 	return &TraceCache{entries: map[traceKey]*traceEntry{}}
 }
 
-// Get returns the trace for w at n instructions, generating (or, for
-// file-backed workloads, reading and validating the file) on first use.
-// Concurrent callers for the same key share one generation;
-// different keys generate in parallel. A file-backed workload's key includes
-// the file's (path, mtime, size), so a regenerated file is re-read.
+// Get returns the trace for w at n instructions, generating and validating
+// it on first use. Concurrent callers for the same key share one
+// generation; different keys generate in parallel.
 func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
 	e, err := tc.entry(w, n)
 	if err != nil {
@@ -468,12 +461,9 @@ func (tc *TraceCache) getTracked(w workloads.Workload, n int, cfg mem.HierarchyC
 }
 
 // entry returns the cache slot for w at n instructions once its generation
-// (or file read) has succeeded.
+// has succeeded.
 func (tc *TraceCache) entry(w workloads.Workload, n int) (*traceEntry, error) {
-	k, err := keyFor(w, n)
-	if err != nil {
-		return nil, err
-	}
+	k := traceKey{name: w.Name, insts: n}
 	tc.mu.Lock()
 	e, ok := tc.entries[k]
 	if !ok {
@@ -482,10 +472,6 @@ func (tc *TraceCache) entry(w workloads.Workload, n int) (*traceEntry, error) {
 	}
 	tc.mu.Unlock()
 	e.once.Do(func() {
-		if w.TraceFile != "" {
-			e.tr, e.err = readFileTrace(w, n)
-			return
-		}
 		if n <= 0 {
 			e.err = fmt.Errorf("trace length: got %d instructions, want > 0", n)
 			return
@@ -501,22 +487,4 @@ func (tc *TraceCache) entry(w workloads.Workload, n int) (*traceEntry, error) {
 		return nil, e.err
 	}
 	return e, nil
-}
-
-// readFileTrace materializes a file-backed workload's stream (capped at n
-// when n > 0) and validates it.
-func readFileTrace(w workloads.Workload, n int) ([]trace.Inst, error) {
-	src, err := w.Open(n)
-	if err != nil {
-		return nil, err
-	}
-	defer trace.CloseSource(src)
-	tr, err := trace.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
@@ -26,49 +25,6 @@ func writeLBP2(t *testing.T, path string, tr []trace.Inst) {
 	}
 }
 
-// TestTraceCacheStaleFile pins the keying fix: regenerating a trace file on
-// disk must invalidate the cache entry, not serve the old contents.
-func TestTraceCacheStaleFile(t *testing.T) {
-	gen := workloads.QuickSuite()[0]
-	path := filepath.Join(t.TempDir(), "w.lbp2")
-	first := gen.Generate(2000)
-	writeLBP2(t, path, first)
-
-	tc := NewTraceCache()
-	w := workloads.FromFile(path)
-	got1, err := tc.Get(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got1) != 2000 {
-		t.Fatalf("first read: %d insts", len(got1))
-	}
-
-	// Regenerate the file with different contents; force a distinct mtime in
-	// case the filesystem's timestamp granularity would merge the writes.
-	second := gen.Generate(3000)
-	writeLBP2(t, path, second)
-	if err := os.Chtimes(path, time.Time{}, time.Now().Add(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := tc.Get(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != 3000 {
-		t.Fatalf("stale cache: regenerated file served with %d insts, want 3000", len(got2))
-	}
-
-	// Same stamp → cached (pointer-identical slice).
-	got3, err := tc.Get(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got2[0] != &got3[0] {
-		t.Fatal("unchanged file was re-read instead of served from cache")
-	}
-}
-
 // TestRunSourceFileReplayBitIdentical checks a file-replayed simulation is
 // bit-identical to the in-process-generated run of the same workload/seed.
 func TestRunSourceFileReplayBitIdentical(t *testing.T) {
@@ -84,7 +40,7 @@ func TestRunSourceFileReplayBitIdentical(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "w.lbp2")
 	writeLBP2(t, path, tr)
-	src, err := workloads.FromFile(path).Open(0)
+	src, err := trace.OpenSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,12 +81,6 @@ func IPCGainPct(base, exp []float64) float64 {
 	return 100 * (GeoMeanRatio(base, exp) - 1)
 }
 
-// Series is a labeled set of per-workload results.
-type Series struct {
-	Label   string
-	Results []Result
-}
-
 // ByCategory groups results and applies fn to (baseline, experiment) value
 // slices per category, returning category → value in category name order.
 // Mismatched result-set lengths (a partially-failed sweep compared against a

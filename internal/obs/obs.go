@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability layer: a zero-allocation
 // counter/histogram registry the subsystems (core, mem, obq, repair) register
-// into, CPI-stack cycle accounting that attributes every core cycle to
+// pull sources into, CPI-stack cycle accounting that attributes every core cycle to
 // exactly one bottleneck bucket, and an opt-in structured event tracer backed
 // by a fixed ring buffer.
 //
@@ -25,25 +25,6 @@ import (
 	"strings"
 	"sync"
 )
-
-// Counter is a named monotonic counter. Increment via the pointer returned
-// by Registry.Counter; reads happen at snapshot time.
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Histogram is a fixed-bucket histogram: bounds are inclusive upper bounds
 // with an implicit +Inf bucket at the end. Observe is allocation-free (a
@@ -125,37 +106,18 @@ type source struct {
 }
 
 // Registry is the per-run counter/histogram namespace. Registration and
-// snapshotting take a mutex; incrementing a *Counter or observing into a
-// *Histogram does not (one run = one goroutine owns the hot path).
+// snapshotting take a mutex; observing into a *Histogram does not (one run
+// = one goroutine owns the hot path).
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	order    []string
-	hists    map[string]*Histogram
-	horder   []string
-	sources  []source
+	mu      sync.Mutex
+	hists   map[string]*Histogram
+	horder  []string
+	sources []source
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		hists:    map[string]*Histogram{},
-	}
-}
-
-// Counter finds or creates the named counter and returns a stable pointer
-// for hot-path increments.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	r.order = append(r.order, name)
-	return c
+	return &Registry{hists: map[string]*Histogram{}}
 }
 
 // Histogram finds or creates the named histogram with the given bucket upper
@@ -183,16 +145,12 @@ func (r *Registry) AddSource(prefix string, fn func(emit func(name string, v uin
 	r.sources = append(r.sources, source{prefix: prefix, fn: fn})
 }
 
-// Snapshot materializes every counter — explicit and source-emitted — into a
-// fresh map. Safe to call from another goroutine only after the owning run
-// has finished.
+// Snapshot materializes every source-emitted counter into a fresh map. Safe
+// to call from another goroutine only after the owning run has finished.
 func (r *Registry) Snapshot() map[string]uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.counters)+4*len(r.sources))
-	for name, c := range r.counters {
-		out[name] = c.v
-	}
+	out := make(map[string]uint64, 4*len(r.sources))
 	for _, s := range r.sources {
 		s.fn(func(name string, v uint64) { out[s.prefix+"."+name] = v })
 	}

@@ -239,15 +239,6 @@ func Names() []string {
 	return out
 }
 
-// All returns the registry in presentation order.
-func All() []*Def {
-	out := make([]*Def, len(registry))
-	for i := range registry {
-		out[i] = &registry[i]
-	}
-	return out
-}
-
 // Usage renders a name → description table for CLI help text.
 func Usage() string {
 	var b strings.Builder

@@ -116,10 +116,14 @@ func (r *SweepReport) Summary() string {
 
 // RunSweep executes the selected experiments with checkpoint/resume and
 // graceful cancellation. A non-nil error means the sweep could not be
-// configured or a checkpoint flush failed (SweepConfigError territory);
-// everything else — including run failures and interruption — is reported
-// through the SweepReport.
+// configured (invalid options, unknown ids, a mismatched checkpoint) or a
+// checkpoint flush failed (SweepConfigError territory); everything else —
+// including run failures and interruption — is reported through the
+// SweepReport.
 func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
+	if err := cfg.Opts.Validate(); err != nil {
+		return nil, err
+	}
 	out := cfg.Out
 	if out == nil {
 		out = io.Discard

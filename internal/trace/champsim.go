@@ -113,9 +113,6 @@ func decodeChampSim(rec []byte, nextIP uint64) Inst {
 	return in
 }
 
-// Reset implements Source.
-func (s *champsimSource) Reset() error { s.pos = 0; return nil }
-
 // Len implements Source.
 func (s *champsimSource) Len() int { return s.total }
 

@@ -9,18 +9,19 @@ import (
 	"strings"
 )
 
-// OpenMode selects the ingestion backend for OpenSource.
-type OpenMode int
+// openMode selects the ingestion backend. Production always takes openAuto
+// (the backend follows the platform); tests force one to cover both.
+type openMode int
 
 const (
-	// OpenAuto maps LBP2 files when the platform supports it and falls back
+	// openAuto maps LBP2 files when the platform supports it and falls back
 	// to positioned file reads otherwise.
-	OpenAuto OpenMode = iota
-	// OpenFile forces the buffered-file backend (positioned reads).
-	OpenFile
-	// OpenMmap forces the memory-mapped backend; it errors on platforms
+	openAuto openMode = iota
+	// openFile forces the buffered-file backend (positioned reads).
+	openFile
+	// openMmap forces the memory-mapped backend; it errors on platforms
 	// without mmap support or formats without a seekable index.
-	OpenMmap
+	openMmap
 )
 
 // errMmapUnsupported is returned by the stub mapper on platforms without
@@ -31,10 +32,10 @@ var errMmapUnsupported = errors.New("trace: mmap not supported on this platform"
 // LBP2 by magic, ChampSim-style external traces by extension
 // (.champsim / .cst). The returned source holds an open file or mapping;
 // release it with CloseSource.
-func OpenSource(path string) (Source, error) { return OpenSourceMode(path, OpenAuto) }
+func OpenSource(path string) (Source, error) { return openSourceMode(path, openAuto) }
 
-// OpenSourceMode is OpenSource with an explicit backend choice.
-func OpenSourceMode(path string, mode OpenMode) (Source, error) {
+// openSourceMode is OpenSource with an explicit backend choice.
+func openSourceMode(path string, mode openMode) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: open %s: %w", path, err)
@@ -49,7 +50,7 @@ func OpenSourceMode(path string, mode OpenMode) (Source, error) {
 
 // openSourceFile sniffs f and builds the right source. On error the caller
 // closes f.
-func openSourceFile(f *os.File, mode OpenMode) (Source, error) {
+func openSourceFile(f *os.File, mode openMode) (Source, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -63,7 +64,7 @@ func openSourceFile(f *os.File, mode OpenMode) (Source, error) {
 		return openLBP2File(f, size, mode)
 	}
 	if ext := strings.ToLower(filepath.Ext(f.Name())); ext == ".champsim" || ext == ".cst" {
-		if mode == OpenMmap {
+		if mode == openMmap {
 			return nil, errors.New("mmap backend requires LBP2")
 		}
 		return openChampSim(f, size)
@@ -72,12 +73,12 @@ func openSourceFile(f *os.File, mode OpenMode) (Source, error) {
 }
 
 // openLBP2File parses the seekable layout and wires the chosen chunk loader.
-func openLBP2File(f *os.File, size int64, mode OpenMode) (Source, error) {
+func openLBP2File(f *os.File, size int64, mode openMode) (Source, error) {
 	layout, err := parseLBP2Layout(f, size)
 	if err != nil {
 		return nil, err
 	}
-	if mode == OpenAuto || mode == OpenMmap {
+	if mode == openAuto || mode == openMmap {
 		data, unmap, err := mmapFile(f, size)
 		if err == nil {
 			// The mapping outlives the descriptor; close it now so the
@@ -85,7 +86,7 @@ func openLBP2File(f *os.File, size int64, mode OpenMode) (Source, error) {
 			f.Close()
 			return newLBP2Source(layout, &mmapChunks{data: data, layout: layout, unmap: unmap}), nil
 		}
-		if mode == OpenMmap {
+		if mode == openMmap {
 			return nil, err
 		}
 	}

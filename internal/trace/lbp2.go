@@ -491,12 +491,6 @@ func (s *lbp2Source) Next(dst []Inst) (int, error) {
 	return filled, nil
 }
 
-// Reset implements Source.
-func (s *lbp2Source) Reset() error {
-	s.cur, s.pos, s.n = 0, 0, 0
-	return nil
-}
-
 // Len implements Source.
 func (s *lbp2Source) Len() int { return s.layout.total }
 
@@ -591,10 +585,15 @@ func (s Stats2) BytesPerInst() float64 {
 	return float64(s.FileBytes) / float64(s.Records)
 }
 
-// String renders the stats on one line.
+// String renders the stats on one line; the compression ratio is printed
+// only when the file holds records.
 func (s Stats2) String() string {
-	return fmt.Sprintf("lbp2: records=%d chunks=%d chunkLen=%d bytes=%d (%.2f B/inst, %.1fx vs %d-B raw records)",
-		s.Records, s.Chunks, s.ChunkLen, s.FileBytes,
+	line := fmt.Sprintf("lbp2: records=%d chunks=%d chunkLen=%d bytes=%d",
+		s.Records, s.Chunks, s.ChunkLen, s.FileBytes)
+	if s.Records == 0 {
+		return line
+	}
+	return line + fmt.Sprintf(" (%.2f B/inst, %.1fx vs %d-B raw records)",
 		s.BytesPerInst(), RawRecordBytes/s.BytesPerInst(), RawRecordBytes)
 }
 

@@ -174,8 +174,7 @@ func drainSource(t *testing.T, src Source) []Inst {
 	}
 }
 
-// TestOpenSourceBackends checks both LBP2 backends yield identical streams,
-// and that Reset replays from the start.
+// TestOpenSourceBackends checks both LBP2 backends yield identical streams.
 func TestOpenSourceBackends(t *testing.T) {
 	tr := randomTrace(10_000, 99)
 	lbp2Path := writeTempLBP2(t, tr, 1024)
@@ -183,13 +182,13 @@ func TestOpenSourceBackends(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		path string
-		mode OpenMode
+		mode openMode
 	}{
-		{"lbp2-auto", lbp2Path, OpenAuto},
-		{"lbp2-file", lbp2Path, OpenFile},
+		{"lbp2-auto", lbp2Path, openAuto},
+		{"lbp2-file", lbp2Path, openFile},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := OpenSourceMode(tc.path, tc.mode)
+			src, err := openSourceMode(tc.path, tc.mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,13 +205,6 @@ func TestOpenSourceBackends(t *testing.T) {
 					t.Fatalf("record %d mismatch: got %+v want %+v", i, got[i], tr[i])
 				}
 			}
-			if err := src.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			again := drainSource(t, src)
-			if len(again) != len(tr) || again[0] != tr[0] || again[len(tr)-1] != tr[len(tr)-1] {
-				t.Fatal("Reset did not replay the stream")
-			}
 		})
 	}
 }
@@ -221,7 +213,7 @@ func TestOpenSourceBackends(t *testing.T) {
 func TestOpenSourceMmap(t *testing.T) {
 	tr := randomTrace(5000, 5)
 	path := writeTempLBP2(t, tr, 512)
-	src, err := OpenSourceMode(path, OpenMmap)
+	src, err := openSourceMode(path, openMmap)
 	if err == errMmapUnsupported {
 		t.Skip("no mmap on this platform")
 	}
@@ -258,7 +250,7 @@ func TestLBP2CorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenSourceMode(path, OpenFile)
+	src, err := openSourceMode(path, openFile)
 	if err != nil {
 		t.Fatal(err) // layout (index/footer) is intact; the chunk read must fail
 	}
@@ -387,6 +379,33 @@ func TestSliceSourceAndLimit(t *testing.T) {
 	if full := Limit(src, 500); full != Source(src) {
 		t.Fatal("Limit beyond Len should return the source unchanged")
 	}
+
+	// Limit over a file-backed source: the one way a capped trace file
+	// becomes a stream. CloseSource must reach the file through the wrapper.
+	file, err := OpenSource(writeTempLBP2(t, tr, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flim := Limit(file, 40)
+	if flim.Len() != 40 {
+		t.Fatalf("limited file Len = %d", flim.Len())
+	}
+	if got := drainSource(t, flim); len(got) != 40 || got[39] != tr[39] {
+		t.Fatalf("limited file drain = %d records", len(got))
+	}
+	if err := CloseSource(flim); err != nil {
+		t.Fatalf("CloseSource through Limit: %v", err)
+	}
+	switch l := file.(*lbp2Source).loader.(type) {
+	case *mmapChunks:
+		if l.data != nil {
+			t.Fatal("mapping still live after CloseSource through Limit")
+		}
+	case *fileChunks:
+		if l.ra.Close() == nil { // closing an already closed *os.File errors
+			t.Fatal("file still open after CloseSource through Limit")
+		}
+	}
 }
 
 // craftLBP2 returns a 90-byte LBP2 file — one chunk holding one 2-byte
@@ -440,11 +459,11 @@ func TestLBP2CraftedClaimsBoundAllocation(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []OpenMode{OpenFile, OpenMmap} {
+		for _, mode := range []openMode{openFile, openMmap} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			n := 0
-			src, err := OpenSourceMode(path, mode)
+			src, err := openSourceMode(path, mode)
 			if err == nil {
 				n, err = src.Next(make([]Inst, 16))
 				CloseSource(src)

@@ -4,8 +4,8 @@ package trace
 
 import "os"
 
-// mmapFile on platforms without a wired mmap path: OpenAuto falls back to
-// positioned file reads, OpenMmap surfaces the error.
+// mmapFile on platforms without a wired mmap path: openAuto falls back to
+// positioned file reads, openMmap surfaces the error.
 func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	return nil, nil, errMmapUnsupported
 }

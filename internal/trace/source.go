@@ -20,8 +20,6 @@ type Source interface {
 	// error is the normal case; implementations never return both n > 0
 	// and a non-nil error.
 	Next(dst []Inst) (n int, err error)
-	// Reset rewinds the source to the start of the stream.
-	Reset() error
 	// Len returns the total instruction count of the stream.
 	Len() int
 }
@@ -46,9 +44,6 @@ func (s *SliceSource) Next(dst []Inst) (int, error) {
 	s.pos += n
 	return n, nil
 }
-
-// Reset implements Source.
-func (s *SliceSource) Reset() error { s.pos = 0; return nil }
 
 // Len implements Source.
 func (s *SliceSource) Len() int { return len(s.tr) }
@@ -90,11 +85,6 @@ func (l *limitSource) Next(dst []Inst) (int, error) {
 	return n, err
 }
 
-func (l *limitSource) Reset() error {
-	l.read = 0
-	return l.src.Reset()
-}
-
 func (l *limitSource) Len() int { return l.n }
 
 // CloseSource closes src when it holds an open file or mapping; sources
@@ -109,8 +99,8 @@ func CloseSource(src Source) error {
 	return nil
 }
 
-// ReadAll drains src into memory (for tools and the golden-model oracle;
-// streaming consumers use Next directly).
+// ReadAll drains src into memory. Streaming consumers use Next directly;
+// the LBP2 round-trip and fuzz checks drain both chunk loaders through it.
 func ReadAll(src Source) ([]Inst, error) {
 	if ss, ok := src.(*SliceSource); ok {
 		out := make([]Inst, len(ss.Slice()))
@@ -131,9 +121,9 @@ func ReadAll(src Source) ([]Inst, error) {
 	}
 }
 
-// SummarizeSource computes the same aggregate statistics as Summarize by
-// draining src through a fixed-size chunk buffer, so arbitrarily long on-disk
-// traces can be characterized at fixed memory (modulo the unique-PC sets).
+// SummarizeSource computes a stream's aggregate statistics by draining src
+// through a fixed-size chunk buffer, so arbitrarily long on-disk traces are
+// characterized at fixed memory (modulo the unique-PC sets).
 func SummarizeSource(src Source) (Stats, error) {
 	var s Stats
 	pcs := make(map[uint64]struct{})
@@ -168,18 +158,14 @@ func SummarizeSource(src Source) (Stats, error) {
 	}
 }
 
-// sourceSlice returns the backing slice of an in-memory source, when one
-// exists (used for zero-copy fast paths).
-func sourceSlice(src Source) ([]Inst, bool) {
+// SourceSlice returns the backing slice of an in-memory source for zero-copy
+// fast paths, or (nil, false) for true streaming sources.
+func SourceSlice(src Source) ([]Inst, bool) {
 	if s, ok := src.(interface{ Slice() []Inst }); ok {
 		return s.Slice(), true
 	}
 	return nil, false
 }
-
-// SourceSlice exposes sourceSlice to other packages: the backing slice of an
-// in-memory source, or (nil, false) for true streaming sources.
-func SourceSlice(src Source) ([]Inst, bool) { return sourceSlice(src) }
 
 // mustLen guards source constructors against absurd record counts before any
 // allocation is sized from them.

@@ -91,29 +91,9 @@ type Stats struct {
 	UniqueBrPC int
 }
 
-// Summarize computes aggregate statistics for a trace.
+// Summarize computes aggregate statistics for an in-memory trace.
 func Summarize(tr []Inst) Stats {
-	var s Stats
-	pcs := make(map[uint64]struct{})
-	brpcs := make(map[uint64]struct{})
-	for _, in := range tr {
-		s.Insts++
-		pcs[in.PC] = struct{}{}
-		switch in.Class {
-		case ClassBranch:
-			s.Branches++
-			if in.Taken {
-				s.Taken++
-			}
-			brpcs[in.PC] = struct{}{}
-		case ClassLoad:
-			s.Loads++
-		case ClassStore:
-			s.Stores++
-		}
-	}
-	s.UniquePCs = len(pcs)
-	s.UniqueBrPC = len(brpcs)
+	s, _ := SummarizeSource(NewSliceSource(tr)) // a SliceSource never errors
 	return s
 }
 

@@ -2,8 +2,6 @@ package workloads
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"localbp/internal/trace"
@@ -88,82 +86,6 @@ func TestStressWorkloadsGenerate(t *testing.T) {
 	}
 	if big.UniqueBrPC < 512 {
 		t.Fatalf("aliasing-1024 touches only %d branch PCs", big.UniqueBrPC)
-	}
-}
-
-// TestFileBackedWorkload round-trips a generated trace through FromFile.
-func TestFileBackedWorkload(t *testing.T) {
-	gen := QuickSuite()[0]
-	tr := gen.Generate(10_000)
-	path := filepath.Join(t.TempDir(), "w.lbp2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteTraceLBP2(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	w := FromFile(path)
-	if w.Category != External || w.Name != "w.lbp2" {
-		t.Fatalf("FromFile: %+v", w)
-	}
-	src, err := w.Open(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trace.CloseSource(src)
-	got, err := trace.ReadAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tr) {
-		t.Fatalf("replayed %d insts, want %d", len(got), len(tr))
-	}
-	for i := range tr {
-		if got[i] != tr[i] {
-			t.Fatalf("inst %d differs", i)
-		}
-	}
-
-	lim, err := w.Open(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trace.CloseSource(lim)
-	if lim.Len() != 100 {
-		t.Fatalf("limited Len = %d", lim.Len())
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Generate on a file-backed workload should panic")
-		}
-	}()
-	w.Generate(10)
-}
-
-// TestGeneratedWorkloadOpen checks the generated path of Open matches
-// Generate bit-exactly.
-func TestGeneratedWorkloadOpen(t *testing.T) {
-	w := QuickSuite()[1]
-	src, err := w.Open(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := w.Generate(5000)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("inst %d differs", i)
-		}
-	}
-	if _, err := w.Open(0); err == nil {
-		t.Fatal("generated workload must reject Open(0)")
 	}
 }
 

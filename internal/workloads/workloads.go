@@ -12,7 +12,6 @@ package workloads
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"localbp/internal/trace"
 )
@@ -32,9 +31,9 @@ const (
 	NumCategories
 )
 
-// Stressor and external categories (beyond Table 1; see StressSuite). They
-// sit after NumCategories on purpose: Categories() and every per-category
-// aggregation over the paper's suite stay the seven Table-1 entries.
+// Stressor categories (beyond Table 1; see StressSuite). They sit after
+// NumCategories on purpose: Categories() and every per-category aggregation
+// over the paper's suite stay the seven Table-1 entries.
 const (
 	// LoopExit is the loop-exit-distance ladder: fixed trip counts swept
 	// from trivially short to far past any global-history window, after the
@@ -46,8 +45,6 @@ const (
 	// Aliasing sweeps the hot loop-branch population past the BHT/PT
 	// capacity to expose aliasing and replacement behavior.
 	Aliasing
-	// External marks file-backed workloads replayed from on-disk traces.
-	External
 )
 
 // String returns the category label used in the paper's figures.
@@ -73,8 +70,6 @@ func (c Category) String() string {
 		return "HistoryCliff"
 	case Aliasing:
 		return "Aliasing"
-	case External:
-		return "External"
 	default:
 		return fmt.Sprintf("Category(%d)", uint8(c))
 	}
@@ -113,9 +108,9 @@ type Profile struct {
 	Mem                trace.MemProfile
 }
 
-// Workload is one entry of the evaluation suite. Exactly one stream shape
-// applies: profile-generated (the default), stressor-generated (Stress set),
-// or file-backed replay (TraceFile set).
+// Workload is one entry of the evaluation suite: a profile-generated stream
+// (the default) or a stressor-generated one (Stress set). Trace files enter
+// through trace.OpenSource, not as workloads.
 type Workload struct {
 	Name     string
 	Category Category
@@ -125,23 +120,11 @@ type Workload struct {
 	// Stress selects a stressor program instead of the Profile builder
 	// (loop-exit ladders, history cliffs, aliasing populations).
 	Stress *StressSpec
-	// TraceFile replays an on-disk trace (LBP2/ChampSim) instead of
-	// generating; Seed and Profile are unused.
-	TraceFile string
-}
-
-// FromFile wraps an on-disk trace as a file-backed workload.
-func FromFile(path string) Workload {
-	return Workload{Name: filepath.Base(path), Category: External, TraceFile: path}
 }
 
 // Generate builds the workload's dynamic instruction stream of n
-// instructions. Generation is deterministic in the workload seed; a
-// file-backed workload panics (its stream comes from disk — use Open).
+// instructions. Generation is deterministic in the workload seed.
 func (w Workload) Generate(n int) []trace.Inst {
-	if w.TraceFile != "" {
-		panic(fmt.Sprintf("workloads: %s is file-backed; use Open, not Generate", w.Name))
-	}
 	return trace.Generate(w.buildProgram(), n, w.Seed^0x5bd1e995)
 }
 
@@ -151,27 +134,6 @@ func (w Workload) buildProgram() trace.Program {
 		return BuildStressProgram(*w.Stress, w.Seed)
 	}
 	return BuildProgram(w.Profile, w.Seed)
-}
-
-// Open returns a streaming source of the workload's first n instructions
-// (n <= 0 means the whole stream for file-backed workloads; generated
-// workloads require n > 0). File-backed sources hold an open file — release
-// with trace.CloseSource.
-func (w Workload) Open(n int) (trace.Source, error) {
-	if w.TraceFile != "" {
-		src, err := trace.OpenSource(w.TraceFile)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			src = trace.Limit(src, n)
-		}
-		return src, nil
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("workloads: %s is generated; Open needs an instruction count", w.Name)
-	}
-	return trace.NewSliceSource(w.Generate(n)), nil
 }
 
 // SiteKind classifies a branch site for analysis tooling.

@@ -241,7 +241,6 @@ type simConfig struct {
 	traceCap  int
 	observer  func(Event)
 	maxCycles int64
-	traceFile string
 }
 
 // WithContext runs the simulation under ctx: cancellation or a deadline
@@ -264,8 +263,8 @@ func WithAudit() Option { return func(c *simConfig) { c.auditOn = true } }
 // golden model of the same trace.
 func WithGolden() Option { return func(c *simConfig) { c.golden = true } }
 
-// WithSeed overrides the workload's trace-generation seed (Simulate only;
-// FromSource takes a prepared stream).
+// WithSeed overrides the workload's trace-generation seed. Simulate only:
+// FromSource rejects it, since a prepared stream has no seed to override.
 func WithSeed(s int64) Option {
 	return func(c *simConfig) { c.seed, c.seedSet = s, true }
 }
@@ -303,16 +302,6 @@ func WithObserver(fn func(Event)) Option {
 	return func(c *simConfig) { c.observer = fn }
 }
 
-// WithTraceFile replays an on-disk trace (LBP2/ChampSim) instead of
-// generating the workload's stream: Simulate streams the file at fixed
-// memory, capped at n instructions when n > 0 (n <= 0 replays the whole
-// file). The workload's name is kept for labeling; its seed and profile are
-// unused. WithSeed and WithGolden do not compose with a streamed file (the
-// golden oracle needs the whole trace resident).
-func WithTraceFile(path string) Option {
-	return func(c *simConfig) { c.traceFile = path }
-}
-
 // Result summarizes one simulation.
 type Result struct {
 	Scheme      string
@@ -348,28 +337,13 @@ func Workloads() []WorkloadInfo { return workloads.Suite() }
 func QuickWorkloads() []WorkloadInfo { return workloads.QuickSuite() }
 
 // Simulate runs one workload for n instructions on the Table 2 core under
-// the given scheme. With WithTraceFile the stream is replayed from disk at
-// fixed memory instead of generated (and n <= 0 means the whole file).
+// the given scheme. A trace file replays through FromSource(OpenTrace(path)).
 func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 	var sc simConfig
 	for _, o := range opts {
 		if o != nil {
 			o(&sc)
 		}
-	}
-	if sc.traceFile != "" {
-		w.TraceFile = sc.traceFile
-	}
-	if w.TraceFile != "" {
-		if sc.seedSet {
-			return Result{}, errors.New("localbp: WithSeed does not apply to a file-replayed trace")
-		}
-		src, err := w.Open(n)
-		if err != nil {
-			return Result{}, fmt.Errorf("localbp: %w", err)
-		}
-		defer trace.CloseSource(src)
-		return simulate(src, s, sc)
 	}
 	if n <= 0 {
 		return Result{}, fmt.Errorf("localbp: instruction count %d, want > 0", n)
@@ -381,11 +355,12 @@ func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 }
 
 // FromSource runs a prepared streaming source under the given scheme: the
-// canonical trace entry point. An in-memory source (trace.NewSliceSource)
-// takes the resident-program path bit-identically; a file or mmap source
-// (OpenTrace) replays at fixed memory. The caller retains ownership of src —
-// sources are stateful and single-consumer, so open a fresh one per run and
-// release file-backed sources with CloseTrace.
+// canonical trace entry point and the one way a trace file is simulated. An
+// in-memory source (trace.NewSliceSource) takes the resident-program path
+// bit-identically; a file or mmap source (OpenTrace) replays at fixed
+// memory. WithSeed is rejected: the stream is already drawn. The caller
+// retains ownership of src — sources are stateful and single-consumer, so
+// open a fresh one per run and release file-backed sources with CloseTrace.
 func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 	if src == nil {
 		return Result{}, errors.New("localbp: nil source")
@@ -395,6 +370,9 @@ func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 		if o != nil {
 			o(&sc)
 		}
+	}
+	if sc.seedSet {
+		return Result{}, errors.New("localbp: WithSeed does not apply to a prepared source")
 	}
 	return simulate(src, s, sc)
 }
