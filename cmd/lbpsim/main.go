@@ -31,6 +31,9 @@
 // -trace-events writes the retained trace events as JSONL; -trace-chrome
 // writes them in Chrome trace_event format (load in chrome://tracing or
 // Perfetto). -trace-cap bounds the retained-event ring.
+//
+// A non-positive -insts or -trace-cap, or a negative -timeout, exits 2
+// before any run.
 package main
 
 import (
@@ -76,6 +79,21 @@ func main() {
 	traceCap := flag.Int("trace-cap", 65536, "event-tracer ring capacity (retained events)")
 	traceFile := flag.String("trace-file", "", "replay a saved trace file (lbp2 or champsim) instead of generating -workload")
 	flag.Parse()
+	// Out-of-range numbers exit 2 before any run: trace.Limit reads a
+	// non-positive -insts as "no limit" (a whole -trace-file replay), and a
+	// negative -timeout would run uncapped.
+	reject := func(name string, got any, want string) {
+		fmt.Fprintf(os.Stderr, "lbpsim: -%s: got %v, want %s\n", name, got, want)
+		os.Exit(service.ExitConfigError)
+	}
+	switch {
+	case *insts <= 0:
+		reject("insts", *insts, "> 0")
+	case *timeout < 0:
+		reject("timeout", *timeout, ">= 0")
+	case *traceCap <= 0:
+		reject("trace-cap", *traceCap, "> 0")
+	}
 	instsSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "insts" {
@@ -167,10 +185,6 @@ func main() {
 	if *cpistack || *counters || *traceEvents != "" || *traceChrome != "" {
 		spec.Obs = &harness.ObsSpec{CPIStack: *cpistack, Counters: *counters}
 		if *traceEvents != "" || *traceChrome != "" {
-			if *traceCap <= 0 {
-				fmt.Fprintln(os.Stderr, "lbpsim: -trace-cap must be > 0")
-				os.Exit(service.ExitConfigError)
-			}
 			spec.Obs.TraceCap = *traceCap
 		}
 		spec.Obs.Done = func(h *obs.Hooks) {

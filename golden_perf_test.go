@@ -13,12 +13,14 @@ import (
 
 // The golden-values file pins the simulator's observable results — cycles,
 // retired instructions, branches, final mispredictions, and the full CPI
-// stack — for every quick-suite workload under three repair schemes. It was
-// generated by the pre-optimization model (PR 4 state) and guards the hot-
-// path overhaul and every engine change since: the resolution
-// queue, the idle-cycle fast-forward and the allocation pools must all be
-// bit-identical transformations. Regenerate only when the *model* (not the
-// engine) deliberately changes:
+// stack — for every quick-suite workload under three loop-predictor repair
+// schemes and the Yeh-Patt predictor under forward walk. The loop rows were
+// generated by the pre-optimization model and guard the hot-path overhaul
+// and every engine change since: the resolution queue, the idle-cycle
+// fast-forward and the allocation pools must all be bit-identical
+// transformations. The Yeh-Patt rows were generated before the two local
+// predictors came to share one BHT, and pin that refactor. Regenerate only
+// when the *model* (not the engine) deliberately changes:
 //
 //	go test -run TestGoldenBitIdentical -update-golden .
 var updateGolden = flag.Bool("update-golden", false,
@@ -38,7 +40,7 @@ type goldenRow struct {
 }
 
 func goldenSchemes() []Scheme {
-	return []Scheme{NoRepair(), ForwardWalk(), PerfectRepair()}
+	return []Scheme{NoRepair(), ForwardWalk(), PerfectRepair(), GenericLocal()}
 }
 
 func goldenRun(t *testing.T) []goldenRow {
@@ -83,8 +85,8 @@ func goldenRun(t *testing.T) []goldenRow {
 // TestGoldenBitIdentical proves the optimized engine produces exactly the
 // simulation results the pre-optimization engine produced: same cycles, same
 // retirement counts, same mispredictions, same per-bucket CPI attribution,
-// for every quick-suite workload under no-repair, forward-coalesce and
-// perfect repair.
+// for every quick-suite workload under no-repair, forward-coalesce, perfect
+// repair and the Yeh-Patt predictor under forward walk.
 func TestGoldenBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-suite sweep")

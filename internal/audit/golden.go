@@ -28,9 +28,6 @@ type Golden struct {
 // NewGolden builds the oracle over the program the core will run.
 func NewGolden(prog []trace.Inst) *Golden { return &Golden{prog: prog} }
 
-// Retired returns how many instructions the oracle has accepted.
-func (g *Golden) Retired() int { return g.cursor }
-
 // Retire checks one real-path retirement against the architectural stream.
 // streamPos is the core's recorded trace index for the retiring entry;
 // pc/actualTaken are meaningful only when isBranch is true and are taken

@@ -67,18 +67,13 @@ func (e *IntegrityError) Error() string {
 // Unwrap lets errors.Is(err, ErrIntegrity) match.
 func (e *IntegrityError) Unwrap() error { return ErrIntegrity }
 
-// maxViolations bounds the per-run violation list: the first violation is
-// what matters (later ones are usually cascade damage), but keeping a few
-// helps diagnose multi-site corruption from fault injection.
-const maxViolations = 16
-
-// Auditor collects invariant violations and counts checks performed. One
-// auditor serves one simulation run; it is not safe for concurrent use (the
-// core is single-threaded).
+// Auditor keeps the first invariant violation and counts checks performed.
+// The core aborts on that first report; later ones are usually cascade
+// damage. One auditor serves one simulation run; it is not safe for
+// concurrent use (the core is single-threaded).
 type Auditor struct {
-	violations []*IntegrityError
-	dropped    uint64
-	checks     uint64
+	first  *IntegrityError
+	checks uint64
 }
 
 // scanStride is the cycle (or fetched-branch) stride of the expensive
@@ -100,32 +95,14 @@ func (a *Auditor) Note(n int) { a.checks += uint64(n) }
 // Checks returns the number of invariant checks performed.
 func (a *Auditor) Checks() uint64 { return a.checks }
 
-// Report records a violation and returns it. Beyond maxViolations the
-// violation is counted but not retained.
+// Report records a violation and returns it; only the first is kept.
 func (a *Auditor) Report(cycle int64, pc uint64, invariant, dump string) *IntegrityError {
 	e := &IntegrityError{Cycle: cycle, PC: pc, Invariant: invariant, Dump: dump}
-	if len(a.violations) < maxViolations {
-		a.violations = append(a.violations, e)
-	} else {
-		a.dropped++
+	if a.first == nil {
+		a.first = e
 	}
 	return e
 }
 
 // First returns the earliest recorded violation, or nil.
-func (a *Auditor) First() *IntegrityError {
-	if len(a.violations) == 0 {
-		return nil
-	}
-	return a.violations[0]
-}
-
-// Violations returns every retained violation in detection order.
-func (a *Auditor) Violations() []*IntegrityError {
-	out := make([]*IntegrityError, len(a.violations))
-	copy(out, a.violations)
-	return out
-}
-
-// Dropped returns how many violations were detected beyond the retained cap.
-func (a *Auditor) Dropped() uint64 { return a.dropped }
+func (a *Auditor) First() *IntegrityError { return a.first }

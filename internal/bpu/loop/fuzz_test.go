@@ -12,7 +12,7 @@ func fuzzPC(b byte) uint64 { return 0x400000 + uint64(b%16)*64 }
 
 // applyFuzzOp drives one LocalPredictor operation from a byte. The decoding
 // covers every mutating entry point of the interface.
-func applyFuzzOp(p *Predictor, b byte) {
+func applyFuzzOp(p LocalPredictor, b byte) {
 	pc := fuzzPC(b)
 	taken := b&0x80 != 0
 	switch (b >> 4) & 0x7 {
@@ -38,8 +38,18 @@ func applyFuzzOp(p *Predictor, b byte) {
 	}
 }
 
+// localPredictors lists both users of the shared BHT; every op sequence
+// below runs through each of them.
+var localPredictors = []struct {
+	name string
+	mk   func() LocalPredictor
+}{
+	{"Loop128", func() LocalPredictor { return New(Loop128()) }},
+	{"YehPatt128", func() LocalPredictor { return NewYehPatt(YehPatt128()) }},
+}
+
 // FuzzLoopPredictor feeds random branch streams through every mutating
-// operation of the loop predictor and asserts the whole-table
+// operation of both local predictors and asserts the whole-table
 // snapshot/restore contract: RestoreBHT(snap) followed by DiffBHT(snap)
 // is always zero, no operation sequence panics, and the predictor stays
 // functional afterwards.
@@ -57,41 +67,48 @@ func FuzzLoopPredictor(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		p := New(Loop128())
-		snap := p.SnapshotBHT(nil)
-		for _, b := range data {
-			applyFuzzOp(p, b)
+		for _, lp := range localPredictors {
+			p := lp.mk()
+			snap := p.SnapshotBHT(nil)
+			for _, b := range data {
+				applyFuzzOp(p, b)
+			}
+			if n := p.RestoreBHT(snap); n < 0 || n > p.Entries() {
+				t.Fatalf("%s: RestoreBHT changed %d entries, table holds %d", lp.name, n, p.Entries())
+			}
+			if d := p.DiffBHT(snap); d != 0 {
+				t.Fatalf("%s: snapshot round-trip left %d entries differing", lp.name, d)
+			}
+			p.Predict(fuzzPC(0)) // still functional
 		}
-		if n := p.RestoreBHT(snap); n < 0 || n > p.Entries() {
-			t.Fatalf("RestoreBHT changed %d entries, table holds %d", n, p.Entries())
-		}
-		if d := p.DiffBHT(snap); d != 0 {
-			t.Fatalf("snapshot round-trip left %d entries differing", d)
-		}
-		p.Predict(fuzzPC(0)) // still functional
 	})
 }
 
 // TestLoopSnapshotRoundTripProperty is the deterministic property-test
 // counterpart of FuzzLoopPredictor: many seeded random op sequences, each
 // asserting the restore round-trip, including restores from a mid-sequence
-// snapshot (the perfect-repair usage pattern).
+// snapshot (the perfect-repair usage pattern). Both predictors replay the
+// same sequences.
 func TestLoopSnapshotRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		p := New(Loop128())
-		// Warm the table so mid-sequence snapshots see live entries.
-		for i := 0; i < rng.Intn(300); i++ {
-			applyFuzzOp(p, byte(rng.Uint32()))
-		}
-		snap := p.SnapshotBHT(nil)
-		for i := 0; i < 1+rng.Intn(200); i++ {
-			applyFuzzOp(p, byte(rng.Uint32()))
-		}
-		p.RestoreBHT(snap)
-		if d := p.DiffBHT(snap); d != 0 {
-			t.Fatalf("trial %d: %d entries differ after restore", trial, d)
-		}
+	for _, lp := range localPredictors {
+		t.Run(lp.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			for trial := 0; trial < 200; trial++ {
+				p := lp.mk()
+				// Warm the table so mid-sequence snapshots see live entries.
+				for i := 0; i < rng.Intn(300); i++ {
+					applyFuzzOp(p, byte(rng.Uint32()))
+				}
+				snap := p.SnapshotBHT(nil)
+				for i := 0; i < 1+rng.Intn(200); i++ {
+					applyFuzzOp(p, byte(rng.Uint32()))
+				}
+				p.RestoreBHT(snap)
+				if d := p.DiffBHT(snap); d != 0 {
+					t.Fatalf("trial %d: %d entries differ after restore", trial, d)
+				}
+			}
+		})
 	}
 }
 
@@ -99,19 +116,23 @@ func TestLoopSnapshotRoundTripProperty(t *testing.T) {
 // whole-table restores of the wrong geometry panic (a programming error, not
 // a recoverable condition) rather than silently corrupting the table.
 func TestLoopSnapshotGeometryMismatchPanics(t *testing.T) {
-	p := New(Loop128())
-	short := make([]FullState, p.Entries()-1)
-	for name, fn := range map[string]func(){
-		"RestoreBHT": func() { p.RestoreBHT(short) },
-		"DiffBHT":    func() { p.DiffBHT(short) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted a mismatched snapshot", name)
-				}
-			}()
-			fn()
-		}()
+	for _, lp := range localPredictors {
+		t.Run(lp.name, func(t *testing.T) {
+			p := lp.mk()
+			short := make([]FullState, p.Entries()-1)
+			for name, fn := range map[string]func(){
+				"RestoreBHT": func() { p.RestoreBHT(short) },
+				"DiffBHT":    func() { p.DiffBHT(short) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s accepted a mismatched snapshot", name)
+						}
+					}()
+					fn()
+				}()
+			}
+		})
 	}
 }

@@ -4,9 +4,13 @@ package loop
 // schemes of internal/repair to manage its speculative state. The paper's
 // techniques are defined over exactly this contract (§1: "our techniques can
 // be directly extended to any local predictor design — the difference is
-// only in the state saved and restored"): CBPw-Loop stores an iteration
-// counter in State.Count, a generic two-level (Yeh-Patt) predictor stores a
-// direction-history bit pattern in the same field.
+// only in the state saved and restored"): CBPw-Loop (Predictor) stores an
+// iteration counter in State.Count, the generic two-level YehPatt stores a
+// direction-history bit pattern in the same field. Both embed the shared
+// speculative table bht, which implements the state-opaque half of the
+// contract (LookupState, Invalidate, InvalidateAll, the repair bits, the
+// whole-table snapshots and Entries); each predictor adds the methods that
+// read or advance its own state.
 type LocalPredictor interface {
 	// Predict returns the predictor's (confidence-gated) opinion for pc.
 	Predict(pc uint64) Prediction
@@ -58,8 +62,11 @@ type LocalPredictor interface {
 	BHTStorageBits() int
 }
 
-// Compile-time check: CBPw-Loop satisfies the contract.
-var _ LocalPredictor = (*Predictor)(nil)
+// Compile-time check: both local predictors satisfy the contract.
+var (
+	_ LocalPredictor = (*Predictor)(nil)
+	_ LocalPredictor = (*YehPatt)(nil)
+)
 
 // PatternInfo implements LocalPredictor by exposing the PT entry.
 func (p *Predictor) PatternInfo(pc uint64) PTInfo { return p.pt.Info(pc) }

@@ -25,10 +25,7 @@ type PTInfo struct {
 // repair (paper §2.3). A PatternTable may be shared between two BHTs in the
 // multi-stage split-BHT design (paper §3.2.1).
 type PatternTable struct {
-	ways      int
-	sets      int
-	setMask   uint64
-	tagShift  uint
+	geometry
 	entries   []ptEntry
 	statAlloc uint64
 
@@ -38,18 +35,8 @@ type PatternTable struct {
 
 // NewPatternTable builds a PT with the given geometry.
 func NewPatternTable(entries, ways int, confThresh uint8, counterMax uint16) *PatternTable {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic("loop: bad PT geometry")
-	}
-	sets := entries / ways
-	if sets&(sets-1) != 0 {
-		panic("loop: PT set count must be a power of two")
-	}
 	return &PatternTable{
-		ways:       ways,
-		sets:       sets,
-		setMask:    uint64(sets - 1),
-		tagShift:   uint(log2(sets)),
+		geometry:   newGeometry(entries, ways),
 		entries:    make([]ptEntry, entries),
 		counterMax: counterMax,
 		confThresh: confThresh,
@@ -62,11 +49,6 @@ func (t *PatternTable) Entries() int { return len(t.entries) }
 // StorageBits approximates the PT storage budget.
 func (t *PatternTable) StorageBits() int {
 	return len(t.entries) * (8 + 11 + 11 + 3 + 8 + 1 + 1)
-}
-
-func (t *PatternTable) set(pc uint64) int { return int(pcHash(pc) & t.setMask) }
-func (t *PatternTable) tagOf(pc uint64) uint16 {
-	return uint16((pcHash(pc)>>t.tagShift)^(pcHash(pc)>>13)) & 0xff
 }
 
 func (t *PatternTable) lookup(pc uint64) *ptEntry {

@@ -155,3 +155,23 @@ func TestPTStorage(t *testing.T) {
 		t.Fatal("Entries() wrong")
 	}
 }
+
+// TestPatternTableForDefaults pins the zero-value defaults New applies to
+// the PT it builds: PTEntries 0 means Entries, and CounterMax 0 means 2047,
+// so the PT still counts iterations and learns a period.
+func TestPatternTableForDefaults(t *testing.T) {
+	pt := NewPatternTableFor(Config{Entries: 64, Ways: 8, ConfThresh: 6})
+	if pt.Entries() != 64 {
+		t.Fatalf("PT entries %d, want 64", pt.Entries())
+	}
+	pc := uint64(0x400000)
+	pt.Train(pc, false, true) // allocate: the not-taken exit is the rare direction
+	for visit := 0; visit < 4; visit++ {
+		for i := 0; i < 5; i++ {
+			pt.Train(pc, i < 4, false)
+		}
+	}
+	if info := pt.Info(pc); info.Period != 5 || !info.Dir {
+		t.Fatalf("PT learned %+v, want period 5 taken", info)
+	}
+}

@@ -1,16 +1,15 @@
-package yehpatt
+package loop
 
 import (
 	"testing"
 	"testing/quick"
-
-	"localbp/internal/bpu/loop"
 )
 
-// train drives pc through outcomes with the pipeline protocol: speculative
-// update with the prediction (or the actual when no prediction), repair via
-// ApplyOutcome on mispredicts, PT training at retire.
-func train(p *Predictor, pc uint64, outcome func(i int) bool, n int) (predicted, correct int) {
+// trainYehPatt drives pc through outcomes with the pipeline protocol:
+// speculative update with the prediction (or the actual when no
+// prediction), repair via ApplyOutcome on mispredicts, PT training at
+// retire.
+func trainYehPatt(p *YehPatt, pc uint64, outcome func(i int) bool, n int) (predicted, correct int) {
 	for i := 0; i < n; i++ {
 		actual := outcome(i)
 		pred := p.Predict(pc)
@@ -42,9 +41,9 @@ func train(p *Predictor, pc uint64, outcome func(i int) bool, n int) (predicted,
 }
 
 func TestLearnsRepeatingPattern(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	pat := []bool{true, true, false, true, false, false}
-	pred, correct := train(p, 0x400000, func(i int) bool { return pat[i%len(pat)] }, 4000)
+	pred, correct := trainYehPatt(p, 0x400000, func(i int) bool { return pat[i%len(pat)] }, 4000)
 	if pred == 0 {
 		t.Fatal("never predicted")
 	}
@@ -54,9 +53,9 @@ func TestLearnsRepeatingPattern(t *testing.T) {
 }
 
 func TestLearnsShortLoopPattern(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	// TTTTTN: period 6 fits in an 11-bit local history.
-	pred, correct := train(p, 0x400400, func(i int) bool { return i%6 != 5 }, 6000)
+	pred, correct := trainYehPatt(p, 0x400400, func(i int) bool { return i%6 != 5 }, 6000)
 	if pred == 0 {
 		t.Fatal("never predicted")
 	}
@@ -69,9 +68,9 @@ func TestCannotLearnLongLoop(t *testing.T) {
 	// Period 40 > 11 history bits: mid-loop patterns are all-taken and
 	// indistinguishable, so exits stay unpredictable — the reason loop
 	// predictors beat generic local predictors on long loops (paper §1).
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	exitsPredictedExit := 0
-	train(p, 0x400800, func(i int) bool { return i%40 != 39 }, 4000)
+	trainYehPatt(p, 0x400800, func(i int) bool { return i%40 != 39 }, 4000)
 	for v := 0; v < 40; v++ {
 		pr := p.Predict(0x400800)
 		actual := v != 39
@@ -87,7 +86,7 @@ func TestCannotLearnLongLoop(t *testing.T) {
 }
 
 func TestWarmupGatesPredictions(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	p.Retire(0x400000, true, true) // allocate
 	if pr := p.Predict(0x400000); pr.Valid {
 		t.Fatal("predicted before the history warmed up")
@@ -95,9 +94,9 @@ func TestWarmupGatesPredictions(t *testing.T) {
 }
 
 func TestSpecUpdateShiftsPattern(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	pc := uint64(0x400000)
-	train(p, pc, func(i int) bool { return i%2 == 0 }, 100)
+	trainYehPatt(p, pc, func(i int) bool { return i%2 == 0 }, 100)
 	st, ok := p.LookupState(pc)
 	if !ok {
 		t.Fatal("no state")
@@ -111,9 +110,9 @@ func TestSpecUpdateShiftsPattern(t *testing.T) {
 }
 
 func TestRestoreStateRoundTrip(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	pc := uint64(0x400000)
-	train(p, pc, func(i int) bool { return i%3 != 0 }, 200)
+	trainYehPatt(p, pc, func(i int) bool { return i%3 != 0 }, 200)
 	st, _ := p.LookupState(pc)
 	for i := 0; i < 7; i++ {
 		p.SpecUpdate(pc, i%2 == 0)
@@ -124,23 +123,19 @@ func TestRestoreStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreProperty(t *testing.T) {
+func TestYehPattSnapshotRestoreProperty(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
-		p := New(Default64())
-		s := uint64(seed)
-		next := func() uint64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return s >> 33
-		}
+		p := NewYehPatt(YehPatt64())
+		r := newTestRand(seed)
 		for i := 0; i < int(ops); i++ {
-			pc := uint64(0x400000 + (next()%24)*0x400)
-			p.Retire(pc, next()%2 == 0, true)
-			p.SpecUpdate(pc, next()%2 == 0)
+			pc := uint64(0x400000 + (r.next()%24)*0x400)
+			p.Retire(pc, r.next()%2 == 0, true)
+			p.SpecUpdate(pc, r.next()%2 == 0)
 		}
 		snap := p.SnapshotBHT(nil)
 		for i := 0; i < int(ops); i++ {
-			pc := uint64(0x400000 + (next()%24)*0x400)
-			p.SpecUpdate(pc, next()%2 == 0)
+			pc := uint64(0x400000 + (r.next()%24)*0x400)
+			p.SpecUpdate(pc, r.next()%2 == 0)
 		}
 		p.RestoreBHT(snap)
 		return p.DiffBHT(snap) == 0
@@ -150,15 +145,15 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 	}
 }
 
-func TestRepairBits(t *testing.T) {
-	p := New(Default128())
+func TestYehPattRepairBits(t *testing.T) {
+	p := NewYehPatt(YehPatt128())
 	pc := uint64(0x400000)
-	train(p, pc, func(i int) bool { return true }, 50)
+	trainYehPatt(p, pc, func(i int) bool { return true }, 50)
 	p.RepairStart()
 	if !p.RepairBitSet(pc) {
 		t.Fatal("bit should arm on RepairStart")
 	}
-	p.RestoreState(pc, loop.State{Count: 3, Valid: true})
+	p.RestoreState(pc, State{Count: 3, Valid: true})
 	if p.RepairBitSet(pc) {
 		t.Fatal("bit should clear on the first repair write")
 	}
@@ -168,15 +163,18 @@ func TestWorksWithRepairSchemes(t *testing.T) {
 	// The paper's claim: the repair machinery is predictor-agnostic.
 	// Covered end-to-end in internal/repair and the harness; here we only
 	// verify the interface contract is complete.
-	var _ loop.LocalPredictor = New(Default128())
+	var _ LocalPredictor = NewYehPatt(YehPatt128())
 }
 
 func TestPenalizeWeakensCounter(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	pc := uint64(0x400000)
-	train(p, pc, func(i int) bool { return true }, 100)
+	// All-taken training never mispredicts the taken fallback, so
+	// allocate the entry with one mispredicted retire first.
+	p.Retire(pc, true, true)
+	trainYehPatt(p, pc, func(i int) bool { return true }, 100)
 	if !p.PatternConfident(pc) {
-		t.Skip("not confident after all-taken training")
+		t.Fatal("not confident after all-taken training")
 	}
 	p.PenalizeOverride(pc)
 	if p.PatternConfident(pc) {
@@ -184,8 +182,8 @@ func TestPenalizeWeakensCounter(t *testing.T) {
 	}
 }
 
-func TestGeometryValidation(t *testing.T) {
-	for _, cfg := range []Config{
+func TestYehPattGeometryValidation(t *testing.T) {
+	for _, cfg := range []YehPattConfig{
 		{Entries: 0, Ways: 8, HistBits: 11, CtrBits: 3},
 		{Entries: 24, Ways: 8, HistBits: 11, CtrBits: 3},
 		{Entries: 64, Ways: 8, HistBits: 1, CtrBits: 3},
@@ -193,18 +191,51 @@ func TestGeometryValidation(t *testing.T) {
 	} {
 		func() {
 			defer func() { recover() }()
-			New(cfg)
+			NewYehPatt(cfg)
 			t.Fatalf("config %+v accepted", cfg)
 		}()
 	}
 }
 
 func TestStorageBudget(t *testing.T) {
-	p := New(Default128())
+	p := NewYehPatt(YehPatt128())
 	if kb := float64(p.StorageBits()) / 8192; kb < 0.5 || kb > 3 {
 		t.Fatalf("storage %.2fKB out of the sub-8KB class", kb)
 	}
 	if p.Entries() != 128 {
 		t.Fatal("Entries wrong")
+	}
+}
+
+// TestYehPattRestoreReallocatesCold: a repair write for an evicted PC
+// re-allocates the set's LRU way, and that way's retire-time history
+// restarts from zero, so the PC is not predicted from the evicted PC's
+// warm-up.
+func TestYehPattRestoreReallocatesCold(t *testing.T) {
+	p := NewYehPatt(YehPatt64()) // 8 sets × 8 ways
+	base := uint64(0x400000)
+	var pcs []uint64
+	for pc := base; len(pcs) < 9; pc += 0x400 {
+		if p.set(pc) == p.set(base) {
+			pcs = append(pcs, pc)
+		}
+	}
+	// Nine warm, all-taken PCs in one set: the ninth evicts the first.
+	for _, pc := range pcs {
+		p.Retire(pc, true, true)
+		for i := 0; i < 20; i++ {
+			p.Retire(pc, true, false)
+		}
+	}
+	evicted := pcs[0]
+	if _, ok := p.LookupState(evicted); ok {
+		t.Fatal("the first PC was not evicted")
+	}
+	p.RestoreState(evicted, State{Count: 0x7ff, Valid: true})
+	if _, ok := p.LookupState(evicted); !ok {
+		t.Fatal("RestoreState did not re-allocate the evicted PC")
+	}
+	if pr := p.Predict(evicted); pr.Valid {
+		t.Fatal("re-allocated entry predicted from the victim's warm-up")
 	}
 }

@@ -22,8 +22,9 @@ const checkpointVersion = 1
 //
 // The header pins both the payload length (torn/truncated writes are
 // detected even when the tail still parses as JSON) and a CRC-32C over the
-// payload (bit flips are detected). Files beginning with '{' are the
-// pre-envelope legacy format and still load.
+// payload (bit flips are detected). The envelope is the only format: a
+// file without it (such as the bare JSON written before the envelope
+// existed) is corrupt, since nothing would detect its torn or flipped bytes.
 const envelopeMagic = "LBPCKPT2"
 
 // crcTable is the Castagnoli polynomial: hardware-accelerated on amd64 and
@@ -202,7 +203,7 @@ func loadGeneration(path string) (*Checkpoint, error) {
 	return decodeCheckpoint(path, data)
 }
 
-// decodeCheckpoint parses an envelope (or legacy bare-JSON) checkpoint.
+// decodeCheckpoint parses an envelope checkpoint.
 func decodeCheckpoint(path string, data []byte) (*Checkpoint, error) {
 	corrupt := func(off int64, format string, args ...any) (*Checkpoint, error) {
 		return nil, &CorruptError{Path: path, Offset: off, Cause: fmt.Errorf(format, args...)}
@@ -210,35 +211,31 @@ func decodeCheckpoint(path string, data []byte) (*Checkpoint, error) {
 	if len(data) == 0 {
 		return corrupt(0, "empty file (torn write)")
 	}
-	payload := data
-	var headerLen int64
-	if data[0] != '{' { // envelope format; '{' is the legacy bare JSON
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 || nl > 64 {
-			return corrupt(0, "malformed envelope header (no newline)")
-		}
-		fields := bytes.Fields(data[:nl])
-		if len(fields) != 3 || string(fields[0]) != envelopeMagic {
-			return corrupt(0, "malformed envelope header %q", data[:nl])
-		}
-		wantCRC, err := strconv.ParseUint(string(fields[1]), 16, 32)
-		if err != nil {
-			return corrupt(int64(len(fields[0])+1), "malformed CRC field: %v", err)
-		}
-		wantLen, err := strconv.ParseInt(string(fields[2]), 10, 64)
-		if err != nil {
-			return corrupt(int64(nl), "malformed length field: %v", err)
-		}
-		headerLen = int64(nl + 1)
-		payload = data[headerLen:]
-		if int64(len(payload)) != wantLen {
-			return corrupt(int64(len(data)),
-				"torn write: payload is %d bytes, header promises %d", len(payload), wantLen)
-		}
-		if got := crc32.Checksum(payload, crcTable); uint32(wantCRC) != got {
-			return corrupt(headerLen,
-				"CRC mismatch: header %08x, payload %08x", uint32(wantCRC), got)
-		}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 || nl > 64 {
+		return corrupt(0, "malformed envelope header (no newline)")
+	}
+	fields := bytes.Fields(data[:nl])
+	if len(fields) != 3 || string(fields[0]) != envelopeMagic {
+		return corrupt(0, "malformed envelope header %q", data[:nl])
+	}
+	wantCRC, err := strconv.ParseUint(string(fields[1]), 16, 32)
+	if err != nil {
+		return corrupt(int64(len(fields[0])+1), "malformed CRC field: %v", err)
+	}
+	wantLen, err := strconv.ParseInt(string(fields[2]), 10, 64)
+	if err != nil {
+		return corrupt(int64(nl), "malformed length field: %v", err)
+	}
+	headerLen := int64(nl + 1)
+	payload := data[headerLen:]
+	if int64(len(payload)) != wantLen {
+		return corrupt(int64(len(data)),
+			"torn write: payload is %d bytes, header promises %d", len(payload), wantLen)
+	}
+	if got := crc32.Checksum(payload, crcTable); uint32(wantCRC) != got {
+		return corrupt(headerLen,
+			"CRC mismatch: header %08x, payload %08x", uint32(wantCRC), got)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(payload, &c); err != nil {

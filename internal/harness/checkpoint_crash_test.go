@@ -142,22 +142,39 @@ func TestCheckpointGenerationRotation(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyBareJSON: pre-envelope checkpoints (bare JSON) still
-// load, so upgrading does not orphan an in-flight sweep.
+// TestCheckpointLegacyBareJSON: a bare-JSON checkpoint (the format before
+// the envelope) is corrupt, not a resumable state: nothing pins its length
+// or CRC, so a torn or bit-flipped file that still parses would resume
+// silently. It is quarantined as <path>.corrupt like any damaged file, and
+// the loader recovers from the previous generation.
 func TestCheckpointLegacyBareJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	legacy := `{"version": 1, "insts": 20000, "quick": true,
-		"completed": {"table1": {"output": "legacy\n", "seconds": 2}}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	savedCheckpoint(t, path, "table1", "fig4") // two saves → two generations
+	legacy := []byte(`{"version": 1, "insts": 20000, "quick": true,
+		"completed": {"fig8": {"output": "legacy\n", "seconds": 2}}}`)
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(path)
-	if err != nil || got == nil {
-		t.Fatalf("legacy checkpoint rejected: (%v, %v)", got, err)
+
+	var ce *CorruptError
+	if _, err := decodeCheckpoint(path, legacy); !errors.As(err, &ce) {
+		t.Fatalf("bare JSON decoded with %v, want a *CorruptError", err)
 	}
-	out, ok := got.Done("table1")
-	if !ok || out.Output != "legacy\n" {
-		t.Fatalf("legacy outcome lost: %+v ok=%v", out, ok)
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("bare JSON blocked recovery: %v", err)
+	}
+	if !strings.Contains(got.Note, prevGeneration(path)) {
+		t.Fatalf("recovery note missing or wrong: %q", got.Note)
+	}
+	if _, ok := got.Done("table1"); !ok {
+		t.Fatal("recovered generation lost a completed experiment")
+	}
+	if _, ok := got.Done("fig8"); ok {
+		t.Fatal("the bare-JSON file's outcome was resumed")
+	}
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || string(kept) != string(legacy) {
+		t.Fatalf("bare-JSON file not preserved as %s.corrupt: %v", path, err)
 	}
 }
 

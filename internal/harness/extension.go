@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"localbp/internal/bpu/loop"
-	"localbp/internal/bpu/yehpatt"
 	"localbp/internal/metrics"
 	"localbp/internal/repair"
 )
@@ -20,7 +19,7 @@ import (
 func YehPattSpec(label string, mk func(lp loop.LocalPredictor) repair.Scheme) Spec {
 	s := BaselineSpec()
 	s.Label = "yehpatt-" + label
-	s.Scheme = func() repair.Scheme { return mk(yehpatt.New(yehpatt.Default128())) }
+	s.Scheme = func() repair.Scheme { return mk(loop.NewYehPatt(loop.YehPatt128())) }
 	return s
 }
 

@@ -51,11 +51,7 @@ func NewMultiStage(cfg loop.Config, obqEntries int, sharedPT bool) *MultiStage {
 	half.Entries = cfg.Entries / 2
 	s := &MultiStage{sharedPT: sharedPT, predictPorts: 4}
 	if sharedPT {
-		ptEntries := cfg.PTEntries
-		if ptEntries == 0 {
-			ptEntries = cfg.Entries
-		}
-		pt := loop.NewPatternTable(ptEntries, cfg.Ways, cfg.ConfThresh, cfg.CounterMax)
+		pt := loop.NewPatternTableFor(cfg)
 		s.bhtTage = loop.NewWithPT(half, pt)
 		s.bhtDefer = loop.NewWithPT(half, pt)
 	} else {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"localbp/internal/bpu/loop"
-	"localbp/internal/bpu/yehpatt"
 )
 
 // ypScenario trains a generic (bit-pattern) local predictor through the
@@ -47,34 +46,34 @@ func ypScenario(t *testing.T, d *driver) (pcA, pcB uint64, wantA, wantB loop.Sta
 }
 
 func TestForwardWalkRepairsGenericPredictor(t *testing.T) {
-	d := newDriver(t, NewForwardWalkFor(yehpatt.New(yehpatt.Default128()),
+	d := newDriver(t, NewForwardWalkFor(loop.NewYehPatt(loop.YehPatt128()),
 		64, Ports{CkptRead: 64, BHTWrite: 64}, false))
 	pcA, pcB, wantA, wantB := ypScenario(t, d)
 	checkRestored(t, d.s, pcA, pcB, wantA, wantB)
 }
 
 func TestBackwardWalkRepairsGenericPredictor(t *testing.T) {
-	d := newDriver(t, NewBackwardWalkFor(yehpatt.New(yehpatt.Default128()),
+	d := newDriver(t, NewBackwardWalkFor(loop.NewYehPatt(loop.YehPatt128()),
 		64, Ports{CkptRead: 64, BHTWrite: 64}))
 	pcA, pcB, wantA, wantB := ypScenario(t, d)
 	checkRestored(t, d.s, pcA, pcB, wantA, wantB)
 }
 
 func TestPerfectRepairsGenericPredictor(t *testing.T) {
-	d := newDriver(t, NewPerfectFor(yehpatt.New(yehpatt.Default128())))
+	d := newDriver(t, NewPerfectFor(loop.NewYehPatt(loop.YehPatt128())))
 	pcA, pcB, wantA, wantB := ypScenario(t, d)
 	checkRestored(t, d.s, pcA, pcB, wantA, wantB)
 }
 
 func TestSnapshotRepairsGenericPredictor(t *testing.T) {
-	d := newDriver(t, NewSnapshotFor(yehpatt.New(yehpatt.Default128()),
+	d := newDriver(t, NewSnapshotFor(loop.NewYehPatt(loop.YehPatt128()),
 		64, Ports{CkptRead: 64, BHTWrite: 64}))
 	pcA, pcB, wantA, wantB := ypScenario(t, d)
 	checkRestored(t, d.s, pcA, pcB, wantA, wantB)
 }
 
 func TestLimitedPCRepairsGenericPredictor(t *testing.T) {
-	d := newDriver(t, NewLimitedPCFor(yehpatt.New(yehpatt.Default128()), 8, 4, false))
+	d := newDriver(t, NewLimitedPCFor(loop.NewYehPatt(loop.YehPatt128()), 8, 4, false))
 	pcA, pcB, wantA, wantB := ypScenario(t, d)
 	checkRestored(t, d.s, pcA, pcB, wantA, wantB)
 }
@@ -82,7 +81,7 @@ func TestLimitedPCRepairsGenericPredictor(t *testing.T) {
 func TestGenericPredictorGainsUnderRepair(t *testing.T) {
 	// End-to-end sanity: with repair the generic predictor predicts its
 	// trained pattern despite interleaved mispredictions of a noise PC.
-	d := newDriver(t, NewForwardWalkFor(yehpatt.New(yehpatt.Default128()),
+	d := newDriver(t, NewForwardWalkFor(loop.NewYehPatt(loop.YehPatt128()),
 		64, Ports{CkptRead: 8, BHTWrite: 8}, false))
 	pat := func(v int) bool { return v%5 != 4 }
 	for v := 0; v < 400; v++ {

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"localbp/internal/bpu/loop"
-	"localbp/internal/bpu/yehpatt"
 	"localbp/internal/repair"
 )
 
@@ -141,7 +140,7 @@ var registry = []Def{
 	},
 	{
 		Name: "limited", Aliases: []string{"limited-pc"},
-		Desc: "limited-PC repair: PCs repaired per misprediction set by -pcs (§3.3)",
+		Desc: "limited-PC repair, 4 PCs, 4 write ports; the facade's LimitedPC(m) sets the PC count (§3.3)",
 		Make: func(p Params) repair.Scheme {
 			return repair.NewLimitedPC(p.Loop, p.PCs, p.WritePorts, p.Invalidate)
 		},
@@ -174,7 +173,7 @@ var registry = []Def{
 		Desc: "generic Yeh-Patt two-level local predictor under forward-walk repair",
 		prep: func(p *Params) { p.Coalesce = true },
 		Make: func(p Params) repair.Scheme {
-			return repair.NewForwardWalkFor(yehpatt.New(yehpatt.Default128()),
+			return repair.NewForwardWalkFor(loop.NewYehPatt(loop.YehPatt128()),
 				p.OBQEntries, p.Ports, p.Coalesce)
 		},
 	},

@@ -11,9 +11,9 @@ import (
 // into a temp file in the target's directory, which is fsynced and renamed
 // over path. Readers never observe a partially written artifact — they see
 // either the old file or the new one — and a crash mid-write leaves the
-// target untouched. The CLI tools use this for every generated artifact
-// (traces, baselines) so an interrupted run cannot leave a torn file that a
-// later run silently consumes.
+// target untouched. lbptrace writes its trace files through it, so an
+// interrupted run cannot leave a torn trace that a later run silently
+// consumes.
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
