@@ -117,6 +117,10 @@ func run() int {
 
 	opts := harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
 		AuditSample: *auditSample, RunTimeout: *timeout}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
+		return int(service.SweepConfigError)
+	}
 
 	suite := "full suite (202 workloads)"
 	if *quick {

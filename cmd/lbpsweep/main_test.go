@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -136,7 +137,7 @@ func TestSweepSIGINTResume(t *testing.T) {
 // (retries, chaos injection, sharding, the single-run flags that moved to
 // lbpsim, and -cpistack/-scheme, which experiment ext2 replaced), so a
 // script still passing one fails loudly instead of running a different
-// sweep.
+// sweep. A bad flag is refused before the banner, so stdout stays empty.
 func TestSweepExitCodeConfigError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -156,15 +157,22 @@ func TestSweepExitCodeConfigError(t *testing.T) {
 		{"-scheme", "forward-coalesce", "table1"},
 		{"-insts", "-1", "fig4"},
 		{"-warmup", "-5", "fig8"},
+		{"-warmup", "5000", "table3"},
+		{"-warmup", "6000", "table3"},
 		{"-workers", "-3", "fig8"},
 		{"-audit-sample", "-1", "fig8"},
 		{"-timeout", "-1s", "fig8"},
 		{"-deadline", "-1s", "fig8"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-quick", "-insts", "5000"}, args...)...)
-		out, _ := cmd.CombinedOutput()
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run()
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
-			t.Fatalf("%v exited %d, want 2\n%s", args, code, out)
+			t.Fatalf("%v exited %d, want 2\n%s%s", args, code, &stdout, &stderr)
+		}
+		if strings.HasPrefix(args[0], "-") && stdout.Len() > 0 {
+			t.Fatalf("%v printed to stdout before refusing:\n%s", args, &stdout)
 		}
 	}
 }

@@ -13,14 +13,17 @@ import (
 
 // The golden-values file pins the simulator's observable results — cycles,
 // retired instructions, branches, final mispredictions, and the full CPI
-// stack — for every quick-suite workload under three loop-predictor repair
-// schemes and the Yeh-Patt predictor under forward walk. The loop rows were
-// generated by the pre-optimization model and guard the hot-path overhaul
-// and every engine change since: the resolution queue, the idle-cycle
-// fast-forward and the allocation pools must all be bit-identical
-// transformations. The Yeh-Patt rows were generated before the two local
-// predictors came to share one BHT, and pin that refactor. Regenerate only
-// when the *model* (not the engine) deliberately changes:
+// stack — for every quick-suite workload under four loop-predictor repair
+// schemes and the Yeh-Patt predictor under forward walk. The no-repair,
+// forward-walk and perfect rows were generated by the pre-optimization
+// model and guard the hot-path overhaul and every engine change since: the
+// resolution queue, the idle-cycle fast-forward and the allocation pools
+// must all be bit-identical transformations. The Yeh-Patt rows were
+// generated before the two local predictors came to share one BHT, and pin
+// that refactor. The snapshot-queue rows were generated while perfect
+// repair and the snapshot queue still copied the whole BHT per branch, and
+// pin the undo journal that replaced the copies. Regenerate only when the
+// *model* (not the engine) deliberately changes:
 //
 //	go test -run TestGoldenBitIdentical -update-golden .
 var updateGolden = flag.Bool("update-golden", false,
@@ -40,7 +43,7 @@ type goldenRow struct {
 }
 
 func goldenSchemes() []Scheme {
-	return []Scheme{NoRepair(), ForwardWalk(), PerfectRepair(), GenericLocal()}
+	return []Scheme{NoRepair(), ForwardWalk(), PerfectRepair(), GenericLocal(), SnapshotQueue()}
 }
 
 func goldenRun(t *testing.T) []goldenRow {
@@ -86,7 +89,7 @@ func goldenRun(t *testing.T) []goldenRow {
 // simulation results the pre-optimization engine produced: same cycles, same
 // retirement counts, same mispredictions, same per-bucket CPI attribution,
 // for every quick-suite workload under no-repair, forward-coalesce, perfect
-// repair and the Yeh-Patt predictor under forward walk.
+// repair, the Yeh-Patt predictor under forward walk and the snapshot queue.
 func TestGoldenBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-suite sweep")

@@ -8,7 +8,7 @@
 // The auditor is strictly read-only over simulator state: enabling it must
 // not perturb a single reported statistic (observer effect = 0). Checks that
 // would mutate predictor metadata (LRU touches, statistic counters) are
-// therefore expressed over the read-only surfaces LookupState, DiffBHT and
+// therefore expressed over the read-only surfaces LookupState, DiffSince and
 // obq.Queue.Walk.
 package audit
 

@@ -23,7 +23,7 @@ type obqHolder interface {
 }
 
 // schemeAuditor decorates a repair.Scheme with invariant checks. All checks
-// are read-only (Walk, Get, LookupState, DiffBHT); the wrapped scheme's
+// are read-only (Walk, Get, LookupState, DiffSince); the wrapped scheme's
 // behaviour — and therefore every reported statistic — is bit-identical to
 // the unwrapped scheme.
 type schemeAuditor struct {
@@ -38,7 +38,7 @@ type schemeAuditor struct {
 // WrapScheme decorates s with the auditor's scheme-level invariants: OBQ
 // structural consistency (periodic), checkpoint liveness at every use, and
 // the perfect-repair resync equality (after a restore the speculative BHT
-// must match the architectural snapshot except the branch's own entry).
+// must match the BHT at the branch's mark except the branch's own entry).
 // The wrapper forwards Predictor()/OBQ() introspection so chooser behaviour
 // (bpu oracle coverage) is unchanged.
 func WrapScheme(s repair.Scheme, a *Auditor) repair.Scheme {
@@ -86,10 +86,10 @@ func (w *schemeAuditor) AllocCheck(ctx *repair.BranchCtx, cycle int64) (bool, bo
 }
 
 // OnMispredict implements repair.Scheme: checkpoint liveness before the
-// repair consumes the entry, context sanity, and — for schemes that snapshot
+// repair consumes the entry, context sanity, and — for schemes that mark
 // the whole BHT per branch (Perfect) — the paper's resync equality: after
-// the restore, the speculative BHT equals the architectural snapshot except
-// for the mispredicting branch's own entry (rewound and re-applied).
+// the restore, the speculative BHT equals the BHT at the branch's mark
+// except for the mispredicting branch's own entry (rewound and re-applied).
 func (w *schemeAuditor) OnMispredict(ctx *repair.BranchCtx, cycle int64) {
 	w.lastCycle = cycle
 	w.aud.Note(2)
@@ -106,11 +106,11 @@ func (w *schemeAuditor) OnMispredict(ctx *repair.BranchCtx, cycle int64) {
 
 	w.inner.OnMispredict(ctx, cycle)
 
-	if ctx.SnapValid && w.lp != nil && len(ctx.Snap) == w.lp.Entries() {
+	if ctx.MarkValid && w.lp != nil {
 		w.aud.Note(1)
-		if diff := w.lp.DiffBHT(ctx.Snap); diff > 1 {
+		if diff := w.lp.DiffSince(ctx.Mark); diff > 1 {
 			w.aud.Report(cycle, ctx.PC, InvPerfectResync, fmt.Sprintf(
-				"  after perfect-repair resync, %d BHT entries still differ from the architectural snapshot (at most 1 — the branch's own — may)",
+				"  after perfect-repair resync, %d BHT entries still differ from the BHT at the branch's mark (at most 1 — the branch's own — may)",
 				diff))
 		}
 	}

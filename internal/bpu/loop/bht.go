@@ -60,10 +60,11 @@ func (g geometry) tagOf(pc uint64) uint16 {
 }
 
 // bht is the speculative Branch History Table both local predictors embed:
-// the ways, their LRU order and the repair bits, plus every LocalPredictor
-// method that treats an entry's state as opaque (paper §1: "the difference
-// is only in the state saved and restored"). The embedding predictor owns
-// the rules that predict from and advance that state.
+// the ways, their LRU order, the repair bits and the undo journal, plus
+// every LocalPredictor method that treats an entry's state as opaque (paper
+// §1: "the difference is only in the state saved and restored"). The
+// embedding predictor owns the rules that predict from and advance that
+// state. Reads index entries directly; every write goes through edit.
 type bht struct {
 	geometry
 	entries []bhtEntry
@@ -73,6 +74,23 @@ type bht struct {
 	// generation, letting RepairStart mark every entry in O(1).
 	repairGen   uint32
 	repairStamp []uint32
+
+	// Undo journal, on from the first Mark: each entry write first
+	// records the entry's old value. journal[0] sits at absolute
+	// position jbase; positions below jlo are released. seen stamps the
+	// entries one unwind has visited.
+	journaling bool
+	journal    []undoRec
+	jbase, jlo int64
+	seen       []uint32
+	seenGen    uint32
+}
+
+// undoRec is one journal record: an entry's index and its value before a
+// write.
+type undoRec struct {
+	idx int32
+	old bhtEntry
 }
 
 // newBHT builds an empty table whose ways hold the LRU ranks 0..ways-1 in
@@ -121,16 +139,29 @@ func (b *bht) victim(pc uint64) int {
 	return v
 }
 
+// edit returns entry i for writing, journaling its old value first while
+// journaling is on.
+func (b *bht) edit(i int) *bhtEntry {
+	if b.journaling {
+		b.journal = append(b.journal, undoRec{idx: int32(i), old: b.entries[i]})
+	}
+	return &b.entries[i]
+}
+
 // touchLRU promotes the entry at idx to most-recently-used within its set.
+// An entry already at rank 0 changes nothing.
 func (b *bht) touchLRU(idx int) {
-	base := idx / b.ways * b.ways
 	old := b.entries[idx].lru
-	for w := 0; w < b.ways; w++ {
-		if e := &b.entries[base+w]; e.lru < old {
-			e.lru++
+	if old == 0 {
+		return
+	}
+	base := idx / b.ways * b.ways
+	for w := base; w < base+b.ways; w++ {
+		if b.entries[w].lru < old {
+			b.edit(w).lru++
 		}
 	}
-	b.entries[idx].lru = 0
+	b.edit(idx).lru = 0
 }
 
 // restore writes st into pc's entry and clears its repair bit. If pc was
@@ -141,9 +172,11 @@ func (b *bht) restore(pc uint64, st State) (i int, realloc bool) {
 	i = b.lookup(pc)
 	if i < 0 {
 		i, realloc = b.victim(pc), true
-		b.entries[i] = bhtEntry{tag: b.tagOf(pc), alloc: true, lru: b.entries[i].lru}
 	}
-	e := &b.entries[i]
+	e := b.edit(i)
+	if realloc {
+		*e = bhtEntry{tag: b.tagOf(pc), alloc: true, lru: e.lru}
+	}
 	e.count, e.dir, e.valid = st.Count, st.Dir, st.Valid
 	b.repairStamp[i] = b.repairGen
 	return i, realloc
@@ -166,15 +199,17 @@ func (b *bht) LookupState(pc uint64) (State, bool) {
 // Invalidate marks pc's count untrustworthy without releasing the entry
 // (limited-PC "mark invalid" variant and split-BHT repair window, §3.2/§3.3).
 func (b *bht) Invalidate(pc uint64) {
-	if i := b.lookup(pc); i >= 0 {
-		b.entries[i].valid = false
+	if i := b.lookup(pc); i >= 0 && b.entries[i].valid {
+		b.edit(i).valid = false
 	}
 }
 
 // InvalidateAll marks every BHT count untrustworthy.
 func (b *bht) InvalidateAll() {
 	for i := range b.entries {
-		b.entries[i].valid = false
+		if b.entries[i].valid {
+			b.edit(i).valid = false
+		}
 	}
 }
 
@@ -193,71 +228,85 @@ func (b *bht) RepairBitSet(pc uint64) bool {
 	return b.repairStamp[i] != b.repairGen
 }
 
-// FullState is the complete image of one BHT entry, including the tag and
-// allocation bit, for whole-table snapshots (perfect repair and the snapshot
-// queue). OBQ-style checkpoints use the narrower State: they restore a known
-// PC into a live entry, while a whole-table restore must also undo
-// allocations and evictions that happened after the snapshot.
-type FullState struct {
-	Tag   uint16
-	Count uint16
-	LRU   uint8
-	Dir   bool
-	Alloc bool
-	Valid bool
+// --- undo journal (perfect repair, snapshot queue) ---
+
+// Mark returns the journal's current position and turns journaling on. A
+// later Rollback to the mark restores every entry, LRU ranks included, to
+// its value now, as a whole-table checkpoint would.
+func (b *bht) Mark() int64 {
+	if !b.journaling {
+		b.journaling = true
+		b.seen = make([]uint32, len(b.entries))
+	}
+	return b.jbase + int64(len(b.journal))
 }
 
-// SnapshotBHT copies the full speculative BHT state into dst (allocating if
-// needed) and returns it. Indexes match internal entry order.
-func (b *bht) SnapshotBHT(dst []FullState) []FullState {
-	if cap(dst) < len(b.entries) {
-		dst = make([]FullState, len(b.entries))
+// Rollback undoes every entry write since mark m and truncates the journal
+// to m, so younger marks die. It returns the number of entries whose
+// predictive state changed (the repair-write count of Figure 8; LRU ranks
+// are restored but not counted), and those entries take a repair stamp.
+func (b *bht) Rollback(m int64) int { return b.unwind(m, true) }
+
+// DiffSince counts the entries whose predictive state differs from their
+// value at mark m, without modifying anything.
+func (b *bht) DiffSince(m int64) int { return b.unwind(m, false) }
+
+// Release drops the records older than m: no later Rollback may reach
+// past it. The dead prefix is compacted away only once it is at least as
+// long as the live records, so each record is copied O(1) times amortized.
+func (b *bht) Release(m int64) {
+	b.checkMark(m)
+	b.jlo = m
+	if dead := int(m - b.jbase); dead >= len(b.journal)-dead {
+		b.journal = b.journal[:copy(b.journal, b.journal[dead:])]
+		b.jbase = m
 	}
-	dst = dst[:len(b.entries)]
-	for i := range b.entries {
-		e := &b.entries[i]
-		dst[i] = FullState{Tag: e.tag, Count: e.count, LRU: e.lru, Dir: e.dir, Alloc: e.alloc, Valid: e.valid}
-	}
-	return dst
 }
 
-// RestoreBHT writes a full snapshot back, returning the number of entries
-// whose predictive state actually changed (the repair-write count of
-// Figure 8).
-func (b *bht) RestoreBHT(snap []FullState) int {
-	if len(snap) != len(b.entries) {
-		panic("loop: snapshot geometry mismatch")
+// checkMark panics unless m lies in the live journal: a released or
+// rolled-past mark is a programming error, not a recoverable condition.
+func (b *bht) checkMark(m int64) {
+	if end := b.jbase + int64(len(b.journal)); m < b.jlo || m > end {
+		panic(fmt.Sprintf("loop: BHT mark %d outside the live journal [%d, %d]", m, b.jlo, end))
+	}
+}
+
+// unwind scans the records since m oldest first. An entry's first record
+// holds its value at the mark, so later records of the same entry are
+// skipped. With undo set it writes those values back, stamps the changed
+// entries and truncates the journal to m.
+func (b *bht) unwind(m int64, undo bool) int {
+	b.checkMark(m)
+	recs := b.journal[m-b.jbase:]
+	if b.seenGen++; b.seenGen == 0 {
+		clear(b.seen)
+		b.seenGen = 1
 	}
 	changed := 0
-	for i := range b.entries {
-		e := &b.entries[i]
-		if fullDiffers(e, &snap[i]) {
-			changed++
-			b.repairStamp[i] = b.repairGen
+	for _, r := range recs {
+		if b.seen[r.idx] == b.seenGen {
+			continue
 		}
-		*e = bhtEntry{tag: snap[i].Tag, count: snap[i].Count, lru: snap[i].LRU,
-			dir: snap[i].Dir, alloc: snap[i].Alloc, valid: snap[i].Valid}
+		b.seen[r.idx] = b.seenGen
+		e := &b.entries[r.idx]
+		if differs(e, &r.old) {
+			changed++
+			if undo {
+				b.repairStamp[r.idx] = b.repairGen
+			}
+		}
+		if undo {
+			*e = r.old
+		}
+	}
+	if undo {
+		b.journal = b.journal[:m-b.jbase]
 	}
 	return changed
 }
 
-// DiffBHT counts entries whose predictive state differs from snap without
-// modifying anything.
-func (b *bht) DiffBHT(snap []FullState) int {
-	if len(snap) != len(b.entries) {
-		panic("loop: snapshot geometry mismatch")
-	}
-	n := 0
-	for i := range b.entries {
-		if fullDiffers(&b.entries[i], &snap[i]) {
-			n++
-		}
-	}
-	return n
-}
-
-// fullDiffers ignores LRU: only predictive state counts as a repair write.
-func fullDiffers(e *bhtEntry, s *FullState) bool {
-	return e.count != s.Count || e.dir != s.Dir || e.valid != s.Valid ||
-		e.alloc != s.Alloc || e.tag != s.Tag
+// differs ignores LRU: only predictive state counts as a repair write.
+func differs(a, b *bhtEntry) bool {
+	return a.count != b.count || a.dir != b.dir || a.valid != b.valid ||
+		a.alloc != b.alloc || a.tag != b.tag
 }

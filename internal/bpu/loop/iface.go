@@ -9,8 +9,8 @@ package loop
 // direction-history bit pattern in the same field. Both embed the shared
 // speculative table bht, which implements the state-opaque half of the
 // contract (LookupState, Invalidate, InvalidateAll, the repair bits, the
-// whole-table snapshots and Entries); each predictor adds the methods that
-// read or advance its own state.
+// undo journal and Entries); each predictor adds the methods that read or
+// advance its own state.
 type LocalPredictor interface {
 	// Predict returns the predictor's (confidence-gated) opinion for pc.
 	Predict(pc uint64) Prediction
@@ -50,10 +50,16 @@ type LocalPredictor interface {
 	RepairStart()
 	RepairBitSet(pc uint64) bool
 
-	// Whole-table snapshots (perfect repair, snapshot queue).
-	SnapshotBHT(dst []FullState) []FullState
-	RestoreBHT(snap []FullState) int
-	DiffBHT(snap []FullState) int
+	// Whole-table checkpoints (perfect repair, snapshot queue) as marks
+	// in an undo journal of BHT writes. Mark returns the current position
+	// and turns journaling on; Rollback undoes every write since a mark
+	// and returns how many entries' predictive state it changed;
+	// DiffSince counts the same read-only; Release drops the records
+	// older than a mark. A released or rolled-past mark panics.
+	Mark() int64
+	Rollback(m int64) int
+	DiffSince(m int64) int
+	Release(m int64)
 
 	// Entries returns the speculative-table capacity; the storage methods
 	// feed Table 3.

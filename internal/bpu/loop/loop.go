@@ -16,9 +16,10 @@
 //
 // The package also holds YehPatt, a generic two-level local predictor. Both
 // predictors embed one speculative table, bht (bht.go): its ways, LRU order,
-// repair bits and the LocalPredictor methods that treat an entry's state as
-// opaque. Each predictor keeps only its own state-update rule and its second
-// level.
+// repair bits, the undo journal that whole-table checkpoints (perfect repair,
+// the snapshot queue) mark and roll back, and the LocalPredictor methods that
+// treat an entry's state as opaque. Each predictor keeps only its own
+// state-update rule and its second level.
 package loop
 
 import (
@@ -235,12 +236,12 @@ func (p *Predictor) SpecUpdate(pc uint64, d bool) (allocated bool) {
 		// RestoreState keep the victim's rank instead). Changing it
 		// moves results, so it waits for the paper-shape checks.
 		i = p.victim(pc)
-		p.entries[i] = bhtEntry{tag: p.tagOf(pc), dir: pt.Dir, alloc: true, valid: true}
+		*p.edit(i) = bhtEntry{tag: p.tagOf(pc), dir: pt.Dir, alloc: true, valid: true}
 		p.repairStamp[i] = p.repairGen
 		p.touchLRU(i)
 		return true
 	}
-	e := &p.entries[i]
+	e := p.edit(i)
 	if d == e.dir {
 		if e.count < p.cfg.CounterMax {
 			e.count++
@@ -266,7 +267,7 @@ func (p *Predictor) ApplyOutcome(pc uint64, taken bool) {
 	if i < 0 {
 		return
 	}
-	e := &p.entries[i]
+	e := p.edit(i)
 	if taken == e.dir {
 		if e.count < p.cfg.CounterMax {
 			e.count++
@@ -305,8 +306,8 @@ func (p *Predictor) RetireSync(pc uint64, taken, finalMispredicted bool) {
 		// happened, so the count restarts at zero. In-sync valid
 		// entries are left alone — they were already repaired at
 		// resolve time and may have advanced since.
-		e := &p.entries[i]
-		if e.dir != pt.Dir || !e.valid {
+		if e := &p.entries[i]; e.dir != pt.Dir || !e.valid {
+			e = p.edit(i)
 			e.dir = pt.Dir
 			e.count = 0
 			e.valid = true

@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,23 +237,24 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		trainLoop(p, uint64(0x400000+i*0x400), 5+i, 3)
 	}
-	snap := p.SnapshotBHT(nil)
-	if p.DiffBHT(snap) != 0 {
-		t.Fatal("fresh snapshot differs from live state")
+	m := p.Mark()
+	saved := append([]bhtEntry(nil), p.entries...)
+	if p.DiffSince(m) != 0 {
+		t.Fatal("fresh mark differs from live state")
 	}
-	// Corrupt, then restore.
+	// Corrupt, then roll back.
 	for i := 0; i < 10; i++ {
 		p.SpecUpdate(uint64(0x400000+i*0x400), true)
 	}
-	if p.DiffBHT(snap) == 0 {
+	if p.DiffSince(m) == 0 {
 		t.Fatal("corruption not visible in diff")
 	}
-	changed := p.RestoreBHT(snap)
+	changed := p.Rollback(m)
 	if changed == 0 {
-		t.Fatal("restore reported no writes")
+		t.Fatal("rollback reported no writes")
 	}
-	if p.DiffBHT(snap) != 0 {
-		t.Fatal("restore did not reproduce the snapshot")
+	if p.DiffSince(m) != 0 || !slices.Equal(p.entries, saved) {
+		t.Fatal("rollback did not reproduce the marked table, LRU ranks included")
 	}
 }
 
@@ -266,14 +268,15 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 			p.Retire(pc, r.next()%3 == 0, true)
 			p.SpecUpdate(pc, r.next()%2 == 0)
 		}
-		snap := p.SnapshotBHT(nil)
+		m := p.Mark()
+		saved := append([]bhtEntry(nil), p.entries...)
 		for i := 0; i < int(ops); i++ {
 			pc := uint64(0x400000 + (r.next()%24)*0x400)
 			p.SpecUpdate(pc, r.next()%2 == 0)
 			p.Retire(pc, r.next()%3 == 0, true)
 		}
-		p.RestoreBHT(snap)
-		return p.DiffBHT(snap) == 0
+		p.Rollback(m)
+		return slices.Equal(p.entries, saved) && p.DiffSince(m) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

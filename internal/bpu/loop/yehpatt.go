@@ -19,9 +19,9 @@ type YehPatt struct {
 	bht
 	cfg      YehPattConfig
 	histMask uint16
-	// retired is each BHT way's non-speculative training view. Whole-table
-	// restores leave it alone; a way re-allocated for a new PC starts it
-	// from zero.
+	// retired is each BHT way's non-speculative training view. It lives
+	// outside the undo journal, so a Rollback leaves it alone; a way
+	// re-allocated for a new PC starts it from zero.
 	retired []retireView
 	ctrs    []uint8 // pattern table: saturating counters indexed by pattern
 	ctrMax  uint8
@@ -125,7 +125,7 @@ func (p *YehPatt) SpecUpdate(pc uint64, d bool) bool {
 	if i < 0 {
 		return false // allocation happens at retire, where training lives
 	}
-	e := &p.entries[i]
+	e := p.edit(i)
 	e.count = p.shift(e.count, d)
 	p.touchLRU(i)
 	return false
@@ -144,7 +144,7 @@ func (p *YehPatt) ApplyOutcome(pc uint64, taken bool) {
 	if i < 0 {
 		return
 	}
-	e := &p.entries[i]
+	e := p.edit(i)
 	e.count = p.shift(e.count, taken)
 	e.valid = true
 	p.repairStamp[i] = p.repairGen
@@ -164,7 +164,7 @@ func (p *YehPatt) Retire(pc uint64, taken, finalMispredicted bool) {
 		p.retired[i] = retireView{}
 		p.touchLRU(i)
 	}
-	e, r := &p.entries[i], &p.retired[i]
+	r := &p.retired[i]
 	// Train the counter for the pre-outcome retired pattern.
 	if int(r.warm) >= p.cfg.HistBits {
 		idx := r.rhist & p.histMask
@@ -180,11 +180,12 @@ func (p *YehPatt) Retire(pc uint64, taken, finalMispredicted bool) {
 	if int(r.warm) < p.cfg.HistBits {
 		r.warm++
 	}
-	if !e.valid {
+	if !p.entries[i].valid {
 		// The speculative view is stale (skipped updates, unrepaired
 		// flushes); at retirement the true history is rhist, modulo the
 		// in-flight instances. Adopting it re-validates the entry with
 		// bounded error, like the loop predictor's flip re-sync.
+		e := p.edit(i)
 		e.count = r.rhist
 		e.valid = true
 	}

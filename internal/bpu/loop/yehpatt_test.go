@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -132,13 +133,14 @@ func TestYehPattSnapshotRestoreProperty(t *testing.T) {
 			p.Retire(pc, r.next()%2 == 0, true)
 			p.SpecUpdate(pc, r.next()%2 == 0)
 		}
-		snap := p.SnapshotBHT(nil)
+		m := p.Mark()
+		saved := append([]bhtEntry(nil), p.entries...)
 		for i := 0; i < int(ops); i++ {
 			pc := uint64(0x400000 + (r.next()%24)*0x400)
 			p.SpecUpdate(pc, r.next()%2 == 0)
 		}
-		p.RestoreBHT(snap)
-		return p.DiffBHT(snap) == 0
+		p.Rollback(m)
+		return slices.Equal(p.entries, saved) && p.DiffSince(m) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -173,6 +173,39 @@ func TestFaultDetectionUnderAudit(t *testing.T) {
 	}
 }
 
+// resyncSaboteur is perfect repair plus one extra BHT write after each
+// rollback: it re-allocates the entry of a PC next to the mispredicted
+// branch with a fresh count, so a second entry now differs from the BHT at
+// the branch's mark.
+type resyncSaboteur struct{ *repair.Perfect }
+
+func (s resyncSaboteur) OnMispredict(ctx *repair.BranchCtx, cycle int64) {
+	s.Perfect.OnMispredict(ctx, cycle)
+	s.Predictor().RestoreState(ctx.PC+4, loop.State{Count: uint16(ctx.Seq), Valid: true})
+}
+
+// TestPerfectResyncCheck: the auditor's perfect-repair resync equality
+// passes on perfect repair and catches one stray BHT write after the
+// rollback, which no other invariant sees.
+func TestPerfectResyncCheck(t *testing.T) {
+	tr := workloads.QuickSuite()[0].Generate(30_000)
+	spec := PerfectSpec(loop.Loop128())
+	spec.Audit = true
+	if _, err := runTrace(tr, spec); err != nil {
+		t.Fatalf("audited perfect repair failed: %v", err)
+	}
+	spec.Label += "+sabotage"
+	spec.Scheme = func() repair.Scheme { return resyncSaboteur{repair.NewPerfect(loop.Loop128())} }
+	_, err := runTrace(tr, spec)
+	if !errors.Is(err, audit.ErrIntegrity) {
+		t.Fatalf("sabotaged perfect repair returned %v, want an audit.IntegrityError", err)
+	}
+	var ie *audit.IntegrityError
+	if !errors.As(err, &ie) || ie.Invariant != audit.InvPerfectResync {
+		t.Fatalf("sabotaged perfect repair tripped %v, want invariant %q", err, audit.InvPerfectResync)
+	}
+}
+
 // TestGoldenModelCatchesStreamSkew: a deliberately truncated golden program
 // must trip the oracle at the first retirement past the truncation point,
 // proving the lockstep comparison is actually engaged.

@@ -143,6 +143,15 @@ func TestOptionsValidate(t *testing.T) {
 			t.Fatalf("error does not name %s: %v", field, err)
 		}
 	}
+	// A warm-up that covers the whole run would leave nothing to measure.
+	for _, warmup := range []int{5000, 6000} {
+		if err := (Options{Insts: 5000, Warmup: warmup}).Validate(); err == nil || !strings.Contains(err.Error(), "Warmup:") {
+			t.Fatalf("warm-up %d of a 5000-instruction run: got %v, want a Warmup error", warmup, err)
+		}
+	}
+	if err := (Options{Insts: 5000, Warmup: 4999}).Validate(); err != nil {
+		t.Fatalf("warm-up shorter than the run rejected: %v", err)
+	}
 }
 
 // TestSpecValidateCatchesBadScheme: a scheme whose construction panics

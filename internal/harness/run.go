@@ -353,9 +353,10 @@ type Options struct {
 	RunTimeout time.Duration
 }
 
-// Validate checks the options before any run: Insts must be positive, and
-// Warmup, Workers, AuditSample and RunTimeout non-negative. All violations
-// are reported at once.
+// Validate checks the options before any run: Insts must be positive,
+// Warmup non-negative and below Insts (a warm-up that covers the whole run
+// leaves nothing to measure), and Workers, AuditSample and RunTimeout
+// non-negative. All violations are reported at once.
 func (o Options) Validate() error {
 	var errs []error
 	if o.Insts <= 0 {
@@ -363,6 +364,8 @@ func (o Options) Validate() error {
 	}
 	if o.Warmup < 0 {
 		errs = append(errs, fmt.Errorf("options: Warmup: got %d, want >= 0", o.Warmup))
+	} else if o.Insts > 0 && o.Warmup >= o.Insts {
+		errs = append(errs, fmt.Errorf("options: Warmup: got %d, want < Insts (%d)", o.Warmup, o.Insts))
 	}
 	if o.Workers < 0 {
 		errs = append(errs, fmt.Errorf("options: Workers: got %d, want >= 0", o.Workers))

@@ -249,12 +249,12 @@ func (s *RetireUpdate) OnRetire(ctx *BranchCtx, finalMisp bool) {
 func (s *RetireUpdate) StorageBits() int { return s.lp.StorageBits() + s.lp.Entries()*4 }
 
 // Perfect is the oracle: unbounded checkpoint storage and zero-cycle repair.
-// Every branch snapshots the whole BHT; a misprediction restores it
-// instantly. It defines the 100% line all realistic schemes are normalized
-// against, and its restore diff counts are the Figure 8 data.
+// Every branch marks the BHT's undo journal; a misprediction rolls the whole
+// table back to its mark instantly. It defines the 100% line all realistic
+// schemes are normalized against, and its rollback counts are the Figure 8
+// data.
 type Perfect struct {
 	schemeBase
-	pool [][]loop.FullState
 }
 
 // NewPerfect builds the oracle around a fresh CBPw-Loop predictor.
@@ -268,43 +268,26 @@ func NewPerfectFor(lp loop.LocalPredictor) *Perfect {
 // Name implements Scheme.
 func (s *Perfect) Name() string { return "perfect" }
 
-func (s *Perfect) getSnap() []loop.FullState {
-	if n := len(s.pool); n > 0 {
-		sn := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return sn
-	}
-	return nil
-}
-
-// OnFetchBranch implements Scheme: snapshot everything.
+// OnFetchBranch implements Scheme: checkpoint everything.
 func (s *Perfect) OnFetchBranch(ctx *BranchCtx, cycle int64) {
 	s.specUpdate(ctx, cycle)
-	// The snapshot is taken after this branch's own SpecUpdate; restore
+	// The mark is taken after this branch's own SpecUpdate; repair
 	// rewinds the branch itself separately from ctx.PreState.
-	ctx.Snap = s.lp.SnapshotBHT(s.getSnap())
-	ctx.SnapValid = true
-}
-
-func (s *Perfect) release(ctx *BranchCtx) {
-	if ctx.SnapValid && ctx.Snap != nil {
-		s.pool = append(s.pool, ctx.Snap)
-		ctx.Snap = nil
-		ctx.SnapValid = false
-	}
+	ctx.Mark = s.lp.Mark()
+	ctx.MarkValid = true
 }
 
 // OnMispredict implements Scheme: instant, complete restore.
 func (s *Perfect) OnMispredict(ctx *BranchCtx, cycle int64) {
 	s.penalize(ctx)
-	if !ctx.SnapValid {
+	if !ctx.MarkValid {
 		s.st.Unrepaired++
 		return
 	}
-	s.noteNeeded(s.lp.DiffBHT(ctx.Snap))
-	n := s.lp.RestoreBHT(ctx.Snap)
+	n := s.lp.Rollback(ctx.Mark)
+	s.noteNeeded(n)
 	s.st.RepairWrites += uint64(n)
-	// The snapshot holds post-SpecUpdate state for this branch; rewind to
+	// The mark holds post-SpecUpdate state for this branch; rewind to
 	// the pre-update state, then apply the architectural outcome.
 	if ctx.HadState || ctx.Allocated {
 		s.lp.RestoreState(ctx.PC, ctx.PreState)
@@ -313,14 +296,16 @@ func (s *Perfect) OnMispredict(ctx *BranchCtx, cycle int64) {
 	s.st.Repairs++
 }
 
-// OnRetire implements Scheme.
+// OnRetire implements Scheme. Branches retire in program order, so the
+// retiring branch holds the oldest live mark and the journal records before
+// it can go. A squashed branch's mark is younger than its mispredicted
+// ancestor's, which is still live, so squashes release nothing.
 func (s *Perfect) OnRetire(ctx *BranchCtx, finalMisp bool) {
-	s.release(ctx)
+	if ctx.MarkValid {
+		s.lp.Release(ctx.Mark)
+	}
 	s.schemeBase.OnRetire(ctx, finalMisp)
 }
-
-// OnSquash implements Scheme.
-func (s *Perfect) OnSquash(ctx *BranchCtx) { s.release(ctx) }
 
 // StorageBits implements Scheme: the oracle's storage is unbounded; report
 // the predictor only (Table 3 lists it as NA).

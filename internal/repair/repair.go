@@ -50,11 +50,11 @@ type BranchCtx struct {
 	HadState  bool // BHT hit at prediction time
 	Allocated bool // SpecUpdate allocated a fresh BHT entry
 
-	CkptSkipped bool  // checkpointing was impossible (BHT busy or queue full)
-	OBQID       int64 // history-file entry id, -1 if none
-	SnapValid   bool
-	Snap        []loop.FullState // full-BHT snapshot (perfect / snapshot queue)
-	Limited     []PCState        // limited-PC carried states
+	CkptSkipped bool      // checkpointing was impossible (BHT busy or queue full)
+	OBQID       int64     // history-file entry id, -1 if none
+	MarkValid   bool      // Mark holds a whole-BHT checkpoint (perfect repair)
+	Mark        int64     // BHT undo-journal mark after the branch's SpecUpdate
+	Limited     []PCState // limited-PC carried states
 
 	// OverrideAllowed mirrors the unit's chooser state at the allocation
 	// stage: deferred schemes only fire (and count) an early resteer when
@@ -74,12 +74,10 @@ type BranchCtx struct {
 	DeferSkip  bool
 }
 
-// ResetCtx clears a context for reuse, preserving allocated slices.
+// ResetCtx clears a context for reuse, preserving the Limited slice's
+// capacity.
 func ResetCtx(c *BranchCtx) {
-	snap, lim := c.Snap, c.Limited
-	*c = BranchCtx{OBQID: -1, DeferOBQID: -1}
-	c.Snap = snap[:0]
-	c.Limited = lim[:0]
+	*c = BranchCtx{OBQID: -1, DeferOBQID: -1, Limited: c.Limited[:0]}
 }
 
 // Ports describes the repair bandwidth of a configuration: the paper's

@@ -409,15 +409,15 @@ func TestCeilDiv(t *testing.T) {
 }
 
 func TestResetCtx(t *testing.T) {
-	ctx := &BranchCtx{PC: 5, OBQID: 9, Limited: []PCState{{PC: 1}}, Snap: make([]loop.FullState, 3)}
+	ctx := &BranchCtx{PC: 5, OBQID: 9, MarkValid: true, Mark: 7, Limited: make([]PCState, 3)}
 	ResetCtx(ctx)
-	if ctx.PC != 0 || ctx.OBQID != -1 || ctx.DeferOBQID != -1 {
+	if ctx.PC != 0 || ctx.OBQID != -1 || ctx.DeferOBQID != -1 || ctx.MarkValid || ctx.Mark != 0 {
 		t.Fatalf("reset left state: %+v", ctx)
 	}
-	if len(ctx.Limited) != 0 || len(ctx.Snap) != 0 {
-		t.Fatal("slices not truncated")
+	if len(ctx.Limited) != 0 {
+		t.Fatal("slice not truncated")
 	}
-	if cap(ctx.Snap) != 3 {
+	if cap(ctx.Limited) != 3 {
 		t.Fatal("slice capacity not preserved")
 	}
 }

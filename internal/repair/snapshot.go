@@ -10,7 +10,9 @@ import (
 // predicted branch captures a full copy of the BHT in a bounded queue of
 // snapshots; a misprediction restores from its snapshot. Simple, but the
 // storage cost is high (Table 3 charges it 10+KB) and restoring many entries
-// through limited ports takes multiple cycles.
+// through limited ports takes multiple cycles. The modeled machine copies
+// the whole table; the simulator keeps each snapshot as a mark in the BHT's
+// undo journal, which restores the same state.
 type Snapshot struct {
 	schemeBase
 	entries int
@@ -19,12 +21,11 @@ type Snapshot struct {
 	ring []snapSlot
 	head int64 // oldest live slot (absolute)
 	tail int64 // one past youngest (absolute)
-	pool [][]loop.FullState
 }
 
 type snapSlot struct {
 	seq  uint64
-	snap []loop.FullState
+	mark int64 // BHT journal mark before the branch's SpecUpdate
 	live bool
 }
 
@@ -48,15 +49,6 @@ func (s *Snapshot) Name() string {
 
 func (s *Snapshot) slot(id int64) *snapSlot { return &s.ring[id%int64(s.entries)] }
 
-func (s *Snapshot) getBuf() []loop.FullState {
-	if n := len(s.pool); n > 0 {
-		b := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return b
-	}
-	return nil
-}
-
 // OnFetchBranch implements Scheme: snapshot the whole BHT (pre-update, so
 // take it before SpecUpdate).
 func (s *Snapshot) OnFetchBranch(ctx *BranchCtx, cycle int64) {
@@ -73,9 +65,8 @@ func (s *Snapshot) OnFetchBranch(ctx *BranchCtx, cycle int64) {
 		ctx.OBQID = -1
 		return
 	}
-	snap := s.lp.SnapshotBHT(s.getBuf())
 	id := s.tail
-	*s.slot(id) = snapSlot{seq: ctx.Seq, snap: snap, live: true}
+	*s.slot(id) = snapSlot{seq: ctx.Seq, mark: s.lp.Mark(), live: true}
 	s.tail++
 	ctx.OBQID = id // reuse the checkpoint-id field for the SQ slot
 	s.specUpdate(ctx, cycle)
@@ -96,8 +87,7 @@ func (s *Snapshot) OnMispredict(ctx *BranchCtx, cycle int64) {
 		s.st.Unrepaired++
 		return
 	}
-	s.noteNeeded(s.lp.DiffBHT(sl.snap))
-	s.lp.RestoreBHT(sl.snap)
+	s.noteNeeded(s.lp.Rollback(sl.mark))
 	s.lp.ApplyOutcome(ctx.PC, ctx.ActualTaken)
 	// Hardware cannot know which entries differ: a snapshot restore
 	// rewrites the whole BHT through the repair ports.
@@ -120,14 +110,7 @@ func (s *Snapshot) repairRestartSnap(cycle int64) {
 	}
 }
 
-func (s *Snapshot) freeSlot(id int64) {
-	sl := s.slot(id)
-	if sl.live {
-		s.pool = append(s.pool, sl.snap)
-		sl.snap = nil
-		sl.live = false
-	}
-}
+func (s *Snapshot) freeSlot(id int64) { s.slot(id).live = false }
 
 func (s *Snapshot) squashYounger(seq uint64) {
 	for s.tail > s.head {
@@ -149,6 +132,12 @@ func (s *Snapshot) release(ctx *BranchCtx) {
 	}
 	for s.head < s.tail && !s.slot(s.head).live {
 		s.head++
+	}
+	// Journal records older than the oldest live snapshot can go.
+	if s.head < s.tail {
+		s.lp.Release(s.slot(s.head).mark)
+	} else {
+		s.lp.Release(s.lp.Mark())
 	}
 }
 

@@ -270,7 +270,8 @@ func WithSeed(s int64) Option {
 }
 
 // WithWarmup excludes the first n retired instructions from the reported
-// statistics (predictor and cache warmup).
+// statistics (predictor and cache warmup). Simulate rejects a warm-up that
+// covers its whole run.
 func WithWarmup(n uint64) Option { return func(c *simConfig) { c.warmup = n } }
 
 // WithMaxCycles bounds the run's simulated cycles (0 = automatic budget).
@@ -348,6 +349,9 @@ func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("localbp: instruction count %d, want > 0", n)
 	}
+	if sc.warmup >= uint64(n) {
+		return Result{}, fmt.Errorf("localbp: warm-up %d covers the whole %d-instruction run", sc.warmup, n)
+	}
 	if sc.seedSet {
 		w.Seed = sc.seed
 	}
@@ -361,6 +365,8 @@ func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 // memory. WithSeed is rejected: the stream is already drawn. The caller
 // retains ownership of src — sources are stateful and single-consumer, so
 // open a fresh one per run and release file-backed sources with CloseTrace.
+// A source cannot know its stream's length, so WithWarmup is not checked
+// against it: a warm-up that covers the whole stream measures nothing.
 func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
 	if src == nil {
 		return Result{}, errors.New("localbp: nil source")

@@ -115,6 +115,20 @@ func TestSimulateNilSchemeAndBadCount(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsWholeRunWarmup: a warm-up that covers the whole run
+// would report statistics over no instructions, so Simulate refuses it.
+func TestSimulateRejectsWholeRunWarmup(t *testing.T) {
+	w, _ := Workload("cloud-compression")
+	for _, k := range []uint64{5000, 6000} {
+		if _, err := Simulate(w, 5000, BaselineTAGE(), WithWarmup(k)); err == nil {
+			t.Fatalf("warm-up %d of a 5000-instruction run accepted", k)
+		}
+	}
+	if _, err := Simulate(w, 5000, BaselineTAGE(), WithWarmup(4999)); err != nil {
+		t.Fatalf("warm-up shorter than the run rejected: %v", err)
+	}
+}
+
 func TestWithSeedChangesTrace(t *testing.T) {
 	w, _ := Workload("cloud-compression")
 	a, err := Simulate(w, 60_000, ForwardWalk(), WithAudit())
