@@ -34,8 +34,11 @@ race:
 # audit reruns the full suite with the integrity auditor and golden-model
 # oracle forced on for every simulation (LBP_AUDIT=1): every retirement is
 # cross-checked against the in-order model and every invariant is live.
+# -count=1 bypasses the test cache: only the CLI tests' subprocesses read
+# LBP_AUDIT, so the cache does not key on it and would replay cmd/...
+# results from an unaudited run.
 audit:
-	LBP_AUDIT=1 $(GO) test ./...
+	LBP_AUDIT=1 $(GO) test -count=1 ./...
 
 # perf-smoke vets and short-tests the benchmark (perfbench/, its own Go
 # module importing this one through the localbp facade and the harness), so
@@ -55,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLBP2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 	$(GO) test -fuzz=FuzzChampSim -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 	$(GO) test -fuzz=FuzzCheckpointEnvelope -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
+	$(GO) test -fuzz=FuzzSpecFor -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
 	$(GO) test -fuzz=FuzzCoreConfigValidate -fuzztime=10s -fuzzminimizetime=100x ./internal/core
 
 # trace-smoke is the end-to-end trace-pipeline check (< 30 s): build the real

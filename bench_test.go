@@ -1,15 +1,10 @@
 package localbp
 
-// The benchmark harness regenerates every figure and table of the paper's
-// evaluation (see DESIGN.md §5 for the index). Each benchmark runs its
-// experiment once per iteration over the quick workload subset (the full
-// 202-workload suite is the lbpsweep command's job) and reports the
-// experiment's headline numbers as benchmark metrics, so
-//
-//	go test -bench=Fig11 -benchmem
-//
-// both regenerates the artifact and times it. Ablation benchmarks at the
-// bottom quantify the design choices DESIGN.md §7 calls out.
+// Benchmarks of the simulator's throughput, the observability layer's cost
+// and the trace pipeline, and ablation benchmarks that quantify the design
+// choices DESIGN.md §7 calls out over the quick workload subset. The
+// paper's figures and tables are regenerated by lbpsweep, and perfbench/
+// times the quick sweep.
 
 import (
 	"context"
@@ -30,48 +25,15 @@ func benchRunner() *harness.Runner {
 	return harness.NewRunner(harness.Options{Insts: benchInsts, Quick: true})
 }
 
-// benchExperiment times one full experiment regeneration.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := harness.ExperimentByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		out, err := e.Run(context.Background(), r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out == "" {
-			b.Fatal("experiment produced no output")
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkFig4(b *testing.B)   { benchExperiment(b, "fig4") }
-func BenchmarkFig7a(b *testing.B)  { benchExperiment(b, "fig7a") }
-func BenchmarkFig7b(b *testing.B)  { benchExperiment(b, "fig7b") }
-func BenchmarkFig7c(b *testing.B)  { benchExperiment(b, "fig7c") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkFig14a(b *testing.B) { benchExperiment(b, "fig14a") }
-func BenchmarkFig14b(b *testing.B) { benchExperiment(b, "fig14b") }
-func BenchmarkExt1(b *testing.B)   { benchExperiment(b, "ext1") }
-func BenchmarkExt2(b *testing.B)   { benchExperiment(b, "ext2") }
-
 // BenchmarkSimulatorThroughput measures raw core model speed (instructions
 // per second) on a representative workload with the headline configuration.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workloads.ByName("sysmark-photoshop")
 	tr := w.Generate(200_000)
-	spec := harness.PaperForwardWalk(loop.Loop128())
+	spec, err := harness.SpecFor("forward-coalesce")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchRun(b, tr, spec)

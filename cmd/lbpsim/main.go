@@ -6,19 +6,22 @@
 // Usage:
 //
 //	lbpsim [-insts N] [-workload name | -trace-file file] [-scheme name] [-seed N] [-timeout D]
-//	       [-loop 64|128|256] [-tage 8|9|57]
 //	       [-audit] [-oracle] [-inject kinds] [-inject-seed N] [-inject-every N]
 //	       [-cpistack] [-counters] [-trace-events file] [-trace-chrome file]
 //
-// Scheme names come from the shared registry (internal/schemes); run with
-// an unknown name to list them.
+// -scheme takes a configuration name, parsed by harness.SpecFor: any row
+// label the experiments run (forward-64-8-4, limited-4pc-invalidate,
+// perfect-CBPw-Loop64, tage57-forward-32-4-2-coalesce, yehpatt-perfect), or
+// one with the paper's defaults left off (forward-coalesce). The name
+// carries the TAGE size and the loop predictor size. An unknown name exits
+// 2 and lists the grammar.
 //
 // -audit enables the integrity auditor (read-only invariant checks; the
 // first violation aborts with a structured report). -oracle cross-checks
 // every retirement against a timing-free in-order execution of the trace
-// (the golden-model differential oracle; distinct from `-scheme oracle`,
-// the never-mispredicting local predictor). -inject enables deterministic
-// fault injection: a comma-separated kind list or "all" (see
+// (the golden-model differential oracle; distinct from `-scheme
+// oracle-local`, the never-mispredicting local predictor). -inject enables
+// deterministic fault injection: a comma-separated kind list or "all" (see
 // internal/faultinject).
 //
 // -trace-file replays a saved trace (lbp2 or champsim; see lbptrace
@@ -46,12 +49,9 @@ import (
 	"path/filepath"
 	"syscall"
 
-	"localbp/internal/bpu/loop"
-	"localbp/internal/bpu/tage"
 	"localbp/internal/faultinject"
 	"localbp/internal/harness"
 	"localbp/internal/obs"
-	"localbp/internal/schemes"
 	"localbp/internal/service"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
@@ -60,10 +60,8 @@ import (
 func main() {
 	insts := flag.Int("insts", 500_000, "instructions to simulate")
 	name := flag.String("workload", "cloud-compression", "workload name (see lbptrace -list)")
-	schemeName := flag.String("scheme", "forward", "scheme to simulate (see internal/schemes)")
+	schemeName := flag.String("scheme", "forward", "configuration name, e.g. forward-32-4-2-coalesce or tage57-perfect (see harness.SpecFor)")
 	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed (0 = workload default)")
-	loopSize := flag.Int("loop", 128, "CBPw-Loop entries (64, 128 or 256)")
-	tageKB := flag.Int("tage", 8, "TAGE baseline size class (8, 9 or 57)")
 	maxCycles := flag.Int64("maxcycles", 0, "abort if the run exceeds this many cycles (0 = automatic budget)")
 	stallCycles := flag.Int64("stall", 0, "abort if no instruction retires for this many cycles (0 = default deadman)")
 	timeout := flag.Duration("timeout", 0, "wall-clock cap for the run (0 = none); composes with -maxcycles/-stall")
@@ -127,40 +125,12 @@ func main() {
 		label = w.Name
 	}
 
-	var lcfg loop.Config
-	switch *loopSize {
-	case 64:
-		lcfg = loop.Loop64()
-	case 128:
-		lcfg = loop.Loop128()
-	case 256:
-		lcfg = loop.Loop256()
-	default:
-		fmt.Fprintln(os.Stderr, "lbpsim: -loop must be 64, 128 or 256")
-		os.Exit(service.ExitConfigError)
-	}
-
-	var tcfg tage.Config
-	switch *tageKB {
-	case 8:
-		tcfg = tage.KB8()
-	case 9:
-		tcfg = tage.KB9()
-	case 57:
-		tcfg = tage.KB57()
-	default:
-		fmt.Fprintln(os.Stderr, "lbpsim: -tage must be 8, 9 or 57")
-		os.Exit(service.ExitConfigError)
-	}
-
-	// Resolve the scheme through the shared registry: one name → construction
-	// mapping for lbpsim, lbpsweep and the localbp facade.
-	spec, err := harness.SpecFor(*schemeName, func(p *schemes.Params) { p.Loop = lcfg })
+	// The experiments' one name parser: -scheme names any row they run.
+	spec, err := harness.SpecFor(*schemeName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbpsim: %v\nschemes:\n%s", err, schemes.Usage())
+		fmt.Fprintf(os.Stderr, "lbpsim: -scheme: %v\n", err)
 		os.Exit(service.ExitConfigError)
 	}
-	spec.Tage = tcfg
 	spec.Core.MaxCycles = *maxCycles
 	spec.Core.StallCycles = *stallCycles
 	spec.Audit = *auditOn
@@ -285,7 +255,7 @@ func main() {
 	if tracer != nil {
 		labels := map[string]string{
 			"workload": label,
-			"scheme":   *schemeName,
+			"scheme":   spec.Label,
 			"insts":    fmt.Sprint(*insts),
 		}
 		if err := writeTrace(*traceEvents, func(f io.Writer) error {

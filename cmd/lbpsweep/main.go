@@ -115,9 +115,21 @@ func run() int {
 		defer stopProf()
 	}
 
-	opts := harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
-		AuditSample: *auditSample, RunTimeout: *timeout}
-	if err := opts.Validate(); err != nil {
+	cfg := service.SweepConfig{
+		Opts: harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
+			AuditSample: *auditSample, RunTimeout: *timeout},
+		IDs:        flag.Args(),
+		Checkpoint: *checkpoint,
+		Out:        os.Stdout,
+		Errs:       os.Stderr,
+	}
+	if *verbose {
+		cfg.Log = os.Stderr
+	}
+	// Bad options, unknown ids and a mismatched checkpoint are all refused
+	// here, before the banner: a configuration error leaves stdout empty.
+	sweep, err := service.NewSweep(cfg)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
 		return int(service.SweepConfigError)
 	}
@@ -128,18 +140,7 @@ func run() int {
 	}
 	fmt.Printf("lbpsweep: %s, %d instructions per workload\n\n", suite, *insts)
 
-	cfg := service.SweepConfig{
-		Opts:       opts,
-		IDs:        flag.Args(),
-		Checkpoint: *checkpoint,
-		Out:        os.Stdout,
-		Errs:       os.Stderr,
-	}
-	if *verbose {
-		cfg.Log = os.Stderr
-	}
-
-	rep, err := service.RunSweep(ctx, cfg)
+	rep, err := sweep.Run(ctx)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbpsweep: %v\n", err)
 		return int(service.SweepConfigError)

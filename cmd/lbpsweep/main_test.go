@@ -132,19 +132,26 @@ func TestSweepSIGINTResume(t *testing.T) {
 	}
 }
 
-// TestSweepExitCodeConfigError: unknown experiment ids and out-of-range flag
-// values exit 2 before any simulation, and so does every retired flag
-// (retries, chaos injection, sharding, the single-run flags that moved to
-// lbpsim, and -cpistack/-scheme, which experiment ext2 replaced), so a
-// script still passing one fails loudly instead of running a different
-// sweep. A bad flag is refused before the banner, so stdout stays empty.
+// TestSweepExitCodeConfigError: unknown experiment ids, a checkpoint
+// written under other options and out-of-range flag values exit 2 before
+// any simulation, and so does every retired flag (retries, chaos injection,
+// sharding, the single-run flags that moved to lbpsim, and -cpistack/
+// -scheme, which experiment ext2 replaced), so a script still passing one
+// fails loudly instead of running a different sweep. Every one is refused
+// before the banner, so stdout stays empty.
 func TestSweepExitCodeConfigError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	bin := buildSweep(t)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if out, err := exec.Command(bin, "-quick", "-insts", "4000", "-checkpoint", ckpt, "table1").CombinedOutput(); err != nil {
+		t.Fatalf("writing a checkpoint: %v\n%s", err, out)
+	}
 	for _, args := range [][]string{
 		{"definitely-not-an-experiment"},
+		{"table1", "nope-id"},
+		{"-checkpoint", ckpt, "table1"},
 		{"-retries", "1", "table1"},
 		{"-shards", "2", "table1"},
 		{"-merge", "table1"},
@@ -171,7 +178,7 @@ func TestSweepExitCodeConfigError(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
 			t.Fatalf("%v exited %d, want 2\n%s%s", args, code, &stdout, &stderr)
 		}
-		if strings.HasPrefix(args[0], "-") && stdout.Len() > 0 {
+		if stdout.Len() > 0 {
 			t.Fatalf("%v printed to stdout before refusing:\n%s", args, &stdout)
 		}
 	}

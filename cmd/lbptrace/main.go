@@ -5,16 +5,16 @@
 // Usage:
 //
 //	lbptrace -list                            # list suite + stressor workloads
-//	lbptrace -list-schemes                    # list the scheme registry
 //	lbptrace -workload NAME [-insts N]        # summarize a workload
 //	lbptrace -workload NAME -sites            # print its branch-site inventory
 //	lbptrace -gen -workload NAME -out F       # save the trace as LBP2
 //	lbptrace -stat trace.lbp2                 # summarize a saved trace file
 //	lbptrace -convert in.champsim -out F      # re-encode a trace file as LBP2
 //
-// -insts, -workload, -scheme and -seed spell the same across lbpsim,
-// lbpsweep and lbptrace, and `-workload NAME -out F` still saves without
-// -gen.
+// -workload and -seed spell the same as in lbpsim, -insts the same as in
+// lbpsim and lbpsweep, and `-workload NAME -out F` still saves without
+// -gen. A saved trace replays under any configuration name with
+// `lbpsim -trace-file F -scheme NAME`.
 //
 // -stat and -convert stream: the input is decoded chunk-at-a-time, so
 // arbitrarily long traces are handled at fixed memory. For LBP2 inputs -stat
@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 
-	"localbp/internal/schemes"
 	"localbp/internal/service"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
@@ -35,7 +34,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list all suite and stressor workloads")
-	listSchemes := flag.Bool("list-schemes", false, "list the shared scheme registry and exit")
 	name := flag.String("workload", "", "workload to generate")
 	insts := flag.Int("insts", 300_000, "instructions to generate")
 	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed (0 = workload default)")
@@ -56,9 +54,6 @@ func main() {
 		for _, w := range workloads.StressSuite() {
 			fmt.Printf("%-26s %-9s param %d\n", w.Name, w.Category, w.Stress.Param)
 		}
-
-	case *listSchemes:
-		fmt.Print(schemes.Usage())
 
 	case *stat != "":
 		if err := statFile(*stat); err != nil {

@@ -6,10 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"localbp/internal/bpu/loop"
 	"localbp/internal/core"
 	"localbp/internal/metrics"
-	"localbp/internal/repair"
 	"localbp/internal/workloads"
 )
 
@@ -97,9 +95,11 @@ func Table2() string {
 // Fig4 shows the per-category MPKI reduction of a never-mispredicting local
 // predictor (the opportunity) against a local predictor with no repair.
 func Fig4(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
-	oracle := r.ResultsContext(ctx, OracleSpec(loop.Loop128()))
-	none := r.ResultsContext(ctx, NoRepairSpec(loop.Loop128()))
+	res, err := r.results(ctx, "tage", "oracle-local", "no-repair")
+	if err != nil {
+		return "", err
+	}
+	base, oracle, none := res[0], res[1], res[2]
 	cats, opp, err := byCategoryMPKI(base, oracle)
 	if err != nil {
 		return "", err
@@ -116,19 +116,21 @@ func Fig4(ctx context.Context, r *Runner) (string, error) {
 	return t.String(), nil
 }
 
-// loopConfigs are the three Table 2 local predictor sizes.
-func loopConfigs() []loop.Config {
-	return []loop.Config{loop.Loop64(), loop.Loop128(), loop.Loop256()}
-}
+// loopSizeRows are the baseline and perfect repair at the three Table 2
+// local predictor sizes.
+var loopSizeRows = []string{"tage", "perfect-CBPw-Loop64", "perfect-CBPw-Loop128", "perfect-CBPw-Loop256"}
 
 // Fig7a: per-category MPKI reduction with perfect repair across sizes.
 func Fig7a(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
+	all, err := r.results(ctx, loopSizeRows...)
+	if err != nil {
+		return "", err
+	}
+	base := all[0]
 	t := &metrics.Table{Header: []string{"Category", "Loop64", "Loop128", "Loop256"}}
 	rows := map[string][]string{}
 	var cats []string
-	for _, cfg := range loopConfigs() {
-		res := r.ResultsContext(ctx, PerfectSpec(cfg))
+	for _, res := range all[1:] {
 		cs, red, err := byCategoryMPKI(base, res)
 		if err != nil {
 			return "", err
@@ -147,12 +149,15 @@ func Fig7a(ctx context.Context, r *Runner) (string, error) {
 
 // Fig7b: per-category IPC gain with perfect repair across sizes.
 func Fig7b(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
+	all, err := r.results(ctx, loopSizeRows...)
+	if err != nil {
+		return "", err
+	}
+	base := all[0]
 	t := &metrics.Table{Header: []string{"Category", "Loop64", "Loop128", "Loop256"}}
 	rows := map[string][]string{}
 	var cats []string
-	for _, cfg := range loopConfigs() {
-		res := r.ResultsContext(ctx, PerfectSpec(cfg))
+	for _, res := range all[1:] {
 		cs, gain, err := byCategoryIPC(base, res)
 		if err != nil {
 			return "", err
@@ -171,9 +176,11 @@ func Fig7b(ctx context.Context, r *Runner) (string, error) {
 
 // Fig7c: the per-workload IPC gain S-curve for Loop128 with named outliers.
 func Fig7c(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
-	perf := r.ResultsContext(ctx, PerfectSpec(loop.Loop128()))
-	pts, err := metrics.SCurve(base, perf)
+	res, err := r.results(ctx, "tage", "perfect")
+	if err != nil {
+		return "", err
+	}
+	pts, err := metrics.SCurve(res[0], res[1])
 	if err != nil {
 		return "", err
 	}
@@ -198,7 +205,11 @@ func Fig7c(ctx context.Context, r *Runner) (string, error) {
 // Fig8: average and maximum BHT repairs required per misprediction,
 // from the perfect-repair oracle's restore diffs.
 func Fig8(ctx context.Context, r *Runner) (string, error) {
-	out := r.RunContext(ctx, PerfectSpec(loop.Loop128()))
+	perf, err := SpecFor("perfect")
+	if err != nil {
+		return "", err
+	}
+	out := r.RunContext(ctx, perf)
 	type row struct {
 		name string
 		avg  float64
@@ -235,10 +246,11 @@ func Fig8(ctx context.Context, r *Runner) (string, error) {
 
 // Fig9: IPC of update-at-retire and no-repair, normalized to perfect repair.
 func Fig9(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
-	perf := r.ResultsContext(ctx, PerfectSpec(loop.Loop128()))
-	retire := r.ResultsContext(ctx, RetireUpdateSpec(loop.Loop128()))
-	none := r.ResultsContext(ctx, NoRepairSpec(loop.Loop128()))
+	res, err := r.results(ctx, "tage", "perfect", "retire-update", "no-repair")
+	if err != nil {
+		return "", err
+	}
+	base, perf, retire, none := res[0], res[1], res[2], res[3]
 	perfGain := ipcGain(base, perf)
 	cats, gr, err := byCategoryIPC(base, retire)
 	if err != nil {
@@ -263,13 +275,21 @@ func Fig9(ctx context.Context, r *Runner) (string, error) {
 	return t.String(), nil
 }
 
-// normalizedRows renders spec rows as (MPKI redn, IPC gain, % of perfect).
-func normalizedRows(ctx context.Context, r *Runner, specs []Spec) string {
-	base := r.ResultsContext(ctx, BaselineSpec())
-	perf := r.ResultsContext(ctx, PerfectSpec(loop.Loop128()))
+// normalizedRows renders the named rows as (MPKI redn, IPC gain, % of
+// perfect).
+func normalizedRows(ctx context.Context, r *Runner, names ...string) (string, error) {
+	ref, err := r.results(ctx, "tage", "perfect")
+	if err != nil {
+		return "", err
+	}
+	rows, err := specs(names...)
+	if err != nil {
+		return "", err
+	}
+	base, perf := ref[0], ref[1]
 	perfGain := ipcGain(base, perf)
 	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain", "% of perfect", ""}}
-	for _, s := range specs {
+	for _, s := range rows {
 		res := r.ResultsContext(ctx, s)
 		g := ipcGain(base, res)
 		norm := 100 * g / perfGain
@@ -278,66 +298,53 @@ func normalizedRows(ctx context.Context, r *Runner, specs []Spec) string {
 	}
 	t.AddRow("perfect", metrics.Pct(mpkiReduction(base, perf)), metrics.Pct(perfGain),
 		"100.0%", metrics.Bar(100, 100, 20))
-	return t.String()
+	return t.String(), nil
 }
 
 // Fig10: prior techniques across storage/port configurations.
 func Fig10(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	specs := []Spec{
-		BackwardWalkSpec(c, 64, repair.Ports{CkptRead: 64, BHTWrite: 64}),
-		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}),
-		BackwardWalkSpec(c, 16, repair.Ports{CkptRead: 4, BHTWrite: 4}),
-		SnapshotSpec(c, 64, repair.Ports{CkptRead: 64, BHTWrite: 64}),
-		SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-		SnapshotSpec(c, 16, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-	}
-	return normalizedRows(ctx, r, specs), nil
+	return normalizedRows(ctx, r,
+		"backward-64-64-64", "backward-32-8-8", "backward-32-4-4", "backward-16-4-4",
+		"snapshot-64-64-64", "snapshot-32-8-8", "snapshot-16-8-8")
 }
 
 // Fig11: forward walk across configurations, plus coalescing.
 func Fig11(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	specs := []Spec{
-		ForwardWalkSpec(c, 64, repair.Ports{CkptRead: 8, BHTWrite: 4}, false),
-		ForwardWalkSpec(c, 64, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 4}, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true),
-	}
-	return normalizedRows(ctx, r, specs), nil
+	return normalizedRows(ctx, r, "forward-64-8-4", "forward-64-4-2", "forward-32-8-4",
+		"forward-32-4-2", "forward-32-4-2-coalesce")
 }
 
 // Fig12: multi-stage prediction with split BHT, shared vs split PT, compared
 // with forward walk.
 func Fig12(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	specs := []Spec{
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
-		MultiStageSpec(c, 32, true),
-		MultiStageSpec(c, 32, false),
-	}
-	return normalizedRows(ctx, r, specs), nil
+	return normalizedRows(ctx, r, "forward-32-4-2", "multistage-shared-pt", "multistage-split-pt")
 }
 
-// Fig13: limited-PC repair scaling over the number of repaired PCs.
+// Fig13: limited-PC repair scaling over the number of repaired PCs, and the
+// "mark invalid" ablation.
 func Fig13(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	specs := []Spec{
-		LimitedPCSpec(c, 2, 2, false),
-		LimitedPCSpec(c, 4, 4, false),
-		LimitedPCSpec(c, 8, 4, false),
-		LimitedPCSpec(c, 4, 4, true), // the "mark invalid" ablation
-	}
-	return normalizedRows(ctx, r, specs), nil
+	return normalizedRows(ctx, r, "limited-2pc", "limited-4pc", "limited-8pc", "limited-4pc-invalidate")
+}
+
+// table3Rows lists Table 3's repair configurations in row order, between
+// the baseline and perfect-repair rows.
+var table3Rows = []string{
+	"no-repair-CBPw-Loop128", "snapshot-32-8-8", "retire-update-CBPw-Loop128",
+	"backward-32-4-4", "limited-2pc", "multistage-shared-pt", "limited-4pc",
+	"forward-32-4-2", "forward-32-4-2-coalesce",
 }
 
 // Table3: the summary of every technique, with storage.
 func Table3(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	base := r.ResultsContext(ctx, BaselineSpec())
-	perf := r.ResultsContext(ctx, PerfectSpec(c))
+	ref, err := r.results(ctx, "tage", "perfect")
+	if err != nil {
+		return "", err
+	}
+	rows, err := specs(table3Rows...)
+	if err != nil {
+		return "", err
+	}
+	base, perf := ref[0], ref[1]
 	perfGain := ipcGain(base, perf)
 
 	kb := func(mk SchemeMaker) string {
@@ -349,7 +356,7 @@ func Table3(ctx context.Context, r *Runner) (string, error) {
 	}
 	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain", "% of perfect", "Storage (KB)"}}
 	t.AddRow("baseline TAGE", "0.0%", "0.0%", "0.0%", "7.1")
-	for _, spec := range table3Rows(c) {
+	for _, spec := range rows {
 		res := r.ResultsContext(ctx, spec)
 		g := ipcGain(base, res)
 		t.AddRow(spec.Label, metrics.Pct(mpkiReduction(base, res)), metrics.Pct(g),
@@ -359,30 +366,15 @@ func Table3(ctx context.Context, r *Runner) (string, error) {
 	return t.String(), nil
 }
 
-// table3Rows lists Table 3's repair configurations in row order, between
-// the baseline and perfect-repair rows.
-func table3Rows(c loop.Config) []Spec {
-	return []Spec{
-		NoRepairSpec(c),
-		SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-		RetireUpdateSpec(c),
-		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}),
-		LimitedPCSpec(c, 2, 2, false),
-		MultiStageSpec(c, 32, true),
-		LimitedPCSpec(c, 4, 4, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true),
-	}
-}
-
 // Fig14a: iso-storage — TAGE grown to 9KB vs TAGE(7.1KB) + CBPw-Loop128 with
 // forward-walk repair.
 func Fig14a(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
+	res, err := r.results(ctx, "tage", "tage9", "forward-coalesce", "perfect")
+	if err != nil {
+		return "", err
+	}
+	base, iso, fwd, perf := res[0], res[1], res[2], res[3]
 	t := &metrics.Table{Header: []string{"Configuration", "IPC gain vs TAGE-8KB"}}
-	iso := r.ResultsContext(ctx, Iso9KBSpec())
-	fwd := r.ResultsContext(ctx, PaperForwardWalk(loop.Loop128()))
-	perf := r.ResultsContext(ctx, PerfectSpec(loop.Loop128()))
 	t.AddRow("TAGE scaled to 9KB", metrics.Pct(ipcGain(base, iso)))
 	t.AddRow("TAGE 7.1KB + Loop128 + forward walk", metrics.Pct(ipcGain(base, fwd)))
 	t.AddRow("TAGE 7.1KB + Loop128 + perfect repair", metrics.Pct(ipcGain(base, perf)))
@@ -391,23 +383,43 @@ func Fig14a(ctx context.Context, r *Runner) (string, error) {
 
 // Fig14b: CBPw-Loop on the 57KB TAGE baseline, across repair schemes.
 func Fig14b(ctx context.Context, r *Runner) (string, error) {
-	c := loop.Loop128()
-	base57 := r.ResultsContext(ctx, Big57Spec("baseline", nil))
-	specs := []struct {
-		label string
-		mk    SchemeMaker
-	}{
-		{"perfect", func() repair.Scheme { return repair.NewPerfect(c) }},
-		{"forward-32-4-2-coalesce", func() repair.Scheme {
-			return repair.NewForwardWalk(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		}},
-		{"multistage-shared-pt", func() repair.Scheme { return repair.NewMultiStage(c, 32, true) }},
-		{"limited-4pc", func() repair.Scheme { return repair.NewLimitedPC(c, 4, 4, false) }},
+	names := []string{"tage57-perfect", "tage57-forward-32-4-2-coalesce",
+		"tage57-multistage-shared-pt", "tage57-limited-4pc"}
+	res, err := r.results(ctx, append([]string{"tage57"}, names...)...)
+	if err != nil {
+		return "", err
 	}
+	base57 := res[0]
 	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain vs TAGE-57KB"}}
-	for _, s := range specs {
-		res := r.ResultsContext(ctx, Big57Spec(s.label, s.mk))
-		t.AddRow("tage57+"+s.label, metrics.Pct(mpkiReduction(base57, res)), metrics.Pct(ipcGain(base57, res)))
+	for i, name := range names {
+		row := "tage57+" + strings.TrimPrefix(name, "tage57-")
+		t.AddRow(row, metrics.Pct(mpkiReduction(base57, res[i+1])), metrics.Pct(ipcGain(base57, res[i+1])))
 	}
 	return t.String(), nil
+}
+
+// specs resolves experiment row names, in order.
+func specs(names ...string) ([]Spec, error) {
+	out := make([]Spec, len(names))
+	for i, name := range names {
+		s, err := SpecFor(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// results runs each named configuration over the suite, in order.
+func (r *Runner) results(ctx context.Context, names ...string) ([][]metrics.Result, error) {
+	ss, err := specs(names...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Result, len(ss))
+	for i, s := range ss {
+		out[i] = r.ResultsContext(ctx, s)
+	}
+	return out, nil
 }

@@ -3,9 +3,7 @@ package harness
 import (
 	"context"
 
-	"localbp/internal/bpu/loop"
 	"localbp/internal/metrics"
-	"localbp/internal/repair"
 )
 
 // Extension experiment (beyond the paper's figures): the paper argues its
@@ -15,41 +13,29 @@ import (
 // direction pattern instead of an iteration counter — and re-running the
 // repair ladder unchanged.
 
-// YehPattSpec wires the generic local predictor into a scheme.
-func YehPattSpec(label string, mk func(lp loop.LocalPredictor) repair.Scheme) Spec {
-	s := BaselineSpec()
-	s.Label = "yehpatt-" + label
-	s.Scheme = func() repair.Scheme { return mk(loop.NewYehPatt(loop.YehPatt128())) }
-	return s
-}
-
 // Ext1 compares the loop predictor and the generic local predictor under
 // no repair, forward-walk repair and perfect repair.
 func Ext1(ctx context.Context, r *Runner) (string, error) {
-	base := r.ResultsContext(ctx, BaselineSpec())
-	p42 := repair.Ports{CkptRead: 4, BHTWrite: 2}
-
-	rows := []struct {
-		label string
-		spec  Spec
-	}{
-		{"loop + no repair", NoRepairSpec(loop.Loop128())},
-		{"loop + forward walk", ForwardWalkSpec(loop.Loop128(), 32, p42, true)},
-		{"loop + perfect", PerfectSpec(loop.Loop128())},
-		{"yehpatt + no repair", YehPattSpec("none", func(lp loop.LocalPredictor) repair.Scheme {
-			return repair.NewNoneFor(lp)
-		})},
-		{"yehpatt + forward walk", YehPattSpec("forward", func(lp loop.LocalPredictor) repair.Scheme {
-			return repair.NewForwardWalkFor(lp, 32, p42, true)
-		})},
-		{"yehpatt + perfect", YehPattSpec("perfect", func(lp loop.LocalPredictor) repair.Scheme {
-			return repair.NewPerfectFor(lp)
-		})},
+	rows := []struct{ label, name string }{
+		{"loop + no repair", "no-repair"},
+		{"loop + forward walk", "forward-coalesce"},
+		{"loop + perfect", "perfect"},
+		{"yehpatt + no repair", "yehpatt-none"},
+		{"yehpatt + forward walk", "yehpatt-forward"},
+		{"yehpatt + perfect", "yehpatt-perfect"},
 	}
-	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain"}}
+	names := []string{"tage"}
 	for _, row := range rows {
-		res := r.ResultsContext(ctx, row.spec)
-		t.AddRow(row.label, metrics.Pct(mpkiReduction(base, res)), metrics.Pct(ipcGain(base, res)))
+		names = append(names, row.name)
+	}
+	res, err := r.results(ctx, names...)
+	if err != nil {
+		return "", err
+	}
+	base := res[0]
+	t := &metrics.Table{Header: []string{"Configuration", "MPKI redn", "IPC gain"}}
+	for i, row := range rows {
+		t.AddRow(row.label, metrics.Pct(mpkiReduction(base, res[i+1])), metrics.Pct(ipcGain(base, res[i+1])))
 	}
 	return t.String(), nil
 }

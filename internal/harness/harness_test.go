@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"localbp/internal/bpu/loop"
-	"localbp/internal/repair"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
@@ -93,31 +92,6 @@ func TestStaticTables(t *testing.T) {
 	}
 }
 
-func TestSpecLabelsUnique(t *testing.T) {
-	c := loop.Loop128()
-	specs := []Spec{
-		BaselineSpec(), PerfectSpec(c), NoRepairSpec(c), RetireUpdateSpec(c),
-		SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, false),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true),
-		MultiStageSpec(c, 32, true), MultiStageSpec(c, 32, false),
-		LimitedPCSpec(c, 2, 2, false), LimitedPCSpec(c, 4, 4, false),
-		OracleSpec(c), Iso9KBSpec(), Big57Spec("x", nil),
-	}
-	// PaperForwardWalk intentionally aliases the coalescing forward-walk spec.
-	if PaperForwardWalk(c).Label != ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true).Label {
-		t.Fatal("PaperForwardWalk must alias the headline configuration")
-	}
-	seen := map[string]bool{}
-	for _, s := range specs {
-		if s.Label == "" || seen[s.Label] {
-			t.Fatalf("bad or duplicate label %q", s.Label)
-		}
-		seen[s.Label] = true
-	}
-}
-
 // TestIntegrationOrdering is the headline integration test: on a reduced run,
 // the paper's qualitative ordering must hold — perfect > forward walk > no
 // repair, and no repair ≈ baseline.
@@ -129,7 +103,7 @@ func TestIntegrationOrdering(t *testing.T) {
 	r := NewRunner(o)
 	base := r.Results(BaselineSpec())
 	perf := r.Results(PerfectSpec(loop.Loop128()))
-	fwd := r.Results(PaperForwardWalk(loop.Loop128()))
+	fwd := r.Results(mustSpecFor("forward-coalesce"))
 	none := r.Results(NoRepairSpec(loop.Loop128()))
 
 	perfRed := mpkiReduction(base, perf)

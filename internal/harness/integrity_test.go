@@ -16,20 +16,12 @@ import (
 // multi-stage, limited-PC and the generic (Yeh-Patt) predictor, so every
 // decorator pairing the auditor must see read-only is exercised.
 func auditSpecs() []Spec {
-	c := loop.Loop128()
-	return []Spec{
-		BaselineSpec(),
-		PerfectSpec(c),
-		RetireUpdateSpec(c),
-		SnapshotSpec(c, 32, repair.Ports{CkptRead: 8, BHTWrite: 8}),
-		BackwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 4}),
-		ForwardWalkSpec(c, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true),
-		MultiStageSpec(c, 32, true),
-		LimitedPCSpec(c, 4, 4, false),
-		YehPattSpec("forward", func(lp loop.LocalPredictor) repair.Scheme {
-			return repair.NewForwardWalkFor(lp, 32, repair.Ports{CkptRead: 4, BHTWrite: 2}, true)
-		}),
+	s, err := specs("tage", "perfect", "retire-update", "snapshot", "backward",
+		"forward-coalesce", "multistage", "limited-4pc", "yehpatt-forward")
+	if err != nil {
+		panic(err)
 	}
+	return s
 }
 
 // TestAuditCleanAcrossSchemes: on healthy runs the auditor and golden model
@@ -86,13 +78,13 @@ func injectCfg(k faultinject.Kind, every uint64) *faultinject.Config {
 func TestFaultInjectionGraceful(t *testing.T) {
 	w := workloads.QuickSuite()[2]
 	tr := w.Generate(30_000)
-	clean, err := runTrace(tr, PaperForwardWalk(loop.Loop128()))
+	clean, err := runTrace(tr, mustSpecFor("forward-coalesce"))
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 	cst := clean.Stats
 	for _, k := range faultinject.Kinds() {
-		spec := PaperForwardWalk(loop.Loop128())
+		spec := mustSpecFor("forward-coalesce")
 		spec.Label = "fwd+" + k.String()
 		spec.Inject = injectCfg(k, 53)
 		res, err := runTrace(tr, spec)
@@ -146,8 +138,8 @@ func TestFaultDetectionUnderAudit(t *testing.T) {
 	}{
 		// OBQ damage is visible to the checkpoint-liveness and queue-order
 		// scans of any OBQ-backed scheme.
-		{faultinject.OBQDrop, 53, PaperForwardWalk(loop.Loop128())},
-		{faultinject.OBQDup, 53, PaperForwardWalk(loop.Loop128())},
+		{faultinject.OBQDrop, 53, mustSpecFor("forward-coalesce")},
+		{faultinject.OBQDup, 53, mustSpecFor("forward-coalesce")},
 		// A swallowed repair is visible to the perfect-repair resync check.
 		{faultinject.RepairDelay, 5, PerfectSpec(loop.Loop128())},
 	}
@@ -228,7 +220,7 @@ func TestGoldenModelCatchesStreamSkew(t *testing.T) {
 // bit-identical to an unsampled sweep (the sampled runs are fully audited
 // but report the same statistics).
 func TestAuditSampleOption(t *testing.T) {
-	spec := PaperForwardWalk(loop.Loop128())
+	spec := mustSpecFor("forward-coalesce")
 	plain := NewRunner(Options{Insts: 20_000, Quick: true}).Run(spec)
 	sampled := NewRunner(Options{Insts: 20_000, Quick: true, AuditSample: 3}).Run(spec)
 	if len(plain) != len(sampled) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"localbp/internal/audit"
-	"localbp/internal/bpu/loop"
 	"localbp/internal/core"
 	"localbp/internal/mem"
 	"localbp/internal/obs"
@@ -89,10 +88,11 @@ func TestMemTrackDifferential(t *testing.T) {
 		if testing.Short() {
 			t.Skip("runs 14 specs over the quick suite and the stressor ladder")
 		}
-		c := loop.Loop128()
-		specs := append([]Spec{BaselineSpec(), PerfectSpec(c)}, table3Rows(c)...)
-		specs = append(specs, Iso9KBSpec(), OracleSpec(c),
-			Big57Spec("forward-coalesce", PaperForwardWalk(c).Scheme))
+		names := append([]string{"tage", "perfect"}, table3Rows...)
+		matrix, err := specs(append(names, "tage9", "oracle-local", "tage57-forward-coalesce")...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		const n = 8_000
 		tc := NewTraceCache()
 		for _, w := range append(workloads.QuickSuite(), workloads.StressSuite()...) {
@@ -105,7 +105,7 @@ func TestMemTrackDifferential(t *testing.T) {
 				if track == nil {
 					t.Fatal("no track for the configuration that built it")
 				}
-				for _, spec := range specs {
+				for _, spec := range matrix {
 					for _, warmup := range []uint64{0, 1000} {
 						spec.Core.WarmupInsts = warmup
 						live, err := observeRun(tr, spec)
@@ -164,7 +164,7 @@ func TestMemTrackDifferential(t *testing.T) {
 	}
 	for _, tc := range lengthCases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := PaperForwardWalk(loop.Loop128())
+			spec := mustSpecFor("forward-coalesce")
 			spec.memTrack = tc.track
 			_, err := runTrace(tr, spec)
 			var ie *audit.IntegrityError

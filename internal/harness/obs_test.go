@@ -109,19 +109,20 @@ func TestCPIStackTable(t *testing.T) {
 	}
 }
 
-// TestSpecForRejectsUnknown ensures the shared registry error (with its
-// valid-name list) surfaces through SpecFor.
+// TestSpecForRejectsUnknown ensures an unknown name's error names it and
+// lists the grammar's forms.
 func TestSpecForRejectsUnknown(t *testing.T) {
 	_, err := SpecFor("definitely-not-a-scheme")
-	if err == nil || !strings.Contains(err.Error(), "valid:") {
-		t.Fatalf("want registry error listing valid names, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `"definitely-not-a-scheme"`) ||
+		!strings.Contains(err.Error(), "forward[-32-4-2][-coalesce]") {
+		t.Fatalf("want an error naming the input and listing the grammar, got %v", err)
 	}
 }
 
 // TestObsSpecValidate rejects a negative tracer capacity through the spec
 // validation path (so sweeps fail fast, per run.go's Validate contract).
 func TestObsSpecValidate(t *testing.T) {
-	spec, err := SpecFor("baseline")
+	spec, err := SpecFor("tage")
 	if err != nil {
 		t.Fatal(err)
 	}

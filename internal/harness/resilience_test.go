@@ -21,7 +21,7 @@ import (
 // produce identical []Outcome slices — parallelism is a throughput knob, not
 // a result knob.
 func TestParallelDeterminism(t *testing.T) {
-	specs := []Spec{BaselineSpec(), PaperForwardWalk(loop.Loop128())}
+	specs := []Spec{BaselineSpec(), mustSpecFor("forward-coalesce")}
 	for _, spec := range specs {
 		serial := NewRunner(Options{Insts: 20_000, Quick: true, Workers: 1})
 		parallel := NewRunner(Options{Insts: 20_000, Quick: true, Workers: 8})
@@ -166,7 +166,7 @@ func TestSpecValidateCatchesBadScheme(t *testing.T) {
 	if !strings.Contains(err.Error(), "scheme construction panicked") {
 		t.Fatalf("unexpected validation error: %v", err)
 	}
-	if err := PaperForwardWalk(loop.Loop128()).Validate(); err != nil {
+	if err := mustSpecFor("forward-coalesce").Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 }

@@ -14,14 +14,12 @@ import (
 
 	"localbp/internal/audit"
 	"localbp/internal/bpu"
-	"localbp/internal/bpu/loop"
 	"localbp/internal/bpu/tage"
 	"localbp/internal/core"
 	"localbp/internal/faultinject"
 	"localbp/internal/mem"
 	"localbp/internal/obs"
 	"localbp/internal/repair"
-	"localbp/internal/schemes"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
@@ -143,41 +141,6 @@ func trialScheme(mk SchemeMaker) (err error) {
 		return errors.New("spec: scheme maker returned nil (use a nil Scheme for the baseline)")
 	}
 	return nil
-}
-
-// BaselineSpec is the TAGE-only Table 2 baseline.
-func BaselineSpec() Spec {
-	return Spec{Label: "tage", Tage: tage.KB8(), Core: core.DefaultConfig()}
-}
-
-// PerfectSpec is CBPw-Loop with perfect instantaneous repair.
-func PerfectSpec(cfg loop.Config) Spec {
-	s := BaselineSpec()
-	s.Label = "perfect-" + cfg.Name
-	s.Scheme = func() repair.Scheme { return repair.NewPerfect(cfg) }
-	return s
-}
-
-// SpecFor builds a Spec for a registry scheme name (or alias) on the
-// default Table 2 core: the single path from a CLI -scheme flag or a facade
-// Scheme to a runnable configuration. Caller options layer onto the
-// scheme's canonical parameters.
-func SpecFor(name string, opts ...schemes.Opt) (Spec, error) {
-	def, _, err := schemes.Resolve(name, opts...)
-	if err != nil {
-		return Spec{}, err
-	}
-	s := Spec{Label: def.Name, Tage: tage.KB8(), Core: core.DefaultConfig(), Oracle: def.Oracle}
-	if def.Make != nil {
-		s.Scheme = func() repair.Scheme {
-			sch, _, err := schemes.Build(name, opts...)
-			if err != nil {
-				panic(err) // unreachable: Resolve above validated the name
-			}
-			return sch
-		}
-	}
-	return s, nil
 }
 
 // Result is what one Run reports.

@@ -1,89 +1,34 @@
 package schemes
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"localbp/internal/repair"
-)
-
+// TestEveryNameBuilds: a name of each of the grammar's forms builds its
+// scheme (none for a TAGE-only baseline), only oracle-local is flagged
+// oracle, and an unknown name is an error.
 func TestEveryNameBuilds(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range []string{
+		"tage", "tage9", "tage57", "oracle-local", "perfect", "perfect-CBPw-Loop64",
+		"no-repair", "retire-update", "snapshot", "snapshot-64-64-64", "backward",
+		"backward-16-4-4", "forward", "forward-coalesce", "forward-64-8-4",
+		"multistage", "multistage-split-pt", "limited-2pc", "limited-4pc-invalidate",
+		"tage57-limited-4pc", "yehpatt-none", "yehpatt-forward", "yehpatt-perfect",
+	} {
 		s, d, err := Build(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if d.Name != name {
-			t.Fatalf("%s resolved to %s", name, d.Name)
+		if d.Oracle != (name == "oracle-local") {
+			t.Fatalf("%s: oracle=%v", name, d.Oracle)
 		}
-		if name == "baseline" {
-			if s != nil {
-				t.Fatal("baseline built a scheme")
-			}
-			continue
+		tageOnly := name == "tage" || name == "tage9" || name == "tage57"
+		if tageOnly != (s == nil) {
+			t.Fatalf("%s: built scheme %v", name, s)
 		}
-		if s == nil || s.Name() == "" {
-			t.Fatalf("%s built no scheme", name)
+		if s != nil && s.Name() == "" {
+			t.Fatalf("%s built an unnamed scheme", name)
 		}
 	}
-}
-
-func TestCanonicalParams(t *testing.T) {
-	cases := []struct {
-		name  string
-		check func(Params) bool
-	}{
-		{"snapshot", func(p Params) bool { return p.Ports == repair.Ports{CkptRead: 8, BHTWrite: 8} }},
-		{"backward", func(p Params) bool { return p.Ports == repair.Ports{CkptRead: 4, BHTWrite: 4} }},
-		{"forward", func(p Params) bool { return !p.Coalesce && p.Ports == repair.Ports{CkptRead: 4, BHTWrite: 2} }},
-		{"forward-coalesce", func(p Params) bool { return p.Coalesce }},
-		{"multistage", func(p Params) bool { return p.SharedPT }},
-		{"multistage-split", func(p Params) bool { return !p.SharedPT }},
-		{"limited2", func(p Params) bool { return p.PCs == 2 && p.WritePorts == 2 }},
-		{"limited4", func(p Params) bool { return p.PCs == 4 && p.WritePorts == 4 }},
-		{"limited8", func(p Params) bool { return p.PCs == 8 && p.WritePorts == 4 }},
-	}
-	for _, c := range cases {
-		_, p, err := Resolve(c.name)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !c.check(p) {
-			t.Fatalf("%s canonical params wrong: %+v", c.name, p)
-		}
-	}
-}
-
-func TestAliasesAndOptions(t *testing.T) {
-	for alias, want := range map[string]string{
-		"tage": "baseline", "no-repair": "none", "retire-update": "retire",
-		"backward-walk": "backward", "forward-walk": "forward-coalesce",
-		"limited-pc": "limited", "yehpatt": "yehpatt-forward",
-	} {
-		d, ok := ByName(alias)
-		if !ok || d.Name != want {
-			t.Fatalf("alias %s -> %v (want %s)", alias, d, want)
-		}
-	}
-	// Caller options layer over canonical prep.
-	_, p, err := Resolve("backward", func(p *Params) { p.OBQEntries = 8 })
-	if err != nil || p.OBQEntries != 8 || p.Ports.BHTWrite != 4 {
-		t.Fatalf("option layering wrong: %+v (%v)", p, err)
-	}
-	if _, _, err := Resolve("bogus"); err == nil || !strings.Contains(err.Error(), "valid:") {
-		t.Fatalf("unknown name error wrong: %v", err)
-	}
-	if u := Usage(); !strings.Contains(u, "forward-coalesce") || !strings.Contains(u, "baseline") {
-		t.Fatal("usage table incomplete")
-	}
-}
-
-func TestOracleFlag(t *testing.T) {
-	d, _ := ByName("oracle")
-	if !d.Oracle {
-		t.Fatal("oracle def not flagged")
-	}
-	if d, _ := ByName("perfect"); d.Oracle {
-		t.Fatal("perfect def flagged oracle")
+	if _, _, err := Build("forward-walk"); err == nil {
+		t.Fatal("unknown name built")
 	}
 }

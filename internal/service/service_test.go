@@ -12,10 +12,19 @@ import (
 	"localbp/internal/harness"
 )
 
+// runSweep checks cfg and runs it under ctx.
+func runSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
+	s, err := NewSweep(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(ctx)
+}
+
 // TestRunSweepUnknownID: id validation is complete and fails before any
 // simulation.
 func TestRunSweepUnknownID(t *testing.T) {
-	_, err := RunSweep(context.Background(), SweepConfig{
+	_, err := NewSweep(SweepConfig{
 		Opts: harness.Options{Insts: 5_000, Quick: true},
 		IDs:  []string{"table1", "nope", "fig99"},
 	})
@@ -35,7 +44,7 @@ func TestRunSweepCheckpointReplay(t *testing.T) {
 	}
 	var first bytes.Buffer
 	cfg.Out = &first
-	rep, err := RunSweep(context.Background(), cfg)
+	rep, err := runSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +54,7 @@ func TestRunSweepCheckpointReplay(t *testing.T) {
 
 	var second bytes.Buffer
 	cfg.Out = &second
-	rep, err = RunSweep(context.Background(), cfg)
+	rep, err = runSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func TestRunSweepCheckpointReplay(t *testing.T) {
 	// Mismatched options must refuse the checkpoint, not silently mix results.
 	bad := cfg
 	bad.Opts.Insts = 9_999
-	if _, err := RunSweep(context.Background(), bad); err == nil {
+	if _, err := NewSweep(bad); err == nil {
 		t.Fatal("option-mismatched checkpoint accepted")
 	}
 }
@@ -69,7 +78,7 @@ func TestRunSweepCheckpointReplay(t *testing.T) {
 func TestRunSweepInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunSweep(ctx, SweepConfig{
+	rep, err := runSweep(ctx, SweepConfig{
 		Opts: harness.Options{Insts: 5_000, Quick: true},
 		IDs:  []string{"table1"},
 	})

@@ -26,7 +26,7 @@ const (
 	// experiments or workload runs failed.
 	SweepPartial SweepStatus = 1
 	// SweepConfigError: the sweep never started (unknown ids, checkpoint
-	// mismatch, ...). RunSweep signals this by returning an error.
+	// mismatch, ...). NewSweep signals this by returning an error.
 	SweepConfigError SweepStatus = 2
 	// SweepAllFailed: every attempted experiment failed to produce output.
 	SweepAllFailed SweepStatus = 3
@@ -52,7 +52,7 @@ func (s SweepStatus) String() string {
 	return fmt.Sprintf("status(%d)", int(s))
 }
 
-// SweepConfig parameterizes RunSweep. Zero-value writers discard.
+// SweepConfig parameterizes a sweep. Zero-value writers discard.
 type SweepConfig struct {
 	// Opts configures the underlying harness (instruction budget, worker
 	// count, per-run timeout, ...).
@@ -68,7 +68,7 @@ type SweepConfig struct {
 	Log  io.Writer
 }
 
-// SweepReport is the outcome of one RunSweep invocation.
+// SweepReport is the outcome of one Sweep.Run.
 type SweepReport struct {
 	Total       int                 // experiments selected
 	Completed   int                 // experiments that produced output this run
@@ -114,25 +114,23 @@ func (r *SweepReport) Summary() string {
 	return b.String()
 }
 
-// RunSweep executes the selected experiments with checkpoint/resume and
-// graceful cancellation. A non-nil error means the sweep could not be
-// configured (invalid options, unknown ids, a mismatched checkpoint) or a
-// checkpoint flush failed (SweepConfigError territory); everything else —
-// including run failures and interruption — is reported through the
-// SweepReport.
-func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
+// Sweep is a sweep whose configuration has been checked: its options, its
+// experiment ids and its checkpoint. Run executes it.
+type Sweep struct {
+	cfg SweepConfig
+	ids []string
+	ck  *harness.Checkpoint // nil without SweepConfig.Checkpoint
+}
+
+// NewSweep checks everything about a sweep that can fail before any
+// experiment runs — invalid options, unknown ids, an unreadable or
+// mismatched checkpoint — and prints nothing, so a caller can refuse a bad
+// configuration before its own output starts. Its error is
+// SweepConfigError territory.
+func NewSweep(cfg SweepConfig) (*Sweep, error) {
 	if err := cfg.Opts.Validate(); err != nil {
 		return nil, err
 	}
-	out := cfg.Out
-	if out == nil {
-		out = io.Discard
-	}
-	errs := cfg.Errs
-	if errs == nil {
-		errs = io.Discard
-	}
-
 	ids := cfg.IDs
 	if len(ids) == 0 {
 		for _, e := range harness.Experiments() {
@@ -151,27 +149,42 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (*SweepReport, error) {
 		return nil, fmt.Errorf("unknown experiment ids: %s (use -list)", strings.Join(unknown, ", "))
 	}
 
-	rep := &SweepReport{Total: len(ids)}
-	var ck *harness.Checkpoint
+	s := &Sweep{cfg: cfg, ids: ids}
 	if cfg.Checkpoint != "" {
-		loaded, err := harness.LoadCheckpoint(cfg.Checkpoint)
+		ck, err := harness.LoadCheckpoint(cfg.Checkpoint)
 		if err != nil {
 			return nil, err
 		}
-		ck = loaded
 		if ck == nil {
 			ck = harness.NewCheckpoint(cfg.Opts)
-		} else {
-			if !ck.Matches(cfg.Opts) {
-				return nil, fmt.Errorf(
-					"checkpoint %s was written with -insts %d -warmup %d -quick %v; rerun with those flags or delete it",
-					cfg.Checkpoint, ck.Insts, ck.Warmup, ck.Quick)
-			}
-			if ck.Note != "" {
-				rep.Note = ck.Note
-				fmt.Fprintf(errs, "sweep: %s\n", ck.Note)
-			}
+		} else if !ck.Matches(cfg.Opts) {
+			return nil, fmt.Errorf(
+				"checkpoint %s was written with -insts %d -warmup %d -quick %v; rerun with those flags or delete it",
+				cfg.Checkpoint, ck.Insts, ck.Warmup, ck.Quick)
 		}
+		s.ck = ck
+	}
+	return s, nil
+}
+
+// Run executes the selected experiments with checkpoint/resume and
+// graceful cancellation. A non-nil error means a checkpoint flush failed
+// (SweepConfigError territory); everything else — including run failures
+// and interruption — is reported through the SweepReport.
+func (s *Sweep) Run(ctx context.Context) (*SweepReport, error) {
+	cfg, ids, ck := s.cfg, s.ids, s.ck
+	out := cfg.Out
+	if out == nil {
+		out = io.Discard
+	}
+	errs := cfg.Errs
+	if errs == nil {
+		errs = io.Discard
+	}
+	rep := &SweepReport{Total: len(ids)}
+	if ck != nil && ck.Note != "" {
+		rep.Note = ck.Note
+		fmt.Fprintf(errs, "sweep: %s\n", ck.Note)
 	}
 
 	r := harness.NewRunner(cfg.Opts)

@@ -7,8 +7,8 @@
 // BHT, and limited-PC repair.
 //
 // This package is the public facade. Schemes are values built by named
-// constructors (optionally tuned with Scheme options), and a simulation is
-// one Simulate call, tuned with functional options:
+// constructors or by configuration name (SchemeByName), and a simulation
+// is one Simulate call, tuned with functional options:
 //
 //	w, _ := localbp.Workload("cloud-compression")
 //	res, err := localbp.Simulate(w, 500_000, localbp.ForwardWalk(),
@@ -37,143 +37,81 @@ import (
 	"errors"
 	"fmt"
 
-	"localbp/internal/bpu/loop"
 	"localbp/internal/harness"
 	"localbp/internal/obs"
-	"localbp/internal/repair"
-	"localbp/internal/schemes"
 	"localbp/internal/trace"
 	"localbp/internal/workloads"
 )
 
-// Scheme names a local-predictor integration (predictor + repair),
-// resolved through the shared scheme registry. Values are built by the
-// named constructors (BaselineTAGE, ForwardWalk, ...) or SchemeByName.
+// Scheme names a local-predictor integration (predictor + repair). Values
+// are built by the named constructors (BaselineTAGE, ForwardWalk, ...) or
+// SchemeByName, and every one resolves its configuration name through the
+// experiment harness's one parser (harness.SpecFor), the same one the
+// experiments and lbpsim -scheme use.
 type Scheme interface {
 	// Label returns the scheme's display name.
 	Label() string
-	// spec keeps the interface closed over this package's registry entries.
+	// spec keeps the interface closed over this package's constructors.
 	spec() schemeSpec
 }
 
 type schemeSpec struct {
 	label string
-	name  string // registry name
-	opts  []SchemeOpt
+	name  string // configuration name, resolved by harness.SpecFor
 }
 
 func (s schemeSpec) Label() string    { return s.label }
 func (s schemeSpec) spec() schemeSpec { return s }
 
-func mkScheme(label, name string, opts []SchemeOpt) Scheme {
-	return schemeSpec{label: label, name: name, opts: opts}
-}
-
-// SchemeOpt tunes a scheme's construction parameters (loop size, OBQ
-// capacity, port budget, ...). Apply via the scheme constructors.
-type SchemeOpt = schemes.Opt
-
-// WithLoopEntries selects the CBPw-Loop predictor size: 64, 128 (default)
-// or 256 entries. Other values fall back to 128.
-func WithLoopEntries(n int) SchemeOpt {
-	return func(p *schemes.Params) {
-		switch n {
-		case 64:
-			p.Loop = loop.Loop64()
-		case 256:
-			p.Loop = loop.Loop256()
-		default:
-			p.Loop = loop.Loop128()
-		}
-	}
-}
-
-// WithOBQEntries sets the outstanding-branch-queue capacity.
-func WithOBQEntries(n int) SchemeOpt {
-	return func(p *schemes.Params) { p.OBQEntries = n }
-}
-
-// WithPorts sets the checkpoint-read and BHT-write port budget.
-func WithPorts(ckptRead, bhtWrite int) SchemeOpt {
-	return func(p *schemes.Params) {
-		p.Ports = repair.Ports{CkptRead: ckptRead, BHTWrite: bhtWrite}
-	}
-}
-
-// WithCoalescing toggles OBQ same-PC run coalescing (forward walk).
-func WithCoalescing(on bool) SchemeOpt {
-	return func(p *schemes.Params) { p.Coalesce = on }
-}
-
-// WithSharedPT toggles the shared pattern table (multi-stage).
-func WithSharedPT(on bool) SchemeOpt {
-	return func(p *schemes.Params) { p.SharedPT = on }
-}
-
-// WithWritePorts sets the BHT write-port count (limited-PC repair).
-func WithWritePorts(n int) SchemeOpt {
-	return func(p *schemes.Params) { p.WritePorts = n }
-}
-
-// WithInvalidate makes limited-PC repair invalidate entries instead of
-// restoring them.
-func WithInvalidate(on bool) SchemeOpt {
-	return func(p *schemes.Params) { p.Invalidate = on }
-}
-
 // BaselineTAGE simulates the TAGE-only baseline (no local predictor).
-func BaselineTAGE() Scheme { return mkScheme("tage", "baseline", nil) }
+func BaselineTAGE() Scheme { return schemeSpec{"tage", "tage"} }
 
 // PerfectRepair is the oracle upper bound: unbounded checkpoints, zero-cycle
 // repair.
-func PerfectRepair(opts ...SchemeOpt) Scheme { return mkScheme("perfect", "perfect", opts) }
+func PerfectRepair() Scheme { return schemeSpec{"perfect", "perfect"} }
 
 // NoRepair leaves the speculative BHT state unrepaired (paper §2.7).
-func NoRepair(opts ...SchemeOpt) Scheme { return mkScheme("no-repair", "none", opts) }
+func NoRepair() Scheme { return schemeSpec{"no-repair", "no-repair"} }
 
 // RetireUpdate defers BHT updates to retirement (paper §6.2).
-func RetireUpdate(opts ...SchemeOpt) Scheme { return mkScheme("retire-update", "retire", opts) }
+func RetireUpdate() Scheme { return schemeSpec{"retire-update", "retire-update"} }
 
 // SnapshotQueue checkpoints the full BHT per branch (SNAP-32-8-8).
-func SnapshotQueue(opts ...SchemeOpt) Scheme { return mkScheme("snapshot", "snapshot", opts) }
+func SnapshotQueue() Scheme { return schemeSpec{"snapshot", "snapshot"} }
 
 // BackwardWalk is the prior-art history-file repair (BWD-32-4-4).
-func BackwardWalk(opts ...SchemeOpt) Scheme { return mkScheme("backward-walk", "backward", opts) }
+func BackwardWalk() Scheme { return schemeSpec{"backward-walk", "backward"} }
 
 // ForwardWalk is the paper's headline realistic repair (FWD-32-4-2 with OBQ
 // coalescing, §3.1).
-func ForwardWalk(opts ...SchemeOpt) Scheme {
-	return mkScheme("forward-walk", "forward-coalesce", opts)
-}
+func ForwardWalk() Scheme { return schemeSpec{"forward-walk", "forward-coalesce"} }
 
 // MultiStage is the split-BHT two-stage design with a shared PT (§3.2).
-func MultiStage(opts ...SchemeOpt) Scheme { return mkScheme("multistage", "multistage", opts) }
+func MultiStage() Scheme { return schemeSpec{"multistage", "multistage"} }
 
 // GenericLocal swaps CBPw-Loop for a generic two-level (Yeh-Patt) local
 // predictor under forward-walk repair, demonstrating the paper's claim that
 // the repair techniques extend to any local predictor design.
-func GenericLocal(opts ...SchemeOpt) Scheme {
-	return mkScheme("yehpatt-forward", "yehpatt-forward", opts)
+func GenericLocal() Scheme { return schemeSpec{"yehpatt-forward", "yehpatt-forward"} }
+
+// LimitedPC repairs m PCs per misprediction through min(m, 4) BHT write
+// ports (§3.3). An m outside 1..1024 fails at simulation time.
+func LimitedPC(m int) Scheme {
+	name := fmt.Sprintf("limited-%dpc", m)
+	return schemeSpec{name, name}
 }
 
-// LimitedPC repairs m PCs per misprediction (§3.3).
-func LimitedPC(m int, opts ...SchemeOpt) Scheme {
-	all := append([]SchemeOpt{func(p *schemes.Params) { p.PCs = m }}, opts...)
-	return mkScheme(fmt.Sprintf("limited-%dpc", m), "limited", all)
-}
-
-// SchemeByName resolves any registry scheme name or alias (see SchemeNames);
-// the label is the canonical registry name.
-func SchemeByName(name string, opts ...SchemeOpt) (Scheme, error) {
-	d, _, err := schemes.Resolve(name, opts...)
+// SchemeByName resolves any configuration name — an experiment row's label
+// such as forward-4-1-1-coalesce, limited-8pc-invalidate or
+// tage57-perfect-CBPw-Loop64, with the paper's defaults optionally left off
+// (forward-coalesce). The label is the canonical one.
+func SchemeByName(name string) (Scheme, error) {
+	s, err := harness.SpecFor(name)
 	if err != nil {
 		return nil, fmt.Errorf("localbp: %w", err)
 	}
-	return mkScheme(d.Name, d.Name, opts), nil
+	return schemeSpec{s.Label, s.Label}, nil
 }
-
-// SchemeNames returns every canonical scheme name, sorted.
-func SchemeNames() []string { return schemes.Names() }
 
 // Observability re-exports: callers interpret CPI stacks and trace events
 // through these aliases without importing internal packages.
@@ -388,7 +326,7 @@ func simulate(src Source, s Scheme, sc simConfig) (Result, error) {
 		return Result{}, errors.New("localbp: nil scheme")
 	}
 	sp := s.spec()
-	spec, err := harness.SpecFor(sp.name, sp.opts...)
+	spec, err := harness.SpecFor(sp.name)
 	if err != nil {
 		return Result{}, fmt.Errorf("localbp: %w", err)
 	}

@@ -66,25 +66,52 @@ func TestSchemeLabels(t *testing.T) {
 	}
 }
 
+// TestSchemeByName: a configuration name resolves to its canonical label,
+// with the paper's defaults optionally left off; the retired registry's
+// aliases and unknown names are errors that list the grammar.
 func TestSchemeByName(t *testing.T) {
-	for _, name := range SchemeNames() {
+	for name, label := range map[string]string{
+		"forward-coalesce":       "forward-32-4-2-coalesce",
+		"forward-64-8-4":         "forward-64-8-4",
+		"limited-4pc-invalidate": "limited-4pc-invalidate",
+		"tage57-perfect":         "tage57-perfect-CBPw-Loop128",
+		"yehpatt-perfect":        "yehpatt-perfect",
+		"tage":                   "tage",
+	} {
 		s, err := SchemeByName(name)
 		if err != nil {
-			t.Fatalf("registry name %q failed: %v", name, err)
+			t.Fatalf("%q: %v", name, err)
 		}
-		if s.Label() != name {
-			t.Fatalf("label %q for registry name %q", s.Label(), name)
+		if s.Label() != label {
+			t.Fatalf("label %q for %q, want %q", s.Label(), name, label)
 		}
 	}
-	// Aliases resolve to the canonical entry.
-	s, err := SchemeByName("forward-walk")
-	if err != nil || s.Label() != "forward-coalesce" {
-		t.Fatalf("alias resolution: %v, label %q", err, s.Label())
+	for _, name := range []string{"forward-walk", "backward-walk", "limited-pc", "bogus"} {
+		if _, err := SchemeByName(name); err == nil {
+			t.Fatalf("%q accepted", name)
+		} else if !strings.Contains(err.Error(), "forward[-32-4-2][-coalesce]") {
+			t.Fatalf("%q: error does not list the grammar: %v", name, err)
+		}
 	}
-	if _, err := SchemeByName("bogus"); err == nil {
-		t.Fatal("unknown scheme name accepted")
-	} else if !strings.Contains(err.Error(), "valid:") {
-		t.Fatalf("error does not list valid names: %v", err)
+}
+
+// TestSimulateRejectsBadScheme: a scheme whose parameters no repair
+// hardware has (zero PCs, an empty queue, no ports, sizes past the bound)
+// fails Simulate with an error instead of panicking inside the run.
+func TestSimulateRejectsBadScheme(t *testing.T) {
+	w, _ := Workload("cloud-compression")
+	for _, m := range []int{0, -1, 1025} {
+		if _, err := Simulate(w, 2_000, LimitedPC(m)); err == nil {
+			t.Fatalf("LimitedPC(%d) simulated", m)
+		}
+	}
+	for _, name := range []string{"forward-0-4-2", "forward-32-4-0", "snapshot-2048-8-8"} {
+		if _, err := SchemeByName(name); err == nil {
+			t.Fatalf("%q accepted", name)
+		}
+	}
+	if _, err := Simulate(w, 2_000, LimitedPC(1)); err != nil {
+		t.Fatalf("LimitedPC(1): %v", err)
 	}
 }
 
@@ -200,9 +227,15 @@ func TestSimulateObservability(t *testing.T) {
 	}
 }
 
+// TestSchemeOptions: a configuration name sets the repair hardware's size;
+// a starved forward walk is slower than the paper's.
 func TestSchemeOptions(t *testing.T) {
 	w, _ := Workload("cloud-compression")
-	small, err := Simulate(w, 60_000, ForwardWalk(WithOBQEntries(4), WithPorts(1, 1)))
+	starved, err := SchemeByName("forward-4-1-1-coalesce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Simulate(w, 60_000, starved)
 	if err != nil {
 		t.Fatal(err)
 	}
