@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	lbpsim [-insts N] [-workload name | -trace-file file] [-scheme name] [-seed N] [-timeout D]
-//	       [-audit] [-oracle] [-inject kinds] [-inject-seed N] [-inject-every N]
+//	lbpsim [-insts N] [-workload name | -trace-file file] [-scheme name] [-seed N]
+//	       [-maxcycles N] [-stall N] [-audit] [-oracle]
 //	       [-cpistack] [-counters] [-trace-events file] [-trace-chrome file]
 //
 // -scheme takes a configuration name, parsed by harness.SpecFor: any row
@@ -16,13 +16,13 @@
 // carries the TAGE size and the loop predictor size. An unknown name exits
 // 2 and lists the grammar.
 //
-// -audit enables the integrity auditor (read-only invariant checks; the
-// first violation aborts with a structured report). -oracle cross-checks
-// every retirement against a timing-free in-order execution of the trace
-// (the golden-model differential oracle; distinct from `-scheme
-// oracle-local`, the never-mispredicting local predictor). -inject enables
-// deterministic fault injection: a comma-separated kind list or "all" (see
-// internal/faultinject).
+// -maxcycles and -stall bound the run in simulated cycles (the core's
+// watchdog): a run that exceeds its cycle budget or stops retiring exits 1
+// with a pipeline dump. -audit enables the integrity auditor (read-only
+// invariant checks; the first violation aborts with a structured report).
+// -oracle cross-checks every retirement against a timing-free in-order
+// execution of the trace (the golden-model differential oracle; distinct
+// from `-scheme oracle-local`, the never-mispredicting local predictor).
 //
 // -trace-file replays a saved trace (lbp2 or champsim; see lbptrace
 // -convert) through the streaming ingestion path at fixed memory instead of
@@ -35,8 +35,8 @@
 // writes them in Chrome trace_event format (load in chrome://tracing or
 // Perfetto). -trace-cap bounds the retained-event ring.
 //
-// A non-positive -insts or -trace-cap, or a negative -timeout, exits 2
-// before any run.
+// A non-positive -insts or -trace-cap exits 2 before any run. SIGINT or
+// SIGTERM cancels the run and exits 4.
 package main
 
 import (
@@ -49,7 +49,6 @@ import (
 	"path/filepath"
 	"syscall"
 
-	"localbp/internal/faultinject"
 	"localbp/internal/harness"
 	"localbp/internal/obs"
 	"localbp/internal/service"
@@ -64,12 +63,8 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the workload's trace-generation seed (0 = workload default)")
 	maxCycles := flag.Int64("maxcycles", 0, "abort if the run exceeds this many cycles (0 = automatic budget)")
 	stallCycles := flag.Int64("stall", 0, "abort if no instruction retires for this many cycles (0 = default deadman)")
-	timeout := flag.Duration("timeout", 0, "wall-clock cap for the run (0 = none); composes with -maxcycles/-stall")
 	auditOn := flag.Bool("audit", false, "enable the integrity auditor (read-only invariant checks)")
 	oracleOn := flag.Bool("oracle", false, "cross-check retirement against the golden in-order model")
-	inject := flag.String("inject", "", "fault kinds to inject: comma-separated list or \"all\" (empty = off)")
-	injectSeed := flag.Uint64("inject-seed", 1, "fault-injection target-selection seed")
-	injectEvery := flag.Uint64("inject-every", 997, "fire a fault on every Nth eligible event per kind")
 	cpistack := flag.Bool("cpistack", false, "attribute every cycle to a CPI-stack bucket and print the breakdown")
 	counters := flag.Bool("counters", false, "print the counter-registry snapshot")
 	traceEvents := flag.String("trace-events", "", "write retained trace events as JSONL to this file")
@@ -78,8 +73,7 @@ func main() {
 	traceFile := flag.String("trace-file", "", "replay a saved trace file (lbp2 or champsim) instead of generating -workload")
 	flag.Parse()
 	// Out-of-range numbers exit 2 before any run: trace.Limit reads a
-	// non-positive -insts as "no limit" (a whole -trace-file replay), and a
-	// negative -timeout would run uncapped.
+	// non-positive -insts as "no limit" (a whole -trace-file replay).
 	reject := func(name string, got any, want string) {
 		fmt.Fprintf(os.Stderr, "lbpsim: -%s: got %v, want %s\n", name, got, want)
 		os.Exit(service.ExitConfigError)
@@ -87,8 +81,6 @@ func main() {
 	switch {
 	case *insts <= 0:
 		reject("insts", *insts, "> 0")
-	case *timeout < 0:
-		reject("timeout", *timeout, ">= 0")
 	case *traceCap <= 0:
 		reject("trace-cap", *traceCap, "> 0")
 	}
@@ -135,14 +127,6 @@ func main() {
 	spec.Core.StallCycles = *stallCycles
 	spec.Audit = *auditOn
 	spec.Golden = *oracleOn
-	if *inject != "" {
-		kinds, err := faultinject.ParseKinds(*inject)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
-			os.Exit(service.ExitConfigError)
-		}
-		spec.Inject = &faultinject.Config{Seed: *injectSeed, Every: *injectEvery, Kinds: kinds}
-	}
 
 	// Observability. The counter snapshot is taken inside Done, the last
 	// point at which the registry's "mem" source may be read.
@@ -199,22 +183,15 @@ func main() {
 		}
 		src = trace.NewSliceSource(tr)
 	}
-	// Cancellation: SIGINT/SIGTERM and -timeout both flow through the run
-	// context; the cycle loop observes it within one check stride. The
-	// wall-clock cap composes with the cycle-domain watchdog
-	// (-maxcycles/-stall) — whichever trips first ends the run.
+	// SIGINT/SIGTERM cancel the run context; the cycle loop observes it
+	// within one check stride.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	res, err := harness.Run(ctx, src, spec)
 	if err != nil {
-		// Shared exit taxonomy (service.ExitCodeForError): cancellation —
-		// signal or -timeout — exits 4, everything else 1.
+		// Shared exit taxonomy (service.ExitCodeForError): a signal's
+		// cancellation exits 4, everything else 1.
 		fmt.Fprintf(os.Stderr, "lbpsim: %v\n", err)
 		os.Exit(service.ExitCodeForError(err))
 	}
@@ -256,7 +233,7 @@ func main() {
 		labels := map[string]string{
 			"workload": label,
 			"scheme":   spec.Label,
-			"insts":    fmt.Sprint(*insts),
+			"insts":    fmt.Sprint(src.Len()),
 		}
 		if err := writeTrace(*traceEvents, func(f io.Writer) error {
 			return tracer.WriteJSONL(f, labels)
@@ -275,19 +252,6 @@ func main() {
 		fmt.Printf("\nintegrity: %d checks, 0 violations", res.AuditChecks)
 		if *oracleOn {
 			fmt.Printf(", golden model verified %d retirements", st.Insts)
-		}
-		fmt.Println()
-	}
-	if spec.Inject != nil {
-		var total uint64
-		for _, n := range res.Faults {
-			total += n
-		}
-		fmt.Printf("\nfault injection: %d faults injected", total)
-		for _, k := range faultinject.Kinds() {
-			if n := res.Faults[k.String()]; n > 0 {
-				fmt.Printf("  %s=%d", k, n)
-			}
 		}
 		fmt.Println()
 	}

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	lbpsweep [-insts N] [-quick] [-workers N] [-checkpoint file] [-timeout D] [-deadline D] [-list] [experiment ids...]
+//	lbpsweep [-insts N] [-warmup N] [-quick] [-workers N] [-checkpoint file] [-audit-sample N] [-list] [experiment ids...]
 //
 // Without arguments it runs every experiment (table1 … fig14b, ext*) in
 // paper order; results for configurations shared between experiments are
@@ -10,8 +10,8 @@
 // -workers goroutines (GOMAXPROCS by default; results are deterministic in
 // the worker count). With -quick the reduced, category-balanced workload
 // subset is used. Every flag value is checked before any run: a
-// non-positive -insts or a negative -warmup, -workers, -audit-sample,
-// -timeout or -deadline exits 2.
+// non-positive -insts, a negative -workers or -audit-sample, or a -warmup
+// that is negative or not below -insts exits 2.
 //
 // Resilience:
 //
@@ -21,19 +21,19 @@
 //     experiments and replays their stored output. A corrupt checkpoint is
 //     preserved as <file>.corrupt and the previous generation is recovered
 //     automatically when valid.
-//   - -timeout D bounds each workload run's wall clock, composing with the
-//     cycle-domain watchdog (-insts budget and stall detection); a run that
-//     exceeds it fails like a stalled one. Failed runs are not retried.
-//   - -deadline D bounds the whole invocation's wall clock: on expiry the
-//     sweep is canceled exactly like SIGINT (completed experiments stay
-//     checkpointed) and the process exits with code 4.
+//   - A workload run fails only for a reason its inputs decide: an invalid
+//     configuration, a watchdog stall (the core's cycle budget and no-retire
+//     deadman), an integrity violation or a panic. Failed runs are not
+//     retried: the simulation is deterministic.
 //   - SIGINT/SIGTERM cancel the sweep gracefully: in-flight workload runs
 //     stop within one cancellation-check stride, completed experiments are
-//     already checkpointed, and the process exits with code 4.
+//     already checkpointed, and the process exits with code 4. To bound a
+//     sweep's wall clock, send the signal on a timer:
+//     `timeout --preserve-status -s INT 2h lbpsweep -checkpoint f`.
 //
 // Exit codes: 0 all experiments ok; 1 partial (some experiments or workload
 // runs failed); 2 configuration error; 3 every attempted experiment failed;
-// 4 interrupted (signal or -deadline).
+// 4 interrupted by a signal.
 //
 // Observability: experiment ext2 prints a CPI stack (cycle-accounting
 // breakdown) for one representative workload per category under the
@@ -72,8 +72,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "use the reduced workload subset")
 	workers := flag.Int("workers", 0, "concurrent workload runs per configuration (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "", "file for checkpoint/resume of completed experiments")
-	timeout := flag.Duration("timeout", 0, "wall-clock cap per workload run; a run that exceeds it fails (0 = none)")
-	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole invocation; on expiry the sweep is canceled and exits 4 (0 = none)")
 	auditSample := flag.Int("audit-sample", 0, "run the integrity auditor + golden model on every Nth workload per spec (0 = off)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	verbose := flag.Bool("v", false, "print per-configuration progress")
@@ -86,10 +84,6 @@ func run() int {
 		}
 		return 0
 	}
-	if *deadline < 0 {
-		fmt.Fprintf(os.Stderr, "lbpsweep: -deadline: got %v, want >= 0\n", *deadline)
-		return int(service.SweepConfigError)
-	}
 
 	// SIGINT/SIGTERM cancel the sweep context; workers observe it within one
 	// cancellation-check stride and the sweep drains gracefully. A second
@@ -97,14 +91,6 @@ func run() int {
 	// after the first).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// -deadline composes with signal cancellation: whichever fires first
-	// cancels the same context, and both exit 4 with the work checkpointed.
-	if *deadline > 0 {
-		dctx, cancelDeadline := context.WithTimeout(ctx, *deadline)
-		defer cancelDeadline()
-		ctx = dctx
-	}
 
 	if *pprofDir != "" {
 		stopProf, err := startProfiles(*pprofDir)
@@ -117,7 +103,7 @@ func run() int {
 
 	cfg := service.SweepConfig{
 		Opts: harness.Options{Insts: *insts, Quick: *quick, Warmup: *warmup, Workers: *workers,
-			AuditSample: *auditSample, RunTimeout: *timeout},
+			AuditSample: *auditSample},
 		IDs:        flag.Args(),
 		Checkpoint: *checkpoint,
 		Out:        os.Stdout,

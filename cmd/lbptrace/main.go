@@ -19,9 +19,15 @@
 // -stat and -convert stream: the input is decoded chunk-at-a-time, so
 // arbitrarily long traces are handled at fixed memory. For LBP2 inputs -stat
 // also prints the container layout (chunks, index, bytes per instruction).
+//
+// Exit codes follow lbpsim: a configuration error (an unknown workload, an
+// input that does not open as a trace, -gen or -convert without -out, a
+// non-positive -insts) exits 2 before any output; a trace that fails to
+// decode mid-stream, or a failed write, exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,22 +62,26 @@ func main() {
 		}
 
 	case *stat != "":
-		if err := statFile(*stat); err != nil {
+		src := openTrace(*stat)
+		defer trace.CloseSource(src)
+		if err := statFile(*stat, src); err != nil {
 			fatal(err)
 		}
 
 	case *convert != "":
 		if *out == "" {
-			fatal(fmt.Errorf("-convert requires -out"))
+			configError(errors.New("-convert requires -out"))
 		}
-		if err := convertFile(*convert, *out); err != nil {
+		src := openTrace(*convert)
+		defer trace.CloseSource(src)
+		if err := convertFile(src, *out); err != nil {
 			fatal(err)
 		}
 
 	case *name != "":
 		w, ok := workloads.ByName(*name)
 		if !ok {
-			fatal(fmt.Errorf("unknown workload %q (see -list)", *name))
+			configError(fmt.Errorf("unknown workload %q (see -list)", *name))
 		}
 		if *seed != 0 {
 			w.Seed = *seed
@@ -85,11 +95,10 @@ func main() {
 			return
 		}
 		if *gen && *out == "" {
-			fatal(fmt.Errorf("-gen requires -out"))
+			configError(errors.New("-gen requires -out"))
 		}
 		if *insts <= 0 {
-			fmt.Fprintf(os.Stderr, "lbptrace: -insts: got %d, want > 0\n", *insts)
-			os.Exit(service.ExitConfigError)
+			configError(fmt.Errorf("-insts: got %d, want > 0", *insts))
 		}
 		tr := w.Generate(*insts)
 		fmt.Printf("%s (%s): %s\n", w.Name, w.Category, trace.Summarize(tr))
@@ -108,15 +117,20 @@ func main() {
 	}
 }
 
-// statFile prints the aggregate statistics of any supported trace file,
-// decoding it chunk-at-a-time; LBP2 containers also get a layout line, and
-// ChampSim files their size.
-func statFile(path string) error {
+// openTrace opens a -stat or -convert input. A file that cannot be opened
+// or is not a trace is a configuration error, as for lbpsim -trace-file.
+func openTrace(path string) trace.Source {
 	src, err := trace.OpenSource(path)
 	if err != nil {
-		return err
+		configError(err)
 	}
-	defer trace.CloseSource(src)
+	return src
+}
+
+// statFile prints the aggregate statistics of the trace file at path,
+// decoding src chunk-at-a-time; LBP2 containers also get a layout line, and
+// ChampSim files their size.
+func statFile(path string, src trace.Source) error {
 	st, err := trace.SummarizeSource(src)
 	if err != nil {
 		return err
@@ -141,18 +155,12 @@ func statFile(path string) error {
 	return nil
 }
 
-// convertFile re-encodes the trace at in as LBP2 at out, streaming through
-// the chunked writer at fixed memory; the atomic write means an interrupted
-// conversion never leaves a torn file behind.
-func convertFile(in, out string) error {
-	src, err := trace.OpenSource(in)
-	if err != nil {
-		return err
-	}
-	defer trace.CloseSource(src)
-
+// convertFile re-encodes src as LBP2 at out, streaming through the chunked
+// writer at fixed memory; the atomic write means an interrupted conversion
+// never leaves a torn file behind.
+func convertFile(src trace.Source, out string) error {
 	var total int
-	err = service.AtomicWriteFile(out, func(f io.Writer) error {
+	err := service.AtomicWriteFile(out, func(f io.Writer) error {
 		lw, err := trace.NewLBP2Writer(f, 0)
 		if err != nil {
 			return err
@@ -181,7 +189,16 @@ func convertFile(in, out string) error {
 	return nil
 }
 
+// fatal reports a failure of well-formed work, such as a decode error
+// mid-stream or a failed write, and exits 1.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "lbptrace:", err)
-	os.Exit(1)
+	os.Exit(service.ExitFailure)
+}
+
+// configError reports an invocation that cannot start and exits 2 before
+// any output, with lbpsim's exit code for the same errors.
+func configError(err error) {
+	fmt.Fprintln(os.Stderr, "lbptrace:", err)
+	os.Exit(service.ExitConfigError)
 }

@@ -100,23 +100,35 @@ func TestTraceSmoke(t *testing.T) {
 	}
 }
 
-// TestTraceInputChecks: a non-positive -insts exits 2 before generating (no
-// summary, no output file), and -stat on a record-less LBP2 file reports the
-// layout without a compression ratio.
+// TestTraceInputChecks: lbptrace exits 2 before any output on the
+// configuration errors lbpsim exits 2 for: a non-positive -insts (no
+// summary, no output file), an unknown workload, an input file that does
+// not open as a trace, and -gen or -convert without -out. -stat on a
+// record-less LBP2 file reports the layout without a compression ratio.
 func TestTraceInputChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real binary")
 	}
 	lbptrace := buildBinary(t, "localbp/cmd/lbptrace")
-	path := filepath.Join(t.TempDir(), "empty.lbp2")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "empty.lbp2")
+	missing := filepath.Join(dir, "missing.lbp2")
 	for _, args := range [][]string{
 		{"-workload", "cloud-compression", "-insts", "-5"},
 		{"-workload", "cloud-compression", "-insts", "0", "-out", path},
+		{"-workload", "nope"},
+		{"-stat", missing},
+		{"-convert", missing, "-out", path},
+		{"-gen", "-workload", "cloud-compression", "-insts", "1000"},
+		{"-convert", missing},
 	} {
 		cmd := exec.Command(lbptrace, args...)
-		out, _ := cmd.CombinedOutput()
-		if code := cmd.ProcessState.ExitCode(); code != 2 || strings.Contains(string(out), "insts=") {
-			t.Fatalf("%v exited %d, want 2 before generating\n%s", args, code, out)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 {
+			t.Fatalf("%v exited %d, want 2 before any output\nstdout:\n%sstderr:\n%s",
+				args, code, &stdout, &stderr)
 		}
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {

@@ -117,8 +117,8 @@ func (u *Unit) oracleCovers(pc uint64) bool {
 	}
 	p := lp.Predictor()
 	if p == nil {
-		// Wrappers (audit, fault injection) advertise the method even when
-		// the wrapped scheme has no single primary predictor.
+		// The audit wrapper advertises the method even when the wrapped
+		// scheme has no single primary predictor.
 		return false
 	}
 	info := p.PatternInfo(pc)

@@ -273,6 +273,7 @@ type Core struct {
 
 	stats     Stats
 	warmStats Stats
+	warmCPI   obs.CPIStack // the CPI stack at the warm-up point
 	warmDone  bool
 
 	// Integrity state: the first invariant violation aborts the run with a
@@ -553,6 +554,9 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 			c.warmDone = true
 			c.warmStats = c.stats
 			c.warmStats.Cycles = c.cycle
+			if c.cpi != nil {
+				c.warmCPI = *c.cpi
+			}
 		}
 		if c.stats.Insts != lastInsts {
 			lastInsts = c.stats.Insts
@@ -601,6 +605,11 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 		return c.stats, c.integrity
 	}
 	if c.warmDone {
+		// Like Stats, the CPI stack reports only the measured cycles; the
+		// accounting invariant above checked the whole run.
+		if c.cpi != nil {
+			c.cpi.Sub(&c.warmCPI)
+		}
 		return c.stats.sub(c.warmStats), nil
 	}
 	return c.stats, nil

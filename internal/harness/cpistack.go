@@ -12,13 +12,15 @@ import (
 
 // Ext2 runs one representative workload per category under the paper's
 // headline scheme (forward-coalesce) with CPI-stack accounting and renders
-// where every cycle went. The attribution is audited inside the core: a run
-// whose buckets do not sum to its total cycles aborts with InvCPIAccounting.
+// where every cycle after the warm-up (Options.Warmup) went. The
+// attribution is audited inside the core: a run whose buckets do not sum to
+// its total cycles aborts with InvCPIAccounting.
 func Ext2(ctx context.Context, r *Runner) (string, error) {
 	spec, err := SpecFor("forward-coalesce")
 	if err != nil {
 		return "", err
 	}
+	spec.Core.WarmupInsts = uint64(r.Opts.Warmup)
 	header := append([]string{"Workload", "Category", "Cycles"}, obs.CPIBucketNames()...)
 	t := &metrics.Table{Header: header}
 	for _, w := range perCategory(r.Opts.suite()) {

@@ -18,7 +18,7 @@ const (
 )
 
 // ErrorClass is the one distinction drawn between failed runs: a run cut
-// short by cancellation (SIGINT, -deadline) is resumable — exit 4, never
+// short by cancellation (SIGINT/SIGTERM) is resumable — exit 4, never
 // memoized, not counted as a failure — while every other error is a failure
 // (exit 1). The simulation is deterministic, so a failed run would fail the
 // same way again and is never re-attempted.
@@ -26,8 +26,8 @@ type ErrorClass string
 
 const (
 	// ClassFailed marks a run that failed: validation, trace generation, a
-	// watchdog stall, an integrity trip, a panic, or a per-run -timeout that
-	// expired while the sweep was live.
+	// watchdog stall, an integrity trip or a panic. Each is decided by the
+	// run's inputs.
 	ClassFailed ErrorClass = "failed"
 	// ClassCanceled marks a run aborted (or never started) because the
 	// sweep's context was canceled or its deadline expired.

@@ -6,7 +6,7 @@ import (
 
 	"localbp/internal/audit"
 	"localbp/internal/bpu/loop"
-	"localbp/internal/faultinject"
+	"localbp/internal/obq"
 	"localbp/internal/repair"
 	"localbp/internal/workloads"
 )
@@ -67,100 +67,89 @@ func TestAuditObserverEffectZero(t *testing.T) {
 	}
 }
 
-// injectCfg builds a single-kind injection config.
-func injectCfg(k faultinject.Kind, every uint64) *faultinject.Config {
-	return &faultinject.Config{Seed: 1, Every: every, Kinds: []faultinject.Kind{k}}
+// obqSaboteur is forward walk with coalescing that damages its own OBQ
+// through the queue's API after every 53rd fetched branch.
+type obqSaboteur struct {
+	*repair.ForwardWalk
+	fetches int
+	damage  func(q *obq.Queue)
 }
 
-// TestFaultInjectionGraceful: under every fault category, without the
-// auditor, the simulation must complete — no panic, no watchdog trip — with
-// bounded accuracy loss against the clean run.
-func TestFaultInjectionGraceful(t *testing.T) {
-	w := workloads.QuickSuite()[2]
-	tr := w.Generate(30_000)
-	clean, err := runTrace(tr, mustSpecFor("forward-coalesce"))
-	if err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	cst := clean.Stats
-	for _, k := range faultinject.Kinds() {
-		spec := mustSpecFor("forward-coalesce")
-		spec.Label = "fwd+" + k.String()
-		spec.Inject = injectCfg(k, 53)
-		res, err := runTrace(tr, spec)
-		if err != nil {
-			t.Errorf("%s: faulted run did not complete: %v", k, err)
-			continue
-		}
-		st := res.Stats
-		if st.Insts != cst.Insts {
-			t.Errorf("%s: retired %d instructions, clean run retired %d", k, st.Insts, cst.Insts)
-		}
-		// Bounded degradation: a corrupted local predictor can cost accuracy
-		// but must never be worse than TAGE-alone by more than a loose margin
-		// (the final prediction falls back to TAGE when confidence is lost).
-		if limit := 3*cst.MPKI() + 5; st.MPKI() > limit {
-			t.Errorf("%s: MPKI %.2f exceeds degradation bound %.2f (clean %.2f)",
-				k, st.MPKI(), limit, cst.MPKI())
-		}
+func (s *obqSaboteur) OnFetchBranch(ctx *repair.BranchCtx, cycle int64) {
+	s.ForwardWalk.OnFetchBranch(ctx, cycle)
+	if s.fetches++; s.fetches%53 == 0 {
+		s.damage(s.OBQ())
 	}
 }
 
-// TestFaultInjectionGracefulUnderPerfect repeats the graceful sweep for the
-// perfect-repair scheme (whole-table restores interact differently with
-// corrupted state than walk repairs).
-func TestFaultInjectionGracefulUnderPerfect(t *testing.T) {
-	w := workloads.QuickSuite()[2]
-	tr := w.Generate(30_000)
-	for _, k := range faultinject.Kinds() {
-		if k == faultinject.OBQDrop || k == faultinject.OBQDup {
-			continue // perfect repair has no OBQ; the vectors are inert
-		}
-		spec := PerfectSpec(loop.Loop128())
-		spec.Label = "perfect+" + k.String()
-		spec.Inject = injectCfg(k, 53)
-		if _, err := runTrace(tr, spec); err != nil {
-			t.Errorf("%s: faulted run did not complete: %v", k, err)
-		}
+// skipRepairSaboteur is perfect repair that skips every 5th repair, leaving
+// the speculative BHT as the wrong path left it.
+type skipRepairSaboteur struct {
+	*repair.Perfect
+	mispredicts int
+}
+
+func (s *skipRepairSaboteur) OnMispredict(ctx *repair.BranchCtx, cycle int64) {
+	if s.mispredicts++; s.mispredicts%5 != 0 {
+		s.Perfect.OnMispredict(ctx, cycle)
 	}
 }
 
-// TestFaultDetectionUnderAudit: the fault categories that violate auditable
-// invariants must surface as structured audit.IntegrityError values when the
-// auditor is enabled.
+// TestFaultDetectionUnderAudit: each saboteur embeds a real scheme and
+// breaks one auditable invariant; the auditor must abort the run with a
+// structured audit.IntegrityError naming exactly that invariant. The
+// auditor's obq-coalesce check has no row: renaming the youngest entry to
+// its neighbour's PC trips ckpt-liveness first, and a phantom entry renamed
+// to the tail's PC trips obq-order first.
 func TestFaultDetectionUnderAudit(t *testing.T) {
-	w := workloads.QuickSuite()[0]
-	tr := w.Generate(30_000)
+	tr := workloads.QuickSuite()[0].Generate(30_000)
+	damageOBQ := func(damage func(q *obq.Queue)) func(repair.Scheme) repair.Scheme {
+		return func(s repair.Scheme) repair.Scheme {
+			return &obqSaboteur{ForwardWalk: s.(*repair.ForwardWalk), damage: damage}
+		}
+	}
 	cases := []struct {
-		kind  faultinject.Kind
-		every uint64
-		spec  Spec
+		name, spec, invariant string
+		sabotage              func(repair.Scheme) repair.Scheme
 	}{
-		// OBQ damage is visible to the checkpoint-liveness and queue-order
-		// scans of any OBQ-backed scheme.
-		{faultinject.OBQDrop, 53, mustSpecFor("forward-coalesce")},
-		{faultinject.OBQDup, 53, mustSpecFor("forward-coalesce")},
-		// A swallowed repair is visible to the perfect-repair resync check.
-		{faultinject.RepairDelay, 5, PerfectSpec(loop.Loop128())},
+		// The youngest entry's in-flight branch now holds a dead id.
+		{"drop-youngest-obq-entry", "forward-coalesce", audit.InvCkptLiveness, damageOBQ(func(q *obq.Queue) {
+			if head, tail := q.Bounds(); tail-head >= 2 {
+				q.SquashAfter(tail - 2)
+			}
+		})},
+		// A phantom entry that is no younger than the tail.
+		{"phantom-obq-entry", "forward-coalesce", audit.InvOBQOrder, damageOBQ(func(q *obq.Queue) {
+			if head, tail := q.Bounds(); tail > head && !q.Full() {
+				prev := q.Get(tail - 1)
+				q.Alloc(prev.PC^0x40, prev.Seq, prev.State)
+			}
+		})},
+		{"negative-obq-runs", "forward-coalesce", audit.InvOBQRuns, damageOBQ(func(q *obq.Queue) {
+			_, tail := q.Bounds()
+			if e := q.Get(tail - 1); e != nil {
+				e.Runs = -1
+			}
+		})},
+		{"skip-perfect-repair", "perfect", audit.InvPerfectResync, func(s repair.Scheme) repair.Scheme {
+			return &skipRepairSaboteur{Perfect: s.(*repair.Perfect)}
+		}},
 	}
 	for _, tc := range cases {
-		spec := tc.spec
-		spec.Label += "+" + tc.kind.String()
+		spec := mustSpecFor(tc.spec)
+		healthy := spec.Scheme
+		spec.Label += "+" + tc.name
 		spec.Audit = true
-		spec.Inject = injectCfg(tc.kind, tc.every)
+		spec.Scheme = func() repair.Scheme { return tc.sabotage(healthy()) }
 		_, err := runTrace(tr, spec)
-		if err == nil {
-			t.Errorf("%s: injected fault went undetected", tc.kind)
-			continue
-		}
-		if !errors.Is(err, audit.ErrIntegrity) {
-			t.Errorf("%s: failed with %v, want an audit.IntegrityError", tc.kind, err)
-		}
 		var ie *audit.IntegrityError
 		if !errors.As(err, &ie) {
-			t.Errorf("%s: error is not a structured *audit.IntegrityError: %v", tc.kind, err)
-		} else if ie.Invariant == "" || ie.Cycle <= 0 {
-			t.Errorf("%s: integrity error lacks context: %+v", tc.kind, ie)
+			t.Errorf("%s: got %v, want an *audit.IntegrityError", tc.name, err)
+			continue
+		}
+		if ie.Invariant != tc.invariant || ie.Cycle <= 0 {
+			t.Errorf("%s: tripped %q at cycle %d, want %q at a positive cycle",
+				tc.name, ie.Invariant, ie.Cycle, tc.invariant)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +106,34 @@ func TestCPIStackTable(t *testing.T) {
 	for _, name := range obs.CPIBucketNames() {
 		if !strings.Contains(out, name) {
 			t.Errorf("table missing bucket column %s:\n%s", name, out)
+		}
+	}
+}
+
+// TestCPIStackTableWarmup: ext2 honours Options.Warmup like every other
+// experiment, so each row's Cycles is the cycle count of the run after the
+// warm-up.
+func TestCPIStackTableWarmup(t *testing.T) {
+	opts := Options{Insts: 15_000, Quick: true, Warmup: 5_000}
+	out, err := Ext2(context.Background(), NewRunner(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 2 {
+			cycles[f[0]] = f[2]
+		}
+	}
+	spec := mustSpecFor("forward-coalesce")
+	spec.Core.WarmupInsts = uint64(opts.Warmup)
+	for _, w := range perCategory(opts.suite()) {
+		res, err := runTrace(w.Generate(opts.Insts), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprint(res.Stats.Cycles); cycles[w.Name] != want {
+			t.Errorf("%s: ext2 reports %s cycles, the warmed-up run took %s", w.Name, cycles[w.Name], want)
 		}
 	}
 }

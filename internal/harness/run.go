@@ -10,13 +10,11 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"time"
 
 	"localbp/internal/audit"
 	"localbp/internal/bpu"
 	"localbp/internal/bpu/tage"
 	"localbp/internal/core"
-	"localbp/internal/faultinject"
 	"localbp/internal/mem"
 	"localbp/internal/obs"
 	"localbp/internal/repair"
@@ -44,9 +42,6 @@ type Spec struct {
 	// Golden enables the differential oracle: every retirement is
 	// cross-checked against a timing-free in-order execution of the trace.
 	Golden bool
-	// Inject, when non-nil, wraps the scheme with deterministic fault
-	// injection (robustness testing; see internal/faultinject).
-	Inject *faultinject.Config
 
 	// Obs, when non-nil, enables the observability layer: every run builds
 	// a fresh obs.Hooks (so concurrent runs never share counter or tracer
@@ -54,9 +49,9 @@ type Spec struct {
 	Obs *ObsSpec
 
 	// preRun, when set, is invoked at the start of every workload run with
-	// the workload name. It exists for fault-injection tests (a hook that
-	// panics for one workload exercises the runner's panic isolation) and
-	// is deliberately unexported.
+	// the workload name. It exists for the panic-isolation tests (a hook
+	// that panics for one workload exercises the runner's recover boundary)
+	// and is deliberately unexported.
 	preRun func(workload string)
 
 	// memTrack, when non-nil, is the trace's memory-outcome track under
@@ -118,11 +113,6 @@ func (s Spec) Validate() error {
 			errs = append(errs, err)
 		}
 	}
-	if s.Inject != nil {
-		if err := s.Inject.Validate(); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	if s.Obs != nil && s.Obs.TraceCap < 0 {
 		errs = append(errs, fmt.Errorf("spec: Obs.TraceCap: got %d, want >= 0", s.Obs.TraceCap))
 	}
@@ -161,8 +151,6 @@ type Result struct {
 	Mem MemStats
 	// AuditChecks counts the integrity auditor's checks (0 when unaudited).
 	AuditChecks uint64
-	// Faults counts injected faults by kind name; nil without Spec.Inject.
-	Faults map[string]uint64
 }
 
 // MemStats is a run's memory-hierarchy access and miss counts.
@@ -172,15 +160,12 @@ type MemStats struct {
 
 // forceAudit reports whether LBP_AUDIT=1 is set: the `make audit` hook that
 // runs the whole tier-1 suite with the auditor and golden model enabled.
-// Fault-injection runs are exempt — their state is corrupted on purpose, so
-// auditing them would (correctly) flag the injected damage and defeat the
-// graceful-degradation tests.
 var forceAudit = sync.OnceValue(func() bool { return os.Getenv("LBP_AUDIT") == "1" })
 
 // Run simulates src under spec. It is the one place a scheme is decorated
-// (observability registration, then fault injection, then the auditor) and
-// a bpu.Unit and core are built, so the sweeps, the localbp facade and the
-// CLIs all measure the same pipeline. An in-memory source
+// (observability registration, then the auditor) and a bpu.Unit and core
+// are built, so the sweeps, the localbp facade and the CLIs all measure the
+// same pipeline. An in-memory source
 // (trace.NewSliceSource) takes the resident-program path; a file or mmap
 // source replays through the core's sliding window at fixed memory.
 //
@@ -201,7 +186,7 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 		ctx = context.Background()
 	}
 	goldenExplicit := spec.Golden
-	if forceAudit() && spec.Inject == nil {
+	if forceAudit() {
 		spec.Audit, spec.Golden = true, true
 	}
 	var scheme repair.Scheme
@@ -214,20 +199,9 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 		hooks = spec.Obs.hooks()
 		cfg.Obs = hooks
 		if scheme != nil {
-			// Register the raw scheme before any decorator wraps it: the
-			// inject/audit wrappers forward behaviour, not registration.
+			// Register the raw scheme before the auditor wraps it: the
+			// wrapper forwards behaviour, not registration.
 			repair.AttachObs(scheme, hooks.Reg, hooks.Tracer)
-		}
-	}
-	var inj *faultinject.Injector
-	if spec.Inject != nil {
-		var err error
-		inj, err = faultinject.New(*spec.Inject)
-		if err != nil {
-			return Result{}, err
-		}
-		if scheme != nil {
-			scheme = inj.Wrap(scheme)
 		}
 	}
 	var aud *audit.Auditor
@@ -235,8 +209,6 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 		aud = audit.New()
 		cfg.Audit = aud
 		if scheme != nil {
-			// Injection innermost, audit outermost: the auditor observes
-			// the faulted scheme exactly as the pipeline does.
 			scheme = audit.WrapScheme(scheme, aud)
 		}
 	}
@@ -255,9 +227,6 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 	}
 	unit := bpu.NewUnit(spec.Tage, scheme)
 	unit.Oracle = spec.Oracle
-	if inj != nil {
-		inj.AttachTAGE(unit.Tage)
-	}
 	var c *core.Core
 	if resident && spec.memTrack != nil {
 		c = core.NewReplay(cfg, unit, tr, spec.memTrack)
@@ -289,9 +258,6 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 	if aud != nil {
 		res.AuditChecks = aud.Checks()
 	}
-	if inj != nil {
-		res.Faults = inj.Counts()
-	}
 	return res, nil
 }
 
@@ -308,18 +274,12 @@ type Options struct {
 	// disables sampling; 1 audits everything. Audited runs report
 	// bit-identical statistics, so memoized results are unaffected.
 	AuditSample int
-
-	// RunTimeout, when > 0, bounds each workload run's wall-clock time via
-	// a per-run context deadline. It composes with the core's cycle-domain
-	// watchdog: whichever trips first aborts the run, and either way the run
-	// is a failure (ClassFailed), not a cancellation.
-	RunTimeout time.Duration
 }
 
 // Validate checks the options before any run: Insts must be positive,
 // Warmup non-negative and below Insts (a warm-up that covers the whole run
-// leaves nothing to measure), and Workers, AuditSample and RunTimeout
-// non-negative. All violations are reported at once.
+// leaves nothing to measure), and Workers and AuditSample non-negative. All
+// violations are reported at once.
 func (o Options) Validate() error {
 	var errs []error
 	if o.Insts <= 0 {
@@ -335,9 +295,6 @@ func (o Options) Validate() error {
 	}
 	if o.AuditSample < 0 {
 		errs = append(errs, fmt.Errorf("options: AuditSample: got %d, want >= 0", o.AuditSample))
-	}
-	if o.RunTimeout < 0 {
-		errs = append(errs, fmt.Errorf("options: RunTimeout: got %v, want >= 0", o.RunTimeout))
 	}
 	return errors.Join(errs...)
 }

@@ -133,8 +133,7 @@ func (r *Runner) RunContext(ctx context.Context, spec Spec) []Outcome {
 }
 
 // runOne executes one workload under spec and classifies any failure. Only
-// the sweep context's own cancellation makes a run ClassCanceled: a
-// per-run RunTimeout that expires while the sweep is live is a failure.
+// the sweep context's own cancellation makes a run ClassCanceled.
 func (r *Runner) runOne(ctx context.Context, i int, w workloads.Workload, spec Spec) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{
@@ -190,13 +189,7 @@ func (r *Runner) simulateOne(ctx context.Context, i int, w workloads.Workload, s
 	if spec.preRun != nil {
 		spec.preRun(w.Name)
 	}
-	actx := ctx
-	if r.Opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, r.Opts.RunTimeout)
-		defer cancel()
-	}
-	res, err := Run(actx, trace.NewSliceSource(tr), spec)
+	res, err := Run(ctx, trace.NewSliceSource(tr), spec)
 	if err != nil {
 		o.Err = &RunError{Workload: w.Name, SpecLabel: spec.Label, Phase: PhaseSimulate, Err: err}
 		return o

@@ -71,6 +71,15 @@ func (s *CPIStack) Add(b CPIBucket) { s.counts[b]++ }
 // classification cannot change inside it.
 func (s *CPIStack) AddN(b CPIBucket, n int64) { s.counts[b] += n }
 
+// Sub removes w's cycles from s, bucket by bucket. The core subtracts the
+// stack it saved at the warm-up point, so a warmed-up run's stack covers
+// the same cycles as its statistics.
+func (s *CPIStack) Sub(w *CPIStack) {
+	for b := range s.counts {
+		s.counts[b] -= w.counts[b]
+	}
+}
+
 // Count returns the cycles attributed to bucket b.
 func (s *CPIStack) Count(b CPIBucket) int64 { return s.counts[b] }
 

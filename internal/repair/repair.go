@@ -141,8 +141,7 @@ func (s *Stats) EmitCounters(emit func(name string, v uint64)) {
 
 // BusyReporter is the optional interface schemes implement to expose the
 // cycle until which their BHT/checkpoint ports are busy. The core uses it
-// for CPI-stack repair-busy attribution; decorator wrappers (audit, fault
-// injection) forward it.
+// for CPI-stack repair-busy attribution; the audit wrapper forwards it.
 type BusyReporter interface {
 	BusyUntil() int64
 }
@@ -155,8 +154,8 @@ type ObsAttacher interface {
 }
 
 // AttachObs wires observability into s when it supports it (no-op
-// otherwise). It must be invoked on the innermost (unwrapped) scheme: the
-// audit and fault-injection decorators do not forward registration.
+// otherwise). It must be invoked on the unwrapped scheme: the audit wrapper
+// does not forward registration.
 func AttachObs(s Scheme, reg *obs.Registry, tr *obs.Tracer) {
 	if a, ok := s.(ObsAttacher); ok {
 		a.AttachObs(reg, tr)

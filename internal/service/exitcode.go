@@ -17,9 +17,8 @@ const (
 	ExitConfigError = 2
 	// ExitAllFailed: every attempted unit failed to produce output.
 	ExitAllFailed = 3
-	// ExitCanceled: the work was cut short by SIGINT/SIGTERM or a -deadline
-	// expiry; completed work is durable (checkpoints) and the invocation can
-	// be resumed.
+	// ExitCanceled: the work was cut short by SIGINT/SIGTERM; completed
+	// work is durable (checkpoints) and the invocation can be resumed.
 	ExitCanceled = 4
 )
 

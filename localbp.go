@@ -208,7 +208,9 @@ func WithSeed(s int64) Option {
 }
 
 // WithWarmup excludes the first n retired instructions from the reported
-// statistics (predictor and cache warmup). Simulate rejects a warm-up that
+// statistics (predictor and cache warmup): IPC, MPKI, Cycles, Insts,
+// Branches, Mispredicts and the CPI stack cover only what follows it, while
+// Counters and Events cover the whole run. Simulate rejects a warm-up that
 // covers its whole run.
 func WithWarmup(n uint64) Option { return func(c *simConfig) { c.warmup = n } }
 

@@ -156,6 +156,27 @@ func TestSimulateRejectsWholeRunWarmup(t *testing.T) {
 	}
 }
 
+// TestWarmupCPIStack: under a warm-up the CPI stack covers the same cycles
+// as the statistics, so it still sums to Cycles.
+func TestWarmupCPIStack(t *testing.T) {
+	w, _ := Workload("cloud-compression")
+	full, err := Simulate(w, 30_000, ForwardWalk(), WithCPIStack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Simulate(w, 30_000, ForwardWalk(), WithWarmup(10_000), WithCPIStack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CPI.Total() != warm.Cycles {
+		t.Fatalf("warmed-up CPI stack attributed %d cycles, the measured run took %d", warm.CPI.Total(), warm.Cycles)
+	}
+	if warm.Cycles >= full.Cycles || full.CPI.Total() != full.Cycles {
+		t.Fatalf("warm-up did not shorten the measured run: %d of %d cycles (full-run stack %d)",
+			warm.Cycles, full.Cycles, full.CPI.Total())
+	}
+}
+
 func TestWithSeedChangesTrace(t *testing.T) {
 	w, _ := Workload("cloud-compression")
 	a, err := Simulate(w, 60_000, ForwardWalk(), WithAudit())
