@@ -75,7 +75,10 @@ ci: build vet race perf-smoke trace-smoke fuzz-smoke
 
 # stress loops the crash-safety subprocess suite under the race detector:
 # interrupt a live sweep (checkpoint resume, zero lost/duplicated results).
+# It also loops the memory-outcome producer's lifecycle tests: the producer
+# is joined on every exit path, and a run at GOMAXPROCS=1 is bit-identical.
 # N controls the iteration count.
 N ?= 5
 stress:
 	$(GO) test -race -run TestSweepSIGINTResume -count=$(N) -v ./cmd/lbpsweep
+	$(GO) test -race -run 'TestFeedLifecycle|TestFeedGOMAXPROCS1' -count=$(N) -v ./internal/core

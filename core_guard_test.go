@@ -21,10 +21,10 @@ import (
 //  2. budget — the absolute per-run count stays within the known setup
 //     cost, so steady-state allocations cannot hide behind a shrinking
 //     setup elsewhere;
-//  3. bytes — every run hands its memory hierarchy's cache arrays back for
-//     the next (harness.Run recycles them) and the resolution heap is one
-//     slice that grows to the in-flight branch count, so back-to-back runs
-//     allocate only the per-run setup;
+//  3. bytes — every run's memory-outcome producer hands its hierarchy's
+//     cache arrays back for the next, harness.Run recycles the track buffer,
+//     and the resolution heap is one slice that grows to the in-flight
+//     branch count, so back-to-back runs allocate only the per-run setup;
 //  4. byte scaling — doubling the trace length must not grow the bytes
 //     per run by more than 16 KiB (a BHT journal that is never trimmed
 //     grows by about 0.9 MB per 30k instructions).

@@ -9,6 +9,7 @@ import (
 	"localbp/internal/bpu/btb"
 	"localbp/internal/mem"
 	"localbp/internal/obs"
+	"localbp/internal/repair"
 	"localbp/internal/trace"
 )
 
@@ -194,12 +195,17 @@ type Core struct {
 	mem  *mem.Hierarchy
 	btb  *btb.BTB
 
-	// Memory-outcome replay (NewReplay): the k-th real-path load or store
-	// takes memTrack[k] instead of probing a hierarchy of its own; mem then
-	// only accounts. memPos counts the outcomes consumed.
-	replay   bool
+	// Memory outcomes (feed.go): the k-th real-path load or store takes
+	// outcome k of the run's memory track, memTrack[k-memBase], and mem only
+	// accounts it. memPos counts the outcomes consumed and memAvail those
+	// known to be written; a stream's refill slides memBase. feed is the
+	// producer that fills memTrack, nil when NewReplay handed the track in
+	// whole; a core with a feed owns memTrack and Recycle returns it.
 	memTrack []mem.Outcome
+	memBase  int
 	memPos   int
+	memAvail int
+	feed     *memFeed
 
 	// Instruction stream. With a resident program (New), prog holds the
 	// whole trace, base is 0 and total == len(prog). With a streaming
@@ -275,6 +281,10 @@ type Core struct {
 	warmStats Stats
 	warmCPI   obs.CPIStack // the CPI stack at the warm-up point
 	warmDone  bool
+	// The scheme's repair statistics and the unit's override counts at the
+	// warm-up point (WarmCounts).
+	warmRepair       repair.Stats
+	warmOv, warmOvOK uint64
 
 	// Integrity state: the first invariant violation aborts the run with a
 	// structured error instead of a panic. lastRetSeq backs the audit-gated
@@ -305,29 +315,31 @@ func (c *Core) BlockMemoCounters() (int64, int64, int64, int64) {
 }
 
 // New builds a core over the given program with the given prediction unit.
+// Its loads and stores take their outcomes from a producer goroutine that
+// RunContext starts (feed.go).
 func New(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
-	return newCore(cfg, unit, prog, mem.New(cfg.Mem))
+	return newCore(cfg, unit, prog)
 }
 
-// NewReplay is New for a core whose loads and stores replay track, the
-// outcomes MemTrack recorded for prog under cfg.Mem, instead of probing a
-// hierarchy of their own; it allocates no cache arrays. Every statistic,
-// counter and event matches the live core's. A track that runs short, or
-// that a completed run leaves partly unread, fails the run with an
-// InvMemTrack integrity error.
+// NewReplay is New for a core handed its whole memory track: track is the
+// outcomes MemTrack recorded for prog under cfg.Mem, so RunContext starts no
+// producer, and the run reports what a New core's run reports. A track that
+// runs short, or that a completed run leaves partly unread, fails the run
+// with an InvMemTrack integrity error.
 func NewReplay(cfg Config, unit *bpu.Unit, prog []trace.Inst, track []mem.Outcome) *Core {
-	c := newCore(cfg, unit, prog, mem.NewReplay(cfg.Mem))
-	c.replay = true
-	c.memTrack = track
+	c := newCore(cfg, unit, prog)
+	c.memTrack, c.memAvail = track, len(track)
 	return c
 }
 
 // MemTrack records, in program order, the outcome of every load and store in
-// prog under the hierarchy cfg. A live core produces the same sequence:
-// wrong-path instructions never reach the hierarchy, each real-path load or
-// store reaches it exactly once and in program order (allocation is in order
-// and a flush rewinds fetch behind it), and the hierarchy reads the cycle
-// only to stamp trace events.
+// prog under the hierarchy cfg, with the producer's probe loop: the track a
+// run of prog consumes, whether its producer fills it or NewReplay is handed
+// it. The sequence does not depend on the core's timing: wrong-path
+// instructions never reach the hierarchy, each real-path load or store
+// reaches it exactly once and in program order (allocation is in order and a
+// flush rewinds fetch behind it), and the cycle only stamps prefetch-hit
+// trace events, which Account emits on the core's side.
 func MemTrack(cfg mem.HierarchyConfig, prog []trace.Inst) []mem.Outcome {
 	n := 0
 	for i := range prog {
@@ -335,22 +347,18 @@ func MemTrack(cfg mem.HierarchyConfig, prog []trace.Inst) []mem.Outcome {
 			n++
 		}
 	}
+	track := make([]mem.Outcome, n)
 	h := mem.New(cfg)
-	track := make([]mem.Outcome, 0, n)
-	for i := range prog {
-		if prog[i].IsMem() {
-			track = append(track, h.Probe(prog[i].Addr))
-		}
-	}
+	new(memFeed).probe(h, prog, track)
 	h.Recycle()
 	return track
 }
 
-func newCore(cfg Config, unit *bpu.Unit, prog []trace.Inst, h *mem.Hierarchy) *Core {
+func newCore(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
 	c := &Core{
 		cfg:     cfg,
 		unit:    unit,
-		mem:     h,
+		mem:     mem.NewReplay(cfg.Mem),
 		prog:    prog,
 		total:   len(prog),
 		rob:     make([]robEntry, nextPow2(cfg.ROBSize)),
@@ -411,14 +419,30 @@ func (c *Core) emitCounters(emit func(string, uint64)) {
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Mem exposes the memory hierarchy (examples and tests).
+// WarmCounts returns the scheme's repair statistics and the unit's override
+// counts saved at the warm-up point (zeros without a warm-up). harness.Run
+// subtracts them, so that like Stats they cover the measured instructions
+// only. The core restarts the scheme's NeededMax there instead, so it is
+// already the measured maximum.
+func (c *Core) WarmCounts() (repair.Stats, uint64, uint64) {
+	return c.warmRepair, c.warmOv, c.warmOvOK
+}
+
+// Mem exposes the core's memory hierarchy, which accounts every access:
+// Stats and PrefetchHits cover the run (examples and tests).
 func (c *Core) Mem() *mem.Hierarchy { return c.mem }
 
-// Recycle returns pooled resources (the memory-hierarchy metadata arrays) for
-// reuse by a future core. The core must not be used afterwards; callers that
-// still need Mem() or further stepping must skip it. Purely a performance
-// hand-over — a run that never recycles behaves identically.
-func (c *Core) Recycle() { c.mem.Recycle() }
+// Recycle keeps the memory track its producer filled as the spare buffer for
+// a future run; a track handed to NewReplay stays its owner's, and the
+// producer recycles its own hierarchy. The core must not be used afterwards;
+// callers that still need further stepping must skip it. Purely a
+// performance hand-over — a run that never recycles behaves identically.
+func (c *Core) Recycle() {
+	if c.feed != nil {
+		putTrack(c.memTrack)
+		c.memTrack, c.feed = nil, nil
+	}
+}
 
 // nextPow2 returns the smallest power of two >= n (n >= 1), so ring slot
 // arithmetic is a mask instead of a division.
@@ -467,6 +491,9 @@ func (c *Core) fqFlush() {
 
 // RunContext simulates until the program is exhausted and the pipeline
 // drains, returning the statistics. It is the core's one run entry point.
+// Unless NewReplay handed the core its memory track, RunContext starts the
+// producer goroutine that fills it (feed.go), and it stops and joins that
+// goroutine before every return.
 //
 // A watchdog trip — a cycle budget overrun or StallCycles consecutive cycles
 // without a retirement — returns an ErrStalled-wrapping *StallError carrying
@@ -483,6 +510,8 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	c.startFeed()
+	defer c.stopFeed(true)
 	done := ctx.Done()
 	var iter uint64
 	budget := c.cfg.MaxCycles
@@ -557,6 +586,12 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 			if c.cpi != nil {
 				c.warmCPI = *c.cpi
 			}
+			c.warmOv, c.warmOvOK = c.unit.OverrideStats()
+			if sc := c.unit.Scheme; sc != nil {
+				rst := sc.Stats()
+				c.warmRepair = *rst
+				rst.NeededMax = 0 // a maximum does not subtract: restart it
+			}
 		}
 		if c.stats.Insts != lastInsts {
 			lastInsts = c.stats.Insts
@@ -585,9 +620,10 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 		c.violation(0, audit.InvCPIAccounting, fmt.Sprintf(
 			"  cpi-stack attributed %d cycles, core ran %d", c.cpi.Total(), c.cycle))
 	}
-	if c.replay && c.memPos != len(c.memTrack) {
+	c.stopFeed(false)
+	if c.memPos != c.memAvail {
 		c.violation(0, audit.InvMemTrack, fmt.Sprintf(
-			"  run consumed %d of %d memory-track outcomes", c.memPos, len(c.memTrack)))
+			"  run consumed %d of %d memory-track outcomes", c.memPos, c.memAvail))
 	}
 	if g := c.cfg.Golden; g != nil {
 		// The raw (pre-warmup-subtraction) counters are what the golden
@@ -955,18 +991,15 @@ func (c *Core) execTiming(in *trace.Inst) int64 {
 	return done
 }
 
-// memAccess returns the latency of a real-path load or store: probed in the
-// core's own hierarchy, or replayed from the next memory-track outcome.
+// memAccess returns the latency of a real-path load or store: it takes the
+// next memory-track outcome and accounts it.
 func (c *Core) memAccess(in *trace.Inst) int64 {
-	if !c.replay {
-		return c.mem.AccessAt(in.Addr, c.cycle)
-	}
-	if c.memPos >= len(c.memTrack) {
+	if c.memPos >= c.memAvail && !c.awaitMem() {
 		c.violation(in.PC, audit.InvMemTrack, fmt.Sprintf(
-			"  memory track ran out: load/store %d needs an outcome, the track holds %d", c.memPos+1, len(c.memTrack)))
+			"  memory track ran out: load/store %d needs an outcome, the track holds %d", c.memPos+1, c.memAvail))
 		return 1
 	}
-	o := c.memTrack[c.memPos]
+	o := c.memTrack[c.memPos-c.memBase]
 	c.memPos++
 	return c.mem.Account(o, in.Addr, c.cycle)
 }
@@ -1000,7 +1033,7 @@ func (c *Core) stepFetch() {
 				return
 			}
 			if c.pos-c.base >= len(c.prog) && !c.refill() {
-				return // srcErr is set; RunContext aborts at cycle end
+				return // srcErr or an integrity error is set; RunContext aborts at cycle end
 			}
 			slot, si = c.fqSlot()
 			slot.inst = c.prog[c.pos-c.base]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"localbp/internal/audit"
 	"localbp/internal/bpu"
 	"localbp/internal/trace"
 )
@@ -69,9 +70,10 @@ func NewStream(cfg Config, unit *bpu.Unit, src trace.Source) (*Core, error) {
 }
 
 // refill slides the window forward: retain the last streamWindow entries
-// behind pos (rewind targets), then fill the rest of the buffer from the
-// source. It returns true when prog[pos-base] is readable afterwards; false
-// means srcErr is set and the run must abort.
+// behind pos (rewind targets), fill the rest of the buffer from the source,
+// and hand the new chunk to the memory-outcome producer (feed.go). It
+// returns true when prog[pos-base] is readable afterwards; false means
+// srcErr (or an integrity error) is set and the run must abort.
 func (c *Core) refill() bool {
 	if c.src == nil {
 		// Resident program: pos hit len(prog) only if total was overstated,
@@ -82,6 +84,9 @@ func (c *Core) refill() bool {
 	if c.srcErr != nil {
 		return false
 	}
+	// The producer reads prog and writes the track: both move only once it
+	// has probed the previous chunk.
+	c.awaitChunks()
 	keepFrom := c.pos - c.streamWindow
 	if keepFrom < c.base {
 		keepFrom = c.base
@@ -89,6 +94,16 @@ func (c *Core) refill() bool {
 	n := copy(c.prog, c.prog[keepFrom-c.base:])
 	c.base = keepFrom
 	c.prog = c.prog[:n]
+	// Keep the outcomes not consumed yet. They belong to retained
+	// instructions (the next real-path allocation lies at most AllocQueue
+	// behind pos), so beside them the track has room for the next chunk's.
+	k := copy(c.memTrack, c.memTrack[c.memPos-c.memBase:c.memAvail-c.memBase])
+	c.memBase = c.memPos
+	if k > n {
+		c.violation(0, audit.InvMemTrack, fmt.Sprintf(
+			"  %d unconsumed outcomes outnumber the %d retained instructions", k, n))
+		return false
+	}
 	for len(c.prog) < cap(c.prog) {
 		m, err := c.src.Next(c.prog[len(c.prog):cap(c.prog)])
 		c.prog = c.prog[:len(c.prog)+m]
@@ -108,5 +123,6 @@ func (c *Core) refill() bool {
 		c.srcErr = fmt.Errorf("refill produced no instructions at %d of %d", c.pos, c.total)
 		return false
 	}
+	c.handFeed(c.prog[n:], c.memTrack[k:])
 	return true
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"errors"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -26,9 +28,9 @@ type observed struct {
 	events []obs.Event
 }
 
-// observeRun runs spec over tr with every instrument on and the full event
+// observeRun runs spec over src with every instrument on and the full event
 // stream captured.
-func observeRun(tr []trace.Inst, spec Spec) (observed, error) {
+func observeRun(src trace.Source, spec Spec) (observed, error) {
 	var o observed
 	spec.Obs = &ObsSpec{
 		CPIStack: true, Counters: true, TraceCap: 1,
@@ -41,7 +43,7 @@ func observeRun(tr []trace.Inst, spec Spec) (observed, error) {
 			}
 		},
 	}
-	res, err := runTrace(tr, spec)
+	res, err := Run(context.Background(), src, spec)
 	o.st = res.Stats
 	if res.Repair != nil {
 		o.rst = *res.Repair
@@ -73,14 +75,17 @@ func (a observed) diff(b observed) string {
 	return ""
 }
 
-// TestMemTrackDifferential pins the replay path's exactness contract: a run
-// that replays its trace's memory-outcome track must match the live run that
-// simulates the hierarchy in every reported number — core and repair stats,
-// the CPI stack, the counter registry (mem accesses, misses and prefetch hits
-// included), the latency histograms and the full event stream. The matrix is
-// every Table 3 spec plus the iso-storage, 57KB-TAGE and oracle specs, over
-// the quick suite and the stressor ladder, with and without warmup. The
-// other subtests pin how the TraceCache builds and shares the track, and the
+// TestMemTrackDifferential pins the track's exactness contract: a run handed
+// its trace's cached memory-outcome track must match the run whose own
+// producer goroutine probes the hierarchy, in every reported number — core
+// and repair stats, the CPI stack, the counter registry (mem accesses,
+// misses and prefetch hits included), the latency histograms and the full
+// event stream. The matrix is every Table 3 spec plus the iso-storage,
+// 57KB-TAGE and oracle specs, over the quick suite and the stressor ladder,
+// with and without warmup. The streamed leg replays traces longer than
+// three refill chunks through a source that returns short reads, so the
+// producer probes chunk by chunk while refill slides the window. The other
+// subtests pin how the TraceCache builds and shares the track, and the
 // track's integrity errors.
 func TestMemTrackDifferential(t *testing.T) {
 	cfg := core.DefaultConfig().Mem
@@ -108,24 +113,31 @@ func TestMemTrackDifferential(t *testing.T) {
 				for _, spec := range matrix {
 					for _, warmup := range []uint64{0, 1000} {
 						spec.Core.WarmupInsts = warmup
-						live, err := observeRun(tr, spec)
-						if err != nil {
-							t.Fatalf("%s: live run: %v", spec.Label, err)
-						}
-						spec.memTrack = track
-						replay, err := observeRun(tr, spec)
-						if err != nil {
-							t.Fatalf("%s: replayed run: %v", spec.Label, err)
-						}
-						if d := live.diff(replay); d != "" {
-							t.Errorf("%s warmup=%d: replay diverges from live in %s", spec.Label, warmup, d)
-						}
-						if live.snap["mem.accesses"] == 0 {
-							t.Fatalf("%s: no mem accesses counted", spec.Label)
-						}
+						checkHandedTrack(t, trace.NewSliceSource(tr), tr, track, spec)
 					}
 				}
 			})
+		}
+	})
+
+	t.Run("Streamed", func(t *testing.T) {
+		matrix, err := specs("tage", "perfect", "forward-coalesce", "snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 100_000 // more than three refill chunks
+		tc := NewTraceCache()
+		for _, w := range workloads.QuickSuite()[:2] {
+			tr, track, err := tc.getTracked(w, n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range matrix {
+				for _, warmup := range []uint64{0, 1000} {
+					spec.Core.WarmupInsts = warmup
+					checkHandedTrack(t, &shortReads{tr: tr}, tr, track, spec)
+				}
+			}
 		}
 	})
 
@@ -186,3 +198,43 @@ func TestMemTrackDifferential(t *testing.T) {
 		}
 	})
 }
+
+// checkHandedTrack runs spec over src, whose producer fills the track, and
+// over tr handed its cached track, and requires every instrument to agree.
+func checkHandedTrack(t *testing.T, src trace.Source, tr []trace.Inst, track []mem.Outcome, spec Spec) {
+	t.Helper()
+	fed, err := observeRun(src, spec)
+	if err != nil {
+		t.Fatalf("%s: producer-fed run: %v", spec.Label, err)
+	}
+	spec.memTrack = track
+	handed, err := observeRun(trace.NewSliceSource(tr), spec)
+	if err != nil {
+		t.Fatalf("%s: handed-track run: %v", spec.Label, err)
+	}
+	if d := fed.diff(handed); d != "" {
+		t.Errorf("%s warmup=%d: the handed track diverges from the producer in %s",
+			spec.Label, spec.Core.WarmupInsts, d)
+	}
+	if fed.snap["mem.accesses"] == 0 {
+		t.Fatalf("%s: no mem accesses counted", spec.Label)
+	}
+}
+
+// shortReads streams tr in reads of at most 1009 instructions and hides the
+// slice, so Run takes the core's sliding window.
+type shortReads struct {
+	tr  []trace.Inst
+	pos int
+}
+
+func (s *shortReads) Next(dst []trace.Inst) (int, error) {
+	if s.pos == len(s.tr) {
+		return 0, io.EOF
+	}
+	n := copy(dst[:min(len(dst), 1009)], s.tr[s.pos:])
+	s.pos += n
+	return n, nil
+}
+
+func (s *shortReads) Len() int { return len(s.tr) }

@@ -55,9 +55,10 @@ type Spec struct {
 	preRun func(workload string)
 
 	// memTrack, when non-nil, is the trace's memory-outcome track under
-	// Core.Mem (core.MemTrack): a run over an in-memory trace replays it
-	// instead of simulating the hierarchy. The Runner sets it from its
-	// TraceCache so a sweep simulates the hierarchy once per trace.
+	// Core.Mem (core.MemTrack): a run over an in-memory trace is handed it
+	// (core.NewReplay) and starts no producer goroutine to probe the
+	// hierarchy. The Runner sets it from its TraceCache so a sweep probes
+	// the hierarchy once per trace.
 	memTrack []mem.Outcome
 }
 
@@ -70,10 +71,8 @@ type ObsSpec struct {
 	TraceCap int  // event-tracer ring capacity; 0 disables tracing
 	// Observer, when set with TraceCap > 0, streams every event as emitted.
 	Observer func(obs.Event)
-	// Done receives the run's hooks after a successful simulation. The
-	// hooks are valid only inside Done: the registry's "mem" source reads
-	// the memory hierarchy that Run recycles right after, so take counter
-	// snapshots here.
+	// Done receives the run's hooks after a successful simulation; take
+	// counter snapshots here.
 	Done func(h *obs.Hooks)
 }
 
@@ -137,7 +136,8 @@ func trialScheme(mk SchemeMaker) (err error) {
 type Result struct {
 	Stats core.Stats
 	// Repair is the scheme's repair statistics; nil for the TAGE-only
-	// baseline.
+	// baseline. Like Stats, it and the override counts exclude the
+	// warm-up (Core.WarmupInsts).
 	Repair *repair.Stats
 	// Scheme is the scheme's name as run, decorators included, and
 	// StorageBits its local-predictor plus repair storage ("" and 0 for the
@@ -178,9 +178,11 @@ var forceAudit = sync.OnceValue(func() bool { return os.Getenv("LBP_AUDIT") == "
 // on a true streaming source is an error; the LBP_AUDIT=1 force keeps the
 // auditor and skips only the oracle for such sources.
 //
-// Run recycles the core's memory hierarchy before it returns, after
-// spec.Obs.Done. The caller retains ownership of src (closing,
-// single-consumer discipline).
+// Every load and store takes its outcome from a memory track: spec's
+// cached track when the Runner set one, otherwise the track the core's
+// producer goroutine fills while the core simulates. Run recycles the
+// core's track buffer before it returns. The caller retains ownership of
+// src (closing, single-consumer discipline).
 func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,8 +238,6 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 			return Result{}, err
 		}
 	}
-	// Deferred, so it follows Obs.Done: the registry's "mem" source reads
-	// the hierarchy that goes back to the pool here.
 	defer c.Recycle()
 	st, err := c.RunContext(ctx)
 	if err != nil {
@@ -246,12 +246,18 @@ func Run(ctx context.Context, src trace.Source, spec Spec) (Result, error) {
 	if hooks != nil && spec.Obs.Done != nil {
 		spec.Obs.Done(hooks)
 	}
+	// Like st, the repair and override counts cover the measured
+	// instructions only: subtract what they held at the warm-up point.
 	res := Result{Stats: st}
+	warmRepair, warmOv, warmOvOK := c.WarmCounts()
 	res.Overrides, res.OverridesOK = unit.OverrideStats()
+	res.Overrides -= warmOv
+	res.OverridesOK -= warmOvOK
 	m := &res.Mem
 	m.Accesses, m.L1Misses, m.L2Misses, m.LLCMisses = c.Mem().Stats()
 	if scheme != nil {
-		res.Repair = scheme.Stats()
+		rst := scheme.Stats().Sub(warmRepair)
+		res.Repair = &rst
 		res.Scheme = scheme.Name()
 		res.StorageBits = scheme.StorageBits()
 	}
@@ -366,8 +372,8 @@ func (tc *TraceCache) Get(w workloads.Workload, n int) ([]trace.Inst, error) {
 
 // getTracked is Get plus the trace's memory-outcome track under cfg. The
 // track is built once per cached trace, for the configuration of the first
-// request; a request under any other configuration gets a nil track and
-// runs live.
+// request; a request under any other configuration gets a nil track, and
+// its run's own producer probes the hierarchy.
 func (tc *TraceCache) getTracked(w workloads.Workload, n int, cfg mem.HierarchyConfig) ([]trace.Inst, []mem.Outcome, error) {
 	e, err := tc.entry(w, n)
 	if err != nil {

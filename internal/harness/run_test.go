@@ -48,3 +48,44 @@ func checkRun(t *testing.T, spec harness.Spec, facade localbp.Scheme) {
 			res.Stats.Cycles, res.Overrides, res.OverridesOK)
 	}
 }
+
+// TestRunWarmupRepairCounts pins the repair and override counts to the
+// measured instructions, as Stats is: each mispredict is either repaired or
+// left unrepaired, so Repairs + Unrepaired equals Mispredicts with and
+// without a warm-up. The warm-up's overrides drop out of the counts, and
+// NeededMax is the measured maximum, which cannot exceed the whole run's.
+func TestRunWarmupRepairCounts(t *testing.T) {
+	w, _ := workloads.ByName("cloud-compression")
+	tr := w.Generate(30_000)
+	for _, name := range []string{"forward-coalesce", "perfect", "snapshot", "limited-4pc", "backward"} {
+		spec, err := harness.SpecFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var whole harness.Result
+		for _, warmup := range []uint64{0, 10_000} {
+			spec.Core.WarmupInsts = warmup
+			res, err := harness.Run(context.Background(), trace.NewSliceSource(tr), spec)
+			if err != nil {
+				t.Fatalf("%s warmup=%d: %v", name, warmup, err)
+			}
+			rst := res.Repair
+			if rst.Repairs+rst.Unrepaired != res.Stats.Mispredicts {
+				t.Errorf("%s warmup=%d: %d repairs + %d unrepaired, want the %d mispredicts",
+					name, warmup, rst.Repairs, rst.Unrepaired, res.Stats.Mispredicts)
+			}
+			if warmup == 0 {
+				whole = res
+				continue
+			}
+			if res.Overrides >= whole.Overrides || res.OverridesOK > res.Overrides {
+				t.Errorf("%s: %d/%d overrides after the warm-up, %d/%d over the whole run",
+					name, res.Overrides, res.OverridesOK, whole.Overrides, whole.OverridesOK)
+			}
+			if rst.NeededMax > whole.Repair.NeededMax {
+				t.Errorf("%s: NeededMax %d after the warm-up exceeds the whole run's %d",
+					name, rst.NeededMax, whole.Repair.NeededMax)
+			}
+		}
+	}
+}

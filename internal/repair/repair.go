@@ -126,6 +126,25 @@ type Stats struct {
 	NeededSamples uint64
 }
 
+// Sub returns s less w, the statistics saved at a warm-up point. NeededMax
+// is s's own: a maximum does not subtract, so the core restarts it at the
+// warm-up point instead (core.Core.WarmCounts).
+func (s Stats) Sub(w Stats) Stats {
+	return Stats{
+		Repairs:       s.Repairs - w.Repairs,
+		Unrepaired:    s.Unrepaired - w.Unrepaired,
+		RepairReads:   s.RepairReads - w.RepairReads,
+		RepairWrites:  s.RepairWrites - w.RepairWrites,
+		BusyCycles:    s.BusyCycles - w.BusyCycles,
+		CkptMisses:    s.CkptMisses - w.CkptMisses,
+		Restarts:      s.Restarts - w.Restarts,
+		EarlyResteers: s.EarlyResteers - w.EarlyResteers,
+		NeededSum:     s.NeededSum - w.NeededSum,
+		NeededMax:     s.NeededMax,
+		NeededSamples: s.NeededSamples - w.NeededSamples,
+	}
+}
+
 // EmitCounters reports every Stats field through emit, for registration as
 // an obs.Registry pull source (names are stable snapshot keys).
 func (s *Stats) EmitCounters(emit func(name string, v uint64)) {
