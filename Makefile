@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race audit perf-smoke fuzz-smoke trace-smoke ci stress
+.PHONY: check build vet cross-vet test race audit perf-smoke fuzz-smoke trace-smoke ci stress
 
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (the parallel sweep runner is on by default).
@@ -24,6 +24,12 @@ vet:
 	else echo "vet: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "vet: govulncheck not installed, skipping"; fi
+
+# cross-vet type-checks the tree for Windows: the trace reader uses
+# positioned reads so that it builds on every platform, and this keeps a
+# Linux-only call (mmap, a raw syscall) from creeping back in.
+cross-vet:
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -68,10 +74,10 @@ fuzz-smoke:
 trace-smoke:
 	$(GO) test -run TestTraceSmoke -count=1 -v ./cmd/lbptrace
 
-# ci is the one-command pipeline: build, static analysis + alloc guards, the
-# full suite under the race detector, the benchmark and trace smokes, and a
-# fuzz smoke.
-ci: build vet race perf-smoke trace-smoke fuzz-smoke
+# ci is the one-command pipeline: build, static analysis + alloc guards, a
+# Windows cross-vet, the full suite under the race detector, the benchmark
+# and trace smokes, and a fuzz smoke.
+ci: build vet cross-vet race perf-smoke trace-smoke fuzz-smoke
 
 # stress loops the crash-safety subprocess suite under the race detector:
 # interrupt a live sweep (checkpoint resume, zero lost/duplicated results).

@@ -129,10 +129,10 @@ func TestSpecValidationFailsFast(t *testing.T) {
 }
 
 // TestOptionsValidate: out-of-range sweep options are all reported in one
-// error that names each field; the defaults and zero-valued knobs pass.
+// error that names each field; valid options and zero-valued knobs pass.
 func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
-		t.Fatalf("default options rejected: %v", err)
+	if err := (Options{Insts: 120_000}).Validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
 	}
 	bad := Options{Insts: 0, Warmup: -1, Workers: -1, AuditSample: -1}
 	err := bad.Validate()

@@ -166,8 +166,9 @@ var forceAudit = sync.OnceValue(func() bool { return os.Getenv("LBP_AUDIT") == "
 // (observability registration, then the auditor) and a bpu.Unit and core
 // are built, so the sweeps, the localbp facade and the CLIs all measure the
 // same pipeline. An in-memory source
-// (trace.NewSliceSource) takes the resident-program path; a file or mmap
-// source replays through the core's sliding window at fixed memory.
+// (trace.NewSliceSource) takes the resident-program path; a file source
+// (trace.OpenSource) replays through the core's sliding window at fixed
+// memory.
 //
 // A watchdog trip, integrity violation or cancellation returns an error
 // (match with errors.Is against core.ErrStalled, audit.ErrIntegrity or
@@ -304,9 +305,6 @@ func (o Options) Validate() error {
 	}
 	return errors.Join(errs...)
 }
-
-// DefaultOptions balances fidelity and single-CPU runtime.
-func DefaultOptions() Options { return Options{Insts: 120_000} }
 
 // suite returns the selected workload list.
 func (o Options) suite() []workloads.Workload {

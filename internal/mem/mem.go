@@ -205,12 +205,9 @@ func (h *Hierarchy) reset() {
 	h.tracer = nil
 }
 
-// Access returns the load-to-use latency for addr. Stores are modeled with
-// the same path (write-allocate).
-func (h *Hierarchy) Access(addr uint64) int64 { return h.AccessAt(addr, -1) }
-
-// AccessAt is Access with the issuing core cycle, used to timestamp trace
-// events (prefetch hits). A negative cycle means "unknown".
+// AccessAt returns the load-to-use latency for addr. Stores are modeled with
+// the same path (write-allocate). cycle is the issuing core cycle, used to
+// timestamp trace events (prefetch hits); a negative cycle means "unknown".
 func (h *Hierarchy) AccessAt(addr uint64, cycle int64) int64 {
 	return h.Account(h.Probe(addr), addr, cycle)
 }
@@ -314,14 +311,6 @@ func (h *Hierarchy) fillThrough(level *cache, addr uint64) {
 // Stats returns (accesses, l1Misses, l2Misses, llcMisses).
 func (h *Hierarchy) Stats() (acc, l1m, l2m, llcm uint64) {
 	return h.statAccesses, h.statL1Miss, h.statL2Miss, h.statLLCMiss
-}
-
-// MPKIBase returns L1 misses per access as a quick health metric for tests.
-func (h *Hierarchy) MPKIBase() float64 {
-	if h.statAccesses == 0 {
-		return 0
-	}
-	return float64(h.statL1Miss) / float64(h.statAccesses)
 }
 
 // The per-way state is split into parallel arrays (tags / stamp / pref)

@@ -17,15 +17,15 @@ func TestColdMissGoesToDRAM(t *testing.T) {
 	h := New(noPrefetch())
 	cfg := DefaultHierarchy()
 	want := cfg.L1.Latency + cfg.L2.Latency + cfg.LLC.Latency + cfg.DRAMLatency
-	if got := h.Access(0x1234000); got != want {
+	if got := h.AccessAt(0x1234000, -1); got != want {
 		t.Fatalf("cold access latency %d, want %d", got, want)
 	}
 }
 
 func TestHitAfterFill(t *testing.T) {
 	h := New(noPrefetch())
-	h.Access(0x1234000)
-	if got := h.Access(0x1234008); got != DefaultHierarchy().L1.Latency {
+	h.AccessAt(0x1234000, -1)
+	if got := h.AccessAt(0x1234008, -1); got != DefaultHierarchy().L1.Latency {
 		t.Fatalf("same-line access latency %d, want L1 hit", got)
 	}
 }
@@ -33,14 +33,14 @@ func TestHitAfterFill(t *testing.T) {
 func TestInclusiveFill(t *testing.T) {
 	h := New(noPrefetch())
 	addr := uint64(0x40000)
-	h.Access(addr)
+	h.AccessAt(addr, -1)
 	// Evict from L1 by filling its set (64 sets × 64B lines: +4KB strides
 	// map to the same set; 8 ways + 1 conflict).
 	for i := 1; i <= 8; i++ {
-		h.Access(addr + uint64(i)*4096)
+		h.AccessAt(addr+uint64(i)*4096, -1)
 	}
 	cfg := DefaultHierarchy()
-	got := h.Access(addr)
+	got := h.AccessAt(addr, -1)
 	if got != cfg.L1.Latency+cfg.L2.Latency {
 		t.Fatalf("L1-evicted line latency %d, want L2 hit %d", got, cfg.L1.Latency+cfg.L2.Latency)
 	}
@@ -49,14 +49,14 @@ func TestInclusiveFill(t *testing.T) {
 func TestLRUKeepsHotLine(t *testing.T) {
 	h := New(noPrefetch())
 	hot := uint64(0x40000)
-	h.Access(hot)
+	h.AccessAt(hot, -1)
 	for i := 1; i <= 7; i++ {
-		h.Access(hot + uint64(i)*4096) // fill the set
+		h.AccessAt(hot+uint64(i)*4096, -1) // fill the set
 	}
-	h.Access(hot) // re-touch: now MRU
-	h.Access(hot + 8*4096)
-	h.Access(hot + 9*4096) // two evictions: hot must survive
-	if got := h.Access(hot); got != DefaultHierarchy().L1.Latency {
+	h.AccessAt(hot, -1) // re-touch: now MRU
+	h.AccessAt(hot+8*4096, -1)
+	h.AccessAt(hot+9*4096, -1) // two evictions: hot must survive
+	if got := h.AccessAt(hot, -1); got != DefaultHierarchy().L1.Latency {
 		t.Fatalf("hot line evicted despite LRU touch (latency %d)", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestLRUKeepsHotLine(t *testing.T) {
 func TestStreamPrefetchCoverage(t *testing.T) {
 	h := New(DefaultHierarchy())
 	for i := 0; i < 20000; i++ {
-		h.Access(uint64(0x100000 + i*8))
+		h.AccessAt(uint64(0x100000+i*8), -1)
 	}
 	acc, l1m, _, _ := h.Stats()
 	if rate := float64(l1m) / float64(acc); rate > 0.02 {
@@ -78,7 +78,7 @@ func TestInterleavedStreams(t *testing.T) {
 	for i := 0; i < 40000; i++ {
 		k := i % 4
 		bases[k] += 8
-		h.Access(bases[k])
+		h.AccessAt(bases[k], -1)
 	}
 	acc, l1m, _, _ := h.Stats()
 	if rate := float64(l1m) / float64(acc); rate > 0.05 {
@@ -91,7 +91,7 @@ func TestRandomAccessesMissRealistically(t *testing.T) {
 	x := uint64(12345)
 	for i := 0; i < 50000; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		h.Access((x >> 20) & (64<<20 - 1)) // uniform over 64MB
+		h.AccessAt((x>>20)&(64<<20-1), -1) // uniform over 64MB
 	}
 	acc, l1m, _, llcm := h.Stats()
 	if rate := float64(l1m) / float64(acc); rate < 0.5 {
@@ -104,9 +104,9 @@ func TestRandomAccessesMissRealistically(t *testing.T) {
 
 func TestStatsMonotonic(t *testing.T) {
 	h := New(DefaultHierarchy())
-	h.Access(0x1000)
+	h.AccessAt(0x1000, -1)
 	a1, m1, _, _ := h.Stats()
-	h.Access(0x2000000)
+	h.AccessAt(0x2000000, -1)
 	a2, m2, _, _ := h.Stats()
 	if a2 != a1+1 || m2 < m1 {
 		t.Fatalf("stats not monotonic: %d->%d, %d->%d", a1, a2, m1, m2)
@@ -119,22 +119,11 @@ func TestLatencyBoundsProperty(t *testing.T) {
 	maxLat := cfg.L1.Latency + cfg.L2.Latency + cfg.LLC.Latency + cfg.DRAMLatency
 	h := New(cfg)
 	f := func(addr uint64) bool {
-		lat := h.Access(addr)
+		lat := h.AccessAt(addr, -1)
 		return lat >= minLat && lat <= maxLat
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMPKIBase(t *testing.T) {
-	h := New(noPrefetch())
-	if h.MPKIBase() != 0 {
-		t.Fatal("MPKIBase nonzero before any access")
-	}
-	h.Access(0x1000)
-	if h.MPKIBase() != 1 {
-		t.Fatalf("one cold access should be a 100%% miss rate, got %v", h.MPKIBase())
 	}
 }
 
@@ -161,7 +150,7 @@ func TestReplayAccountsLikeAccess(t *testing.T) {
 			addr = addr*6364136223846793005 + 1442695040888963407
 		}
 		a := addr % (64 << 20)
-		want := live.Access(a)
+		want := live.AccessAt(a, -1)
 		if got := replay.Account(prober.Probe(a), a, -1); got != want {
 			t.Fatalf("access %d: replayed latency %d, live %d", i, got, want)
 		}

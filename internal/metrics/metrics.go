@@ -62,20 +62,6 @@ func MeanReduction(a, b []float64) float64 {
 	return 100 * sum / float64(n)
 }
 
-// TotalReduction returns the suite-level reduction of summed MPKI in
-// percent (weights workloads by their misprediction volume).
-func TotalReduction(a, b []float64) float64 {
-	sa, sb := 0.0, 0.0
-	for i := range a {
-		sa += a[i]
-		sb += b[i]
-	}
-	if sa == 0 {
-		return math.NaN()
-	}
-	return 100 * (sa - sb) / sa
-}
-
 // IPCGainPct returns the geometric-mean IPC gain of exp over base in percent.
 func IPCGainPct(base, exp []float64) float64 {
 	return 100 * (GeoMeanRatio(base, exp) - 1)
@@ -201,6 +187,3 @@ func Bar(v, scale float64, width int) string {
 
 // Pct formats a percentage with one decimal.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
-
-// F2 formats a float with two decimals.
-func F2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -58,14 +58,6 @@ func TestMeanReduction(t *testing.T) {
 	}
 }
 
-func TestTotalReduction(t *testing.T) {
-	a := []float64{10, 0}
-	b := []float64{5, 0}
-	if got := TotalReduction(a, b); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("TotalReduction = %v", got)
-	}
-}
-
 func TestIPCGainPct(t *testing.T) {
 	if got := IPCGainPct([]float64{1, 1}, []float64{1.1, 1.1}); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("IPCGainPct = %v, want 10", got)
@@ -150,9 +142,6 @@ func TestTableRender(t *testing.T) {
 func TestFormatters(t *testing.T) {
 	if Pct(12.345) != "12.3%" {
 		t.Fatalf("Pct = %q", Pct(12.345))
-	}
-	if F2(1.005) == "" {
-		t.Fatal("F2 empty")
 	}
 }
 

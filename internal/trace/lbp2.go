@@ -11,10 +11,10 @@ import (
 
 // LBP2 is the compact on-disk trace format: delta-encoded PCs, varint
 // operands, chunked framing with a per-chunk CRC-32C, and a seekable chunk
-// index so both buffered-file and mmap readers can ingest multi-million-
-// instruction traces at fixed memory. Every chunk carries a CRC-32C
-// (Castagnoli), so a torn or corrupted chunk is detected before any of its
-// records are trusted. DESIGN.md §16 specifies the wire format.
+// index so a reader can ingest multi-million-instruction traces at fixed
+// memory. Every chunk carries a CRC-32C (Castagnoli), so a torn or corrupted
+// chunk is detected before any of its records are decoded. DESIGN.md §16
+// specifies the wire format.
 //
 // Layout:
 //
@@ -26,8 +26,7 @@ import (
 //	                reserved u32 | magic "PBP2" u32
 //
 // Each chunk is independently decodable (delta state resets per chunk), which
-// is what makes the index seekable and the mmap reader trivially parallel-
-// safe across chunks. Per record:
+// is what makes the index seekable. Per record:
 //
 //	flags   1 B   class (bits 0-2) | taken (bit 3) | no-regs (bit 4); bits 5-7 zero
 //	dPC     uvarint, zigzag(PC - prevPC)
@@ -106,12 +105,27 @@ func appendChunk(buf []byte, recs []Inst) []byte {
 	return buf
 }
 
-// decodeChunk decodes exactly records instructions from payload into
-// dst[:records]. Every branch is bounds-checked: a corrupt payload yields an
-// error, never a panic or an out-of-range Class.
-func decodeChunk(dst []Inst, payload []byte, records int) error {
-	var prevPC, prevAddr uint64
-	pos := 0
+// chunkDecoder decodes one verified chunk's records in as many pieces as
+// its caller asks for: it carries the byte offset, both delta chains and the
+// records done across calls, so a Next that ends mid-chunk resumes where it
+// stopped. Every read is bounds-checked: a corrupt payload yields an error
+// naming the record, never a panic or an out-of-range Class.
+type chunkDecoder struct {
+	chunk    int // index of the chunk, for error messages
+	payload  []byte
+	pos      int // byte offset of the next record
+	prevPC   uint64
+	prevAddr uint64
+	done     int // records decoded so far
+	records  int // records the chunk holds
+}
+
+// decode writes the chunk's next records to dst and returns how many it
+// wrote. On an error, dst[:n] holds the good records before the bad one. The
+// trailing-bytes check fires once the chunk's last record is decoded.
+func (d *chunkDecoder) decode(dst []Inst) (int, error) {
+	payload, pos := d.payload, d.pos
+	prevPC, prevAddr := d.prevPC, d.prevAddr
 	getVar := func() (uint64, bool) {
 		u, n := binary.Uvarint(payload[pos:])
 		if n <= 0 {
@@ -120,22 +134,23 @@ func decodeChunk(dst []Inst, payload []byte, records int) error {
 		pos += n
 		return u, true
 	}
-	for i := 0; i < records; i++ {
+	n := min(len(dst), d.records-d.done)
+	for i := range dst[:n] {
 		if pos >= len(payload) {
-			return fmt.Errorf("trace: lbp2 chunk truncated at record %d/%d", i, records)
+			return i, fmt.Errorf("trace: lbp2 chunk %d truncated at record %d/%d", d.chunk, d.done+i, d.records)
 		}
 		flags := payload[pos]
 		pos++
 		if flags&flagReserved != 0 {
-			return fmt.Errorf("trace: lbp2 record %d: reserved flag bits %#x set", i, flags&flagReserved)
+			return i, d.errorf(i, "reserved flag bits %#x set", flags&flagReserved)
 		}
 		class := Class(flags & 0x7)
 		if class >= numClasses {
-			return fmt.Errorf("trace: lbp2 record %d: bad class %d", i, class)
+			return i, d.errorf(i, "bad class %d", class)
 		}
 		dpc, ok := getVar()
 		if !ok {
-			return fmt.Errorf("trace: lbp2 record %d: bad PC varint", i)
+			return i, d.errorf(i, "bad PC varint")
 		}
 		in := &dst[i]
 		*in = Inst{Class: class, Taken: flags&flagTakenBit != 0}
@@ -143,35 +158,42 @@ func decodeChunk(dst []Inst, payload []byte, records int) error {
 		prevPC = in.PC
 		if flags&flagNoRegsBit == 0 {
 			if pos+3 > len(payload) {
-				return fmt.Errorf("trace: lbp2 record %d: truncated register bytes", i)
+				return i, d.errorf(i, "truncated register bytes")
 			}
 			in.Dst, in.Src1, in.Src2 = payload[pos], payload[pos+1], payload[pos+2]
 			pos += 3
 			if in.Dst >= NumRegs || in.Src1 >= NumRegs || in.Src2 >= NumRegs {
-				return fmt.Errorf("trace: lbp2 record %d: register out of range (%d,%d,%d)",
-					i, in.Dst, in.Src1, in.Src2)
+				return i, d.errorf(i, "register out of range (%d,%d,%d)", in.Dst, in.Src1, in.Src2)
 			}
 		}
 		if class == ClassBranch {
 			dt, ok := getVar()
 			if !ok {
-				return fmt.Errorf("trace: lbp2 record %d: bad target varint", i)
+				return i, d.errorf(i, "bad target varint")
 			}
 			in.Target = in.PC + uint64(unzigzag(dt))
 		}
 		if class == ClassLoad || class == ClassStore {
 			da, ok := getVar()
 			if !ok {
-				return fmt.Errorf("trace: lbp2 record %d: bad address varint", i)
+				return i, d.errorf(i, "bad address varint")
 			}
 			in.Addr = prevAddr + uint64(unzigzag(da))
 			prevAddr = in.Addr
 		}
 	}
-	if pos != len(payload) {
-		return fmt.Errorf("trace: lbp2 chunk has %d trailing bytes after %d records", len(payload)-pos, records)
+	d.pos, d.prevPC, d.prevAddr = pos, prevPC, prevAddr
+	d.done += n
+	if d.done == d.records && pos != len(payload) {
+		return n, fmt.Errorf("trace: lbp2 chunk %d has %d trailing bytes after %d records", d.chunk, len(payload)-pos, d.records)
 	}
-	return nil
+	return n, nil
+}
+
+// errorf reports a bad i-th record of the current decode call, naming it by
+// its index in the chunk.
+func (d *chunkDecoder) errorf(i int, format string, args ...any) error {
+	return fmt.Errorf("trace: lbp2 chunk %d record %d: %s", d.chunk, d.done+i, fmt.Sprintf(format, args...))
 }
 
 // chunkIx locates one chunk: the file offset of its 12-byte header, its
@@ -335,10 +357,9 @@ func WriteTraceLBP2(w io.Writer, tr []Inst) error {
 // lbp2Layout is the parsed index of a seekable LBP2 file: everything a
 // random-access reader needs besides the chunk bytes themselves.
 type lbp2Layout struct {
-	chunkLen   int
-	total      int
-	maxRecords int // largest chunk's record count: the decode buffer's size
-	index      []chunkIx
+	chunkLen int
+	total    int
+	index    []chunkIx
 }
 
 // parseLBP2Layout reads the header, footer and index via ra. size is the
@@ -404,7 +425,6 @@ func parseLBP2Layout(ra io.ReaderAt, size int64) (*lbp2Layout, error) {
 				i, off, records, payload)
 		}
 		l.index[i] = chunkIx{off: off, records: records, payload: payload}
-		l.maxRecords = max(l.maxRecords, records)
 		sum += records
 	}
 	if sum != total {
@@ -413,154 +433,99 @@ func parseLBP2Layout(ra io.ReaderAt, size int64) (*lbp2Layout, error) {
 	return l, nil
 }
 
-// checkChunk validates chunk k's 12-byte header against its index entry
-// before anything is sized from it, and returns the payload length.
-func (l *lbp2Layout) checkChunk(k int, hdr []byte) (int, error) {
-	c := l.index[k]
-	if records := int(binary.LittleEndian.Uint32(hdr[4:])); records != c.records {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d: header records %d != index records %d", k, records, c.records)
-	}
-	if plen := int64(binary.LittleEndian.Uint32(hdr[0:])); plen != c.payload {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d: payload %d bytes != the %d bytes before the next chunk", k, plen, c.payload)
-	}
-	return int(c.payload), nil
-}
-
-// decodeVerified checks chunk k's payload against the CRC in its header and
-// decodes its records into dst.
-func (l *lbp2Layout) decodeVerified(k int, hdr, payload []byte, dst []Inst) (int, error) {
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[8:]); got != want {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d CRC mismatch (got %#x, want %#x)", k, got, want)
-	}
-	n := l.index[k].records
-	if err := decodeChunk(dst[:n], payload, n); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// chunkLoader fetches and verifies one chunk's decoded records.
-type chunkLoader interface {
-	// load decodes chunk k into dst[:records] and returns the record count.
-	load(k int, dst []Inst) (int, error)
-	io.Closer
-}
-
-// lbp2Source replays a seekable LBP2 file chunk by chunk at fixed memory: one
-// decoded chunk buffer regardless of trace length. It backs both the
-// buffered-file and the mmap readers (they differ only in the chunkLoader).
+// lbp2Source replays a seekable LBP2 file chunk by chunk at fixed memory:
+// one payload buffer, as large as the largest chunk's payload, whatever the
+// trace length. Each chunk's header and payload come in by positioned reads
+// and are verified before any record is decoded; records are decoded
+// straight into the caller's buffer.
 type lbp2Source struct {
-	layout *lbp2Layout
-	loader chunkLoader
-	chunk  []Inst // decoded records of chunk cur
-	cur    int    // next chunk to load
-	pos    int    // read position within chunk
-	n      int    // live records in chunk
+	ra      io.ReaderAt // the open *os.File in production
+	layout  *lbp2Layout
+	hdr     [lbp2ChunkHdr]byte
+	payload []byte       // holds the largest chunk's payload
+	dec     chunkDecoder // decodes the current chunk across Next calls
+	next    int          // next chunk to load
+	err     error        // the first read, check or decode failure, returned from then on
 }
 
-func newLBP2Source(layout *lbp2Layout, loader chunkLoader) *lbp2Source {
-	return &lbp2Source{
-		layout: layout,
-		loader: loader,
-		chunk:  make([]Inst, layout.maxRecords),
+// openLBP2 parses the seekable layout of the size-byte LBP2 file behind ra
+// and sizes the payload buffer for its largest chunk, whose extent the
+// layout has checked against the file.
+func openLBP2(ra io.ReaderAt, size int64) (Source, error) {
+	layout, err := parseLBP2Layout(ra, size)
+	if err != nil {
+		return nil, err
 	}
+	var largest int64
+	for _, c := range layout.index {
+		largest = max(largest, c.payload)
+	}
+	return &lbp2Source{ra: ra, layout: layout, payload: make([]byte, largest)}, nil
 }
 
-// Next implements Source.
+// Next implements Source. A call that ends mid-chunk resumes there, and one
+// that spans chunks loads the next. A bad record fails the source, but the
+// records before it are delivered first.
 func (s *lbp2Source) Next(dst []Inst) (int, error) {
 	filled := 0
-	for filled < len(dst) {
-		if s.pos == s.n {
-			if s.cur >= len(s.layout.index) {
-				if filled > 0 {
-					return filled, nil
-				}
-				return 0, io.EOF
+	for s.err == nil && filled < len(dst) {
+		if s.dec.done == s.dec.records {
+			if s.next == len(s.layout.index) {
+				break
 			}
-			n, err := s.loader.load(s.cur, s.chunk)
-			if err != nil {
-				return 0, err
-			}
-			s.cur++
-			s.pos, s.n = 0, n
+			s.err = s.load(s.next)
+			s.next++
+			continue
 		}
-		c := copy(dst[filled:], s.chunk[s.pos:s.n])
-		filled += c
-		s.pos += c
+		n, err := s.dec.decode(dst[filled:])
+		filled += n
+		s.err = err
 	}
-	return filled, nil
+	if filled > 0 {
+		return filled, nil
+	}
+	if s.err != nil {
+		return 0, s.err
+	}
+	return 0, io.EOF
+}
+
+// load reads chunk k's header and payload, checks the header against the
+// index and the payload against its CRC-32C, and points the decoder at it.
+func (s *lbp2Source) load(k int) error {
+	c := s.layout.index[k]
+	if _, err := s.ra.ReadAt(s.hdr[:], c.off); err != nil {
+		return fmt.Errorf("trace: lbp2 chunk %d header: %w", k, err)
+	}
+	// The header must agree with the index, which open checked against
+	// the file's bytes.
+	if records := int(binary.LittleEndian.Uint32(s.hdr[4:])); records != c.records {
+		return fmt.Errorf("trace: lbp2 chunk %d: header records %d != index records %d", k, records, c.records)
+	}
+	if plen := int64(binary.LittleEndian.Uint32(s.hdr[0:])); plen != c.payload {
+		return fmt.Errorf("trace: lbp2 chunk %d: payload %d bytes != the %d bytes before the next chunk", k, plen, c.payload)
+	}
+	payload := s.payload[:c.payload]
+	if _, err := s.ra.ReadAt(payload, c.off+lbp2ChunkHdr); err != nil {
+		return fmt.Errorf("trace: lbp2 chunk %d payload: %w", k, err)
+	}
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(s.hdr[8:]); got != want {
+		return fmt.Errorf("trace: lbp2 chunk %d CRC mismatch (got %#x, want %#x)", k, got, want)
+	}
+	s.dec = chunkDecoder{chunk: k, payload: payload, records: c.records}
+	return nil
 }
 
 // Len implements Source.
 func (s *lbp2Source) Len() int { return s.layout.total }
 
-// Close releases the underlying file or mapping.
-func (s *lbp2Source) Close() error { return s.loader.Close() }
-
-// fileChunks loads chunks with positioned reads against an open file.
-type fileChunks struct {
-	ra      readAtCloser
-	layout  *lbp2Layout
-	hdr     [lbp2ChunkHdr]byte
-	payload []byte
-}
-
-// readAtCloser is the file-like dependency of fileChunks (os.File in
-// production, anything positioned-readable in tests).
-type readAtCloser interface {
-	io.ReaderAt
-	io.Closer
-}
-
-func (fc *fileChunks) load(k int, dst []Inst) (int, error) {
-	off := fc.layout.index[k].off
-	if _, err := fc.ra.ReadAt(fc.hdr[:], off); err != nil {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d header: %w", k, err)
+// Close closes the underlying file; a reader without a Close has nothing to
+// release.
+func (s *lbp2Source) Close() error {
+	if c, ok := s.ra.(io.Closer); ok {
+		return c.Close()
 	}
-	plen, err := fc.layout.checkChunk(k, fc.hdr[:])
-	if err != nil {
-		return 0, err
-	}
-	if cap(fc.payload) < plen {
-		fc.payload = make([]byte, plen)
-	}
-	fc.payload = fc.payload[:plen]
-	if _, err := fc.ra.ReadAt(fc.payload, off+lbp2ChunkHdr); err != nil {
-		return 0, fmt.Errorf("trace: lbp2 chunk %d payload: %w", k, err)
-	}
-	return fc.layout.decodeVerified(k, fc.hdr[:], fc.payload, dst)
-}
-
-func (fc *fileChunks) Close() error { return fc.ra.Close() }
-
-// mmapChunks loads chunks by slicing a read-only memory mapping of the whole
-// file: ingestion with zero read syscalls after open. parseLBP2Layout bounds
-// every chunk inside the file, so the slices stay inside the mapping.
-type mmapChunks struct {
-	data   []byte
-	layout *lbp2Layout
-	unmap  func() error
-}
-
-func (mc *mmapChunks) load(k int, dst []Inst) (int, error) {
-	off := mc.layout.index[k].off
-	hdr := mc.data[off : off+lbp2ChunkHdr]
-	plen, err := mc.layout.checkChunk(k, hdr)
-	if err != nil {
-		return 0, err
-	}
-	start := off + lbp2ChunkHdr
-	return mc.layout.decodeVerified(k, hdr, mc.data[start:start+int64(plen)], dst)
-}
-
-func (mc *mmapChunks) Close() error {
-	if mc.unmap == nil {
-		return nil
-	}
-	u := mc.unmap
-	mc.unmap = nil
-	mc.data = nil
-	return u()
+	return nil
 }
 
 // RawRecordBytes is the width of one instruction's fields packed flat: PC,

@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // randomTrace builds a trace with the full operand variety: every class,
@@ -46,35 +47,38 @@ func randomTrace(n int, seed int64) []Inst {
 	return tr
 }
 
-// nopCloser gives an in-memory reader the Close the file loader expects.
-type nopCloser struct{ *bytes.Reader }
-
-func (nopCloser) Close() error { return nil }
-
 // decodeLBP2 reads an in-memory LBP2 file the way OpenSource reads one from
-// disk: parseLBP2Layout, then a full drain through each chunk loader —
-// positioned reads (fileChunks) and slices of a mapping (mmapChunks). The
-// two loaders must agree on whether the file is rejected and on every
-// record, and an accepted file must hold the Len() its footer promised.
+// disk, through the one reader, and drains it through 4096-instruction Next
+// calls. An accepted file must hold the Len() its footer promised.
 func decodeLBP2(t testing.TB, data []byte) ([]Inst, error) {
 	t.Helper()
-	layout, err := parseLBP2Layout(bytes.NewReader(data), int64(len(data)))
+	src, err := openLBP2(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	viaFile, errFile := ReadAll(newLBP2Source(layout, &fileChunks{ra: nopCloser{bytes.NewReader(data)}, layout: layout}))
-	viaMmap, errMmap := ReadAll(newLBP2Source(layout, &mmapChunks{data: data, layout: layout}))
-	if (errFile == nil) != (errMmap == nil) || !slices.Equal(viaFile, viaMmap) {
-		t.Fatalf("chunk loaders disagree: file read %d records (err %v), mmap %d (err %v)",
-			len(viaFile), errFile, len(viaMmap), errMmap)
+	out, err := drain(src, 4096)
+	if err != io.EOF {
+		return nil, err
 	}
-	if errFile != nil {
-		return nil, errFile
+	if len(out) != src.Len() {
+		t.Fatalf("drained %d records, the footer promised %d", len(out), src.Len())
 	}
-	if len(viaFile) != layout.total {
-		t.Fatalf("drained %d records, the footer promised %d", len(viaFile), layout.total)
+	return out, nil
+}
+
+// drain reads src through size-instruction Next calls until one fails, and
+// returns the records delivered and the error that ended the drain (io.EOF
+// for a clean one).
+func drain(src Source, size int) ([]Inst, error) {
+	out := make([]Inst, 0, src.Len())
+	dst := make([]Inst, size)
+	for {
+		n, err := src.Next(dst)
+		out = append(out, dst[:n]...)
+		if err != nil {
+			return out, err
+		}
 	}
-	return viaFile, nil
 }
 
 // TestLBP2RoundTrip is the core property: encode → decode is the identity,
@@ -133,15 +137,11 @@ func TestLBP2SmallChunks(t *testing.T) {
 	}
 }
 
-// writeTempLBP2 writes tr as an LBP2 file with the given chunk length.
-func writeTempLBP2(t *testing.T, tr []Inst, chunkLen int) string {
+// encodeLBP2 encodes tr as an LBP2 file with the given chunk length.
+func encodeLBP2(t *testing.T, tr []Inst, chunkLen int) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.lbp2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw, err := NewLBP2Writer(f, chunkLen)
+	var buf bytes.Buffer
+	lw, err := NewLBP2Writer(&buf, chunkLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,44 +151,61 @@ func writeTempLBP2(t *testing.T, tr []Inst, chunkLen int) string {
 	if err := lw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	return buf.Bytes()
+}
+
+// writeTempLBP2 writes tr as an LBP2 file with the given chunk length.
+func writeTempLBP2(t *testing.T, tr []Inst, chunkLen int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.lbp2")
+	if err := os.WriteFile(path, encodeLBP2(t, tr, chunkLen), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// drainSource reads src through odd-sized chunks to stress the copy-out path.
+// drainSource reads src through odd-sized Next calls, which end mid-chunk.
 func drainSource(t *testing.T, src Source) []Inst {
 	t.Helper()
-	var out []Inst
-	buf := make([]Inst, 777)
-	for {
-		n, err := src.Next(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("source: %v", err)
-		}
+	out, err := drain(src, 777)
+	if err != io.EOF {
+		t.Fatalf("source: %v", err)
 	}
+	return out
 }
 
-// TestOpenSourceBackends checks both LBP2 backends yield identical streams.
+// TestOpenSourceBackends opens an LBP2 file two ways — through OpenSource,
+// which sniffs the format by magic, and as an open file handed straight to
+// the positioned-read reader — and drains each through odd-sized Next calls
+// that end mid-chunk and span chunks.
 func TestOpenSourceBackends(t *testing.T) {
 	tr := randomTrace(10_000, 99)
 	lbp2Path := writeTempLBP2(t, tr, 1024)
 
 	for _, tc := range []struct {
 		name string
-		path string
-		mode openMode
+		open func(path string) (Source, error)
 	}{
-		{"lbp2-auto", lbp2Path, openAuto},
-		{"lbp2-file", lbp2Path, openFile},
+		{"lbp2-auto", OpenSource},
+		{"lbp2-file", func(path string) (Source, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			st, err := f.Stat()
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
+			src, err := openLBP2(f, st.Size())
+			if err != nil {
+				f.Close()
+			}
+			return src, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := openSourceMode(tc.path, tc.mode)
+			src, err := tc.open(lbp2Path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,61 +226,140 @@ func TestOpenSourceBackends(t *testing.T) {
 	}
 }
 
-// TestOpenSourceMmap exercises the mapped backend where the platform has one.
-func TestOpenSourceMmap(t *testing.T) {
-	tr := randomTrace(5000, 5)
-	path := writeTempLBP2(t, tr, 512)
-	src, err := openSourceMode(path, openMmap)
-	if err == errMmapUnsupported {
-		t.Skip("no mmap on this platform")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseSource(src)
-	got := drainSource(t, src)
-	if len(got) != len(tr) {
-		t.Fatalf("drained %d records, want %d", len(got), len(tr))
-	}
-	for i := range tr {
-		if got[i] != tr[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
 // TestLBP2CorruptionDetected flips one payload byte and expects the chunk CRC
-// to catch it on both loaders, in memory and through a file.
+// to catch it, in memory and through a file, before any record of the chunk
+// is decoded.
 func TestLBP2CorruptionDetected(t *testing.T) {
-	tr := randomTrace(2000, 11)
-	var buf bytes.Buffer
-	if err := WriteTraceLBP2(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	corrupt := bytes.Clone(data)
+	corrupt := encodeLBP2(t, randomTrace(2000, 11), 0)
 	corrupt[lbp2HeaderSize+lbp2ChunkHdr+100] ^= 0x40 // inside first chunk payload
-	if _, err := decodeLBP2(t, corrupt); err == nil {
-		t.Fatal("chunk loaders accepted corrupt payload")
+	const want = "chunk 0 CRC mismatch"
+	if _, err := decodeLBP2(t, corrupt); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("in memory: err %v, want %q", err, want)
 	}
 	path := filepath.Join(t.TempDir(), "corrupt.lbp2")
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := openSourceMode(path, openFile)
+	src, err := OpenSource(path)
 	if err != nil {
 		t.Fatal(err) // layout (index/footer) is intact; the chunk read must fail
 	}
 	defer CloseSource(src)
-	var chunk [256]Inst
+	if n, err := src.Next(make([]Inst, 256)); n != 0 || err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("through a file: %d records, err %v, want none and %q", n, err, want)
+	}
+}
+
+// TestLBP2BadRecordFailsAtThatRecord sets a reserved flag bit in one record
+// of a middle chunk and recomputes the chunk's CRC, so only the decoder can
+// catch it. Through every Next size, the reader delivers exactly the records
+// before the bad one, then fails with an error naming it, and keeps failing.
+func TestLBP2BadRecordFailsAtThatRecord(t *testing.T) {
+	const chunkLen, badChunk, badRec = 64, 2, 10
+	tr := randomTrace(5*chunkLen, 23)
+	data := encodeLBP2(t, tr, chunkLen)
+	layout, err := parseLBP2Layout(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := layout.index[badChunk]
+	payload := data[c.off+lbp2ChunkHdr : c.off+lbp2ChunkHdr+c.payload]
+	// Chunks encode independently, so the records before the bad one
+	// encode to a prefix of the chunk's payload.
+	payload[len(appendChunk(nil, tr[badChunk*chunkLen:][:badRec]))] |= 0x20
+	binary.LittleEndian.PutUint32(data[c.off+8:], crc32.Checksum(payload, castagnoli))
+
+	good := badChunk*chunkLen + badRec
+	want := fmt.Sprintf("chunk %d record %d: reserved flag bits", badChunk, badRec)
+	for _, size := range []int{1, 7, chunkLen, 4096} {
+		src, err := openLBP2(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drain(src, size)
+		if !slices.Equal(got, tr[:good]) {
+			t.Fatalf("Next(%d): delivered %d records before the error, want the %d good ones", size, len(got), good)
+		}
+		if err == io.EOF || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Next(%d): error %v, want one naming %q", size, err, want)
+		}
+		if n, again := src.Next(make([]Inst, size)); n != 0 || again == nil {
+			t.Fatalf("Next(%d) after the error: %d records, err %v", size, n, again)
+		}
+	}
+}
+
+// TestLBP2TrailingBytesDetected drops one record from the counts of a file's
+// last chunk (its header, its index entry and the footer total, with the
+// index CRC recomputed), so that record's bytes trail the chunk. The reader
+// delivers every record the counts claim, then fails naming the trailing
+// bytes.
+func TestLBP2TrailingBytesDetected(t *testing.T) {
+	tr := randomTrace(100, 31)
+	data := encodeLBP2(t, tr, 64)
+	layout, err := parseLBP2Layout(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := layout.index[len(layout.index)-1]
+	claimed := uint32(last.records - 1)
+	binary.LittleEndian.PutUint32(data[last.off+4:], claimed)
+	foot := data[len(data)-lbp2FooterSize:]
+	index := data[len(data)-lbp2FooterSize-len(layout.index)*lbp2IndexEntry : len(data)-lbp2FooterSize]
+	binary.LittleEndian.PutUint32(index[len(index)-lbp2IndexEntry+8:], claimed)
+	binary.LittleEndian.PutUint64(foot[8:], uint64(len(tr)-1))
+	binary.LittleEndian.PutUint32(foot[20:], crc32.Checksum(index, castagnoli))
+
+	src, err := openLBP2(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drain(src, 4096)
+	if !slices.Equal(got, tr[:len(tr)-1]) {
+		t.Fatalf("delivered %d records, want the %d claimed", len(got), len(tr)-1)
+	}
+	lastRec := len(appendChunk(nil, tr[64:])) - len(appendChunk(nil, tr[64:len(tr)-1]))
+	want := fmt.Sprintf("chunk 1 has %d trailing bytes", lastRec)
+	if err == io.EOF || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// TestLBP2DrainAllocatesUnderOneChunk drains a file of DefaultChunkLen-record
+// chunks through 4096-instruction Next calls. Records decode straight into
+// the caller's buffer, so open plus the drain allocate the layout and one
+// payload buffer, less than one decoded chunk.
+func TestLBP2DrainAllocatesUnderOneChunk(t *testing.T) {
+	tr := randomTrace(2*DefaultChunkLen+100, 29)
+	path := writeTempLBP2(t, tr, DefaultChunkLen)
+	dst := make([]Inst, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	src, err := OpenSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
 	for {
-		_, err := src.Next(chunk[:])
+		n, err := src.Next(dst)
+		read += n
 		if err == io.EOF {
-			t.Fatal("file source accepted corrupt payload")
+			break
 		}
 		if err != nil {
-			break // CRC mismatch surfaced
+			t.Fatal(err)
 		}
+	}
+	CloseSource(src)
+	runtime.ReadMemStats(&after)
+	if read != len(tr) {
+		t.Fatalf("drained %d records, want %d", read, len(tr))
+	}
+	chunk := uint64(DefaultChunkLen) * uint64(unsafe.Sizeof(Inst{}))
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("open and drain of %d records allocated %d B", read, b)
+	if b >= chunk {
+		t.Fatalf("open and drain allocated %d B, not under one %d-B decoded chunk", b, chunk)
 	}
 }
 
@@ -396,15 +492,8 @@ func TestSliceSourceAndLimit(t *testing.T) {
 	if err := CloseSource(flim); err != nil {
 		t.Fatalf("CloseSource through Limit: %v", err)
 	}
-	switch l := file.(*lbp2Source).loader.(type) {
-	case *mmapChunks:
-		if l.data != nil {
-			t.Fatal("mapping still live after CloseSource through Limit")
-		}
-	case *fileChunks:
-		if l.ra.Close() == nil { // closing an already closed *os.File errors
-			t.Fatal("file still open after CloseSource through Limit")
-		}
+	if file.(*lbp2Source).ra.(*os.File).Close() == nil { // closing an already closed *os.File errors
+		t.Fatal("file still open after CloseSource through Limit")
 	}
 }
 
@@ -440,12 +529,12 @@ func craftLBP2(t testing.TB, chunkLen, records, plen uint32) []byte {
 	return b
 }
 
-// TestLBP2CraftedClaimsBoundAllocation opens, on both backends, two 90-byte
-// files whose headers claim far more than their bytes hold: a 4 Mi chunkLen
-// over one 1-record chunk, and a chunk and index entry claiming 4 Mi records
-// in a 100 MB payload. The first reads its one record and the second is
-// refused at open; open plus one Next allocates under 1 MiB either way,
-// because buffers are sized from what the file's bytes can back.
+// TestLBP2CraftedClaimsBoundAllocation opens two 90-byte files whose headers
+// claim far more than their bytes hold: a 4 Mi chunkLen over one 1-record
+// chunk, and a chunk and index entry claiming 4 Mi records in a 100 MB
+// payload. The first reads its one record and the second is refused at
+// open; open plus one Next allocates under 1 MiB either way, because buffers
+// are sized from what the file's bytes can back.
 func TestLBP2CraftedClaimsBoundAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -459,36 +548,31 @@ func TestLBP2CraftedClaimsBoundAllocation(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []openMode{openFile, openMmap} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			n := 0
-			src, err := openSourceMode(path, mode)
-			if err == nil {
-				n, err = src.Next(make([]Inst, 16))
-				CloseSource(src)
-			}
-			runtime.ReadMemStats(&after)
-			if errors.Is(err, errMmapUnsupported) {
-				continue
-			}
-			if tc.accept && (err != nil || n != 1) {
-				t.Errorf("%s mode %d: read %d records (err %v), want the 1 record", tc.name, mode, n, err)
-			}
-			if !tc.accept && err == nil {
-				t.Errorf("%s mode %d: accepted", tc.name, mode)
-			}
-			if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
-				t.Errorf("%s mode %d: open and one Next allocated %d B, over 1 MiB", tc.name, mode, b)
-			}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := 0
+		src, err := OpenSource(path)
+		if err == nil {
+			n, err = src.Next(make([]Inst, 16))
+			CloseSource(src)
+		}
+		runtime.ReadMemStats(&after)
+		if tc.accept && (err != nil || n != 1) {
+			t.Errorf("%s: read %d records (err %v), want the 1 record", tc.name, n, err)
+		}
+		if !tc.accept && err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: open and one Next allocated %d B, over 1 MiB", tc.name, b)
 		}
 	}
 }
 
-// FuzzLBP2 hardens the production LBP2 read path, the layout parser and both
-// chunk loaders: arbitrary bytes must be rejected by both loaders alike or
-// decode identically on both, never panic or yield an out-of-range class or
-// register, and never allocate more than the file's bytes can back.
+// FuzzLBP2 hardens the production LBP2 read path, the layout parser and the
+// resumable chunk decoder: arbitrary bytes must be rejected or decoded, never
+// panic or yield an out-of-range class or register, and never allocate more
+// than the file's bytes can back.
 func FuzzLBP2(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteTraceLBP2(&seed, randomTrace(100, 1))
@@ -538,7 +622,7 @@ func FuzzChampSim(f *testing.F) {
 	f.Add(seed[:champsimRecSize+1]) // torn final record
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == lbp2Magic {
-			t.Skip("LBP2 magic sniffs as LBP2, whose layout parser and loaders FuzzLBP2 covers")
+			t.Skip("LBP2 magic sniffs as LBP2, whose layout parser and reader FuzzLBP2 covers")
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.champsim")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -65,6 +65,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Fork derives an independent generator; the parent advances by one draw.
-func (r *RNG) Fork() *RNG { return NewRNG(int64(r.Uint64())) }

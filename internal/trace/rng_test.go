@@ -108,12 +108,3 @@ func TestRNGBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) hit rate %v", frac)
 	}
 }
-
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(5)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked generators correlated")
-	}
-}

@@ -11,14 +11,15 @@ import (
 // stateful and single-consumer; callers needing concurrent replays open one
 // source each.
 //
-// Implementations: SliceSource (in-memory), the LBP2 file and mmap
-// sources returned by OpenSource, and the ChampSim-style external adapter.
+// Implementations: SliceSource (in-memory) and the two file sources
+// OpenSource returns, the LBP2 reader and the ChampSim-style external
+// adapter.
 type Source interface {
 	// Next fills dst with the next instructions of the stream and returns
 	// how many were written. It returns n < len(dst) only near the end of
-	// the stream; a drained source returns (0, io.EOF). n > 0 with a nil
-	// error is the normal case; implementations never return both n > 0
-	// and a non-nil error.
+	// the stream or just before an error; a drained source returns
+	// (0, io.EOF). n > 0 with a nil error is the normal case;
+	// implementations never return both n > 0 and a non-nil error.
 	Next(dst []Inst) (n int, err error)
 	// Len returns the total instruction count of the stream.
 	Len() int
@@ -87,8 +88,8 @@ func (l *limitSource) Next(dst []Inst) (int, error) {
 
 func (l *limitSource) Len() int { return l.n }
 
-// CloseSource closes src when it holds an open file or mapping; sources
-// without resources (SliceSource) are a no-op.
+// CloseSource closes src when it holds an open file; sources without
+// resources (SliceSource) are a no-op.
 func CloseSource(src Source) error {
 	if l, ok := src.(*limitSource); ok {
 		src = l.src
@@ -97,28 +98,6 @@ func CloseSource(src Source) error {
 		return c.Close()
 	}
 	return nil
-}
-
-// ReadAll drains src into memory. Streaming consumers use Next directly;
-// the LBP2 round-trip and fuzz checks drain both chunk loaders through it.
-func ReadAll(src Source) ([]Inst, error) {
-	if ss, ok := src.(*SliceSource); ok {
-		out := make([]Inst, len(ss.Slice()))
-		copy(out, ss.Slice())
-		return out, nil
-	}
-	out := make([]Inst, 0, src.Len())
-	var chunk [4096]Inst
-	for {
-		n, err := src.Next(chunk[:])
-		out = append(out, chunk[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // SummarizeSource computes a stream's aggregate statistics by draining src
@@ -167,12 +146,12 @@ func SourceSlice(src Source) ([]Inst, bool) {
 	return nil, false
 }
 
-// mustLen guards source constructors against absurd record counts before any
-// allocation is sized from them.
+// checkCount guards source constructors against absurd record counts
+// before any allocation is sized from them.
 func checkCount(n uint64, what string) (int, error) {
-	const maxRecords = 1 << 34 // 16 G instructions: far past any real trace
-	if n > maxRecords {
-		return 0, fmt.Errorf("trace: %s: %d records exceeds the %d cap", what, n, uint64(maxRecords))
+	const maxCount = 1 << 34 // 16 G instructions: far past any real trace
+	if n > maxCount {
+		return 0, fmt.Errorf("trace: %s: %d records exceeds the %d cap", what, n, uint64(maxCount))
 	}
 	return int(n), nil
 }

@@ -156,12 +156,12 @@ const (
 type Source = trace.Source
 
 // OpenTrace opens an on-disk trace (LBP2 or .champsim/.cst external
-// format, sniffed automatically; LBP2 is memory-mapped when the platform
-// supports it) as a streaming Source. Release it with CloseTrace.
+// format, sniffed automatically) as a streaming Source that reads the file
+// with positioned reads. Release it with CloseTrace.
 func OpenTrace(path string) (Source, error) { return trace.OpenSource(path) }
 
-// CloseTrace releases a source's open file or mapping; sources without
-// resources are a no-op.
+// CloseTrace releases a source's open file; sources without resources are a
+// no-op.
 func CloseTrace(src Source) error { return trace.CloseSource(src) }
 
 // Option tunes one Simulate/FromSource run.
@@ -301,10 +301,10 @@ func Simulate(w WorkloadInfo, n int, s Scheme, opts ...Option) (Result, error) {
 // FromSource runs a prepared streaming source under the given scheme: the
 // canonical trace entry point and the one way a trace file is simulated. An
 // in-memory source (trace.NewSliceSource) takes the resident-program path
-// bit-identically; a file or mmap source (OpenTrace) replays at fixed
-// memory. WithSeed is rejected: the stream is already drawn. The caller
-// retains ownership of src — sources are stateful and single-consumer, so
-// open a fresh one per run and release file-backed sources with CloseTrace.
+// bit-identically; a file source (OpenTrace) replays at fixed memory.
+// WithSeed is rejected: the stream is already drawn. The caller retains
+// ownership of src — sources are stateful and single-consumer, so open a
+// fresh one per run and release file-backed sources with CloseTrace.
 // A source cannot know its stream's length, so WithWarmup is not checked
 // against it: a warm-up that covers the whole stream measures nothing.
 func FromSource(src Source, s Scheme, opts ...Option) (Result, error) {
