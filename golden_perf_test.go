@@ -120,6 +120,19 @@ func TestGoldenBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	// Every CPI bucket must name an event that happens: a bucket at zero in
+	// every row cannot explain a moved number.
+	for b := CPIBucket(0); b < NumCPIBuckets; b++ {
+		var sum int64
+		for _, r := range want {
+			if int(b) < len(r.CPI) {
+				sum += r.CPI[b]
+			}
+		}
+		if sum == 0 {
+			t.Errorf("CPI bucket %s is 0 in all %d golden rows", b, len(want))
+		}
+	}
 	if len(want) != len(got) {
 		t.Fatalf("golden rows: got %d, want %d", len(got), len(want))
 	}

@@ -24,15 +24,14 @@ var ErrIntegrity = errors.New("audit: integrity violation")
 // Invariant names reported in IntegrityError.Invariant. Core-loop invariants
 // first, then scheme/OBQ invariants, then oracle cross-checks.
 const (
-	InvRetireMonotonic  = "rob-retire-monotonic"   // retired seq must strictly increase
-	InvWrongPathHead    = "wrong-path-at-rob-head" // wrong-path entries are flushed before the head
-	InvBranchRecord     = "branch-without-record"  // every allocated branch carries a prediction record
-	InvRetireIncomplete = "retire-incomplete"      // retired entry completed in the future
-	InvROBAgeOrder      = "rob-age-order"          // ROB entries are seq-ordered head→tail
-	InvOccupancy        = "occupancy-bounds"       // ROB/alloc-queue occupancy within capacity
-	InvResolutions      = "resolution-consistency" // pending resolutions match unresolved ROB branches
-	InvCPIAccounting    = "cpi-accounting"         // CPI-stack bucket cycles sum to total cycles
-	InvMemTrack         = "mem-track-length"       // a replayed memory track holds one outcome per load/store
+	InvRetireMonotonic = "rob-retire-monotonic"   // retired seq must strictly increase
+	InvWrongPathHead   = "wrong-path-at-rob-head" // wrong-path entries are flushed before the head
+	InvBranchRecord    = "branch-without-record"  // every allocated branch carries a prediction record
+	InvROBAgeOrder     = "rob-age-order"          // ROB entries are seq-ordered head→tail
+	InvOccupancy       = "occupancy-bounds"       // ROB/alloc-queue occupancy within capacity
+	InvResolutions     = "resolution-consistency" // pending resolutions match unresolved ROB branches
+	InvCPIAccounting   = "cpi-accounting"         // CPI-stack bucket cycles sum to total cycles
+	InvMemTrack        = "mem-track-length"       // a replayed memory track holds one outcome per load/store
 
 	InvOBQOrder      = "obq-order"      // OBQ Seq strictly increasing head→tail
 	InvOBQBounds     = "obq-bounds"     // OBQ occupancy within capacity
@@ -72,8 +71,9 @@ func (e *IntegrityError) Unwrap() error { return ErrIntegrity }
 // damage. One auditor serves one simulation run; it is not safe for
 // concurrent use (the core is single-threaded).
 type Auditor struct {
-	first  *IntegrityError
-	checks uint64
+	first    *IntegrityError
+	checks   uint64
+	nextScan int64 // first cycle at which the next structural scan is due
 }
 
 // scanStride is the cycle (or fetched-branch) stride of the expensive
@@ -86,8 +86,19 @@ const scanStride = 64
 // New returns an auditor.
 func New() *Auditor { return &Auditor{} }
 
-// ScanDue reports whether the periodic structural scan should run at cycle.
-func (a *Auditor) ScanDue(cycle int64) bool { return cycle%scanStride == 0 }
+// ScanDue reports whether the periodic structural scan should run at cycle:
+// at the first cycle the caller reaches at or after each scanStride
+// boundary. A loop that iterates every cycle scans at 0, 64, 128, ...; one
+// that skips idle windows scans at the first live cycle after a boundary it
+// skipped, which is exact because a skipped window changes no state a scan
+// reads.
+func (a *Auditor) ScanDue(cycle int64) bool {
+	if cycle < a.nextScan {
+		return false
+	}
+	a.nextScan = (cycle/scanStride + 1) * scanStride
+	return true
+}
 
 // Note counts n individual invariant checks (telemetry for reports).
 func (a *Auditor) Note(n int) { a.checks += uint64(n) }

@@ -1,9 +1,10 @@
 // Package core implements the cycle-level out-of-order superscalar model the
 // paper evaluates on: a Skylake-like 4-wide pipeline (Table 2) with a
-// 224-entry ROB, a 64-entry allocation queue, load/store buffers, a
-// dependence scoreboard with limited functional units, the Table 2 memory
+// 224-entry ROB, a 64-entry allocation queue, a dependence scoreboard with
+// limited functional units and load/store ports, the Table 2 memory
 // hierarchy, and a branch prediction unit with speculative fetch, wrong-path
-// pollution, flush/resteer and local-predictor repair.
+// pollution, flush/resteer and local-predictor repair. Table 2's load and
+// store buffers are not modeled: no stage waits on them (DESIGN.md §8).
 package core
 
 import (
@@ -30,8 +31,6 @@ type Config struct {
 	// EarlyResteerPenalty is the front-end flush cost of an allocation-stage
 	// override (multi-stage prediction, paper §3.2).
 	EarlyResteerPenalty int64
-	LoadBuffer          int
-	StoreBuffer         int
 
 	// Functional-unit counts per class.
 	ALUs, Muls, FPs, LoadPorts, StorePorts int
@@ -77,8 +76,9 @@ type Config struct {
 	// consistency) in addition to the always-on structural invariants. The
 	// first violation aborts the run with its *audit.IntegrityError. All
 	// checks are read-only: reported statistics are bit-identical to an
-	// unaudited run. The auditor's periodic scans are cycle-driven, so an
-	// audited run iterates every cycle instead of skipping idle windows.
+	// unaudited run. An audited run skips idle windows like any other; the
+	// periodic scan runs at the first live cycle at or after each 64-cycle
+	// boundary.
 	Audit *audit.Auditor
 
 	// Golden, when non-nil, cross-checks every real-path retirement (and the
@@ -114,8 +114,6 @@ func DefaultConfig() Config {
 		FrontendDepth:        10,
 		ResteerPenalty:       2,
 		EarlyResteerPenalty:  1,
-		LoadBuffer:           72,
-		StoreBuffer:          56,
 		ALUs:                 4,
 		Muls:                 1,
 		FPs:                  2,
@@ -158,12 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.EarlyResteerPenalty < 0 {
 		bad("EarlyResteerPenalty", c.EarlyResteerPenalty, ">= 0")
-	}
-	if c.LoadBuffer <= 0 {
-		bad("LoadBuffer", c.LoadBuffer, "> 0")
-	}
-	if c.StoreBuffer <= 0 {
-		bad("StoreBuffer", c.StoreBuffer, "> 0")
 	}
 	if c.ALUs <= 0 {
 		bad("ALUs", c.ALUs, "> 0")

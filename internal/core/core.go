@@ -41,32 +41,32 @@ type resolution struct {
 	rec  *bpu.BranchRec
 }
 
-// resource models a bank of units (FUs, load/store buffer slots) as a
-// binary min-heap of next-free cycles; allocation picks the earliest-free
-// unit and returns the earliest start cycle at or after `at`.
+// resource models a bank of pipelined units (ALUs, multipliers, FP units,
+// load and store ports) as a binary min-heap of next-free cycles; allocation
+// picks the earliest-free unit and returns the earliest start cycle at or
+// after `at`.
 //
-// Units are interchangeable — everything observable (take's start cycle,
-// allBusy, minFree) is a function of the multiset of free cycles, never of
-// which unit carries which cycle — so the heap's internal reordering is
-// bit-identical to a linear min scan while costing O(log n) on the 72-entry
-// load buffer instead of O(n).
+// Units are interchangeable — take's start cycle is a function of the
+// multiset of free cycles, never of which unit carries which cycle — so the
+// heap's internal reordering is bit-identical to a linear min scan.
 type resource struct {
 	free []int64
 }
 
 func newResource(n int) *resource { return &resource{free: make([]int64, n)} }
 
-// take reserves a unit from cycle `at` for `dur` cycles and returns the
-// actual start (>= at, delayed if all units busy). One- and two-unit banks
-// (multipliers, store ports, FP units, load ports in the Table 2 config) are
-// special-cased: the heap degenerates to an assignment or a single compare.
-func (r *resource) take(at, dur int64) int64 {
+// take reserves a unit for the one cycle an issue occupies a pipelined unit
+// and returns the actual start (>= at, delayed if all units busy). One- and
+// two-unit banks (multipliers, store ports, FP units, load ports in the
+// Table 2 config) are special-cased: the heap degenerates to an assignment
+// or a single compare.
+func (r *resource) take(at int64) int64 {
 	f := r.free
 	start := at
 	if f[0] > start {
 		start = f[0]
 	}
-	v := start + dur
+	v := start + 1
 	switch len(f) {
 	case 1:
 		f[0] = v
@@ -102,90 +102,6 @@ func (r *resource) replaceMin(v int64) {
 		i = k
 	}
 	f[i] = v
-}
-
-// occBuf models a bank of interchangeable buffer slots (the load and store
-// buffers) whose take start cycle is discarded by its only caller: the sole
-// observables are the earliest next-free cycle (allBusy, lsqBusyUntil) and
-// the slot count (the auditor's occupancy invariant). That collapses the
-// 72-entry heap to a short sorted run-length list of (free-cycle, count)
-// levels — free cycles cluster into two or three runs in practice — so a
-// take is an O(1) head decrement plus a front insert instead of an O(log n)
-// sift. The level list grows by append in the (pathological) worst case, so
-// the representation stays exact for every configuration.
-type occBuf struct {
-	slots  int
-	levels []occLevel // ascending free cycles; counts sum to slots
-}
-
-type occLevel struct {
-	free int64
-	n    int32
-}
-
-func newOccBuf(n int) *occBuf {
-	b := &occBuf{slots: n, levels: make([]occLevel, 1, 8)}
-	b.levels[0] = occLevel{free: 0, n: int32(n)}
-	return b
-}
-
-// take1 reserves a slot from cycle `at` for one cycle: the earliest-free
-// slot is re-busied until max(free, at)+1, exactly as resource.take(at, 1)
-// would move the heap minimum.
-//
-// Levels at or before `at` are first folded into the head. That is exact:
-// `at` cycles are monotone, so every later query compares against a cycle
-// >= at, where all folded values are equally "free now" — and the head
-// keeps the true multiset minimum, so minFree stays the heap minimum
-// whenever it is observable (> the query cycle). The fold keeps the list at
-// one free run plus a couple of busy levels, so the insert scan is O(1).
-func (b *occBuf) take1(at int64) {
-	ls := b.levels
-	for len(ls) > 1 && ls[0].free <= at && ls[1].free <= at {
-		ls[0].n += ls[1].n
-		copy(ls[1:], ls[2:])
-		ls = ls[:len(ls)-1]
-		b.levels = ls
-	}
-	v := at + 1
-	if m := ls[0].free; m > at {
-		v = m + 1
-	}
-	// Consume one slot from the minimum level...
-	if ls[0].n--; ls[0].n == 0 {
-		copy(ls, ls[1:])
-		ls = ls[:len(ls)-1]
-		b.levels = ls
-	}
-	// ...and re-insert it at v. Every level below v is <= at (the free
-	// run), so the insertion point is the free/busy boundary at the front.
-	i := 0
-	for i < len(ls) && ls[i].free < v {
-		i++
-	}
-	if i < len(ls) && ls[i].free == v {
-		ls[i].n++
-		return
-	}
-	ls = append(ls, occLevel{})
-	copy(ls[i+1:], ls[i:])
-	ls[i] = occLevel{free: v, n: 1}
-	b.levels = ls
-}
-
-// minFree returns the earliest next-free cycle across the bank's slots.
-func (b *occBuf) minFree() int64 { return b.levels[0].free }
-
-// allBusy reports whether every slot is reserved past cycle.
-func (b *occBuf) allBusy(cycle int64) bool { return b.levels[0].free > cycle }
-
-// size returns the live slot count (the auditor's occupancy cross-check).
-func (b *occBuf) size() int {
-	n := 0
-	for _, l := range b.levels {
-		n += int(l.n)
-	}
-	return n
 }
 
 // Core is one simulated out-of-order core.
@@ -251,7 +167,6 @@ type Core struct {
 	regReady [trace.NumRegs]int64
 
 	alus, muls, fps, ldPorts, stPorts *resource
-	ldBuf, stBuf                      *occBuf
 
 	cycle int64
 	seq   uint64
@@ -374,8 +289,6 @@ func newCore(cfg Config, unit *bpu.Unit, prog []trace.Inst) *Core {
 		fps:     newResource(cfg.FPs),
 		ldPorts: newResource(cfg.LoadPorts),
 		stPorts: newResource(cfg.StorePorts),
-		ldBuf:   newOccBuf(cfg.LoadBuffer),
-		stBuf:   newOccBuf(cfg.StoreBuffer),
 	}
 	// Pre-size the branch-record pool for the worst-case in-flight branch
 	// population (alloc queue + ROB, plus slack for records awaiting a
@@ -527,9 +440,10 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 	// Idle-cycle fast-forward: when no event can land before cycle X, jump
 	// the clock there in one step instead of iterating empty cycles. The
 	// skip is exact — counters, CPI attribution and watchdog behavior are
-	// bit-identical to the cycle-by-cycle run (see fastforward.go). The
-	// auditor's periodic scans are cycle-driven, so auditing disables it.
-	ff := c.cfg.Audit == nil && !c.disableFastForward
+	// bit-identical to the cycle-by-cycle run (see fastforward.go). An
+	// auditor's periodic scan runs at the first live cycle after each
+	// boundary the skip passes over (audit.Auditor.ScanDue).
+	ff := !c.disableFastForward
 	for c.pos < c.total || c.robLen() > 0 || c.fqCount > 0 {
 		if iter&cancelCheckMask == 0 && done != nil {
 			if err := ctx.Err(); err != nil {
@@ -682,12 +596,6 @@ func (c *Core) auditScan() {
 			"  rob occupancy %d/%d, alloc-queue occupancy %d/%d", n, c.robSize, c.fqCount, c.fqSize))
 		return
 	}
-	if c.ldBuf.size() != c.cfg.LoadBuffer || c.stBuf.size() != c.cfg.StoreBuffer {
-		c.violation(0, audit.InvOccupancy, fmt.Sprintf(
-			"  load buffer %d/%d slots, store buffer %d/%d slots",
-			c.ldBuf.size(), c.cfg.LoadBuffer, c.stBuf.size(), c.cfg.StoreBuffer))
-		return
-	}
 	unresolved := 0
 	var prevSeq uint64
 	for abs := c.robHead; abs < c.robTail; abs++ {
@@ -718,9 +626,9 @@ func (c *Core) auditScan() {
 // classifyCycle attributes the cycle that just finished to exactly one CPI
 // bucket via a priority decision tree (DESIGN.md §11): retired work first;
 // an occupied ROB is blamed on its head (memory in flight → memory-bound,
-// then repair-busy, then structural full conditions, then the alloc-stall
-// residual); an empty ROB is front-end-resteer while the post-flush refill
-// window is open and alloc-stall otherwise.
+// then repair-busy, then a full ROB, then the alloc-stall residual); an
+// empty ROB is front-end-resteer while the post-flush refill window is open
+// and alloc-stall otherwise.
 func (c *Core) classifyCycle(retired bool) obs.CPIBucket {
 	if retired {
 		return obs.CPIRetired
@@ -735,9 +643,6 @@ func (c *Core) classifyCycle(retired bool) obs.CPIBucket {
 		}
 		if c.robLen() >= c.robSize {
 			return obs.CPIROBFull
-		}
-		if c.ldBuf.allBusy(c.cycle) || c.stBuf.allBusy(c.cycle) {
-			return obs.CPILSQFull
 		}
 		return obs.CPIAllocStall
 	}
@@ -951,7 +856,7 @@ func (c *Core) handleEarlyResteer(e *robEntry, rec *bpu.BranchRec) {
 }
 
 // execTiming computes the completion cycle of a real-path instruction,
-// honoring register dependences, functional-unit and buffer occupancy, and
+// honoring register dependences, functional-unit and port occupancy, and
 // memory latency.
 func (c *Core) execTiming(in *trace.Inst) int64 {
 	ready := c.cycle + 1
@@ -965,23 +870,21 @@ func (c *Core) execTiming(in *trace.Inst) int64 {
 	var start, lat int64
 	switch in.Class {
 	case trace.ClassLoad:
-		c.ldBuf.take1(c.cycle) // occupancy approximated by port pressure
-		start = c.ldPorts.take(ready, 1)
+		start = c.ldPorts.take(ready)
 		lat = c.memAccess(in)
 	case trace.ClassStore:
-		c.stBuf.take1(c.cycle)
-		start = c.stPorts.take(ready, 1)
+		start = c.stPorts.take(ready)
 		lat = 1
 		// Stores complete at retire; data path latency hidden.
 		c.memAccess(in)
 	case trace.ClassMul:
-		start = c.muls.take(ready, 1)
+		start = c.muls.take(ready)
 		lat = c.cfg.LatMul
 	case trace.ClassFP:
-		start = c.fps.take(ready, 1)
+		start = c.fps.take(ready)
 		lat = c.cfg.LatFP
 	default: // ALU and branches
-		start = c.alus.take(ready, 1)
+		start = c.alus.take(ready)
 		lat = c.cfg.LatALU
 	}
 	done := start + lat

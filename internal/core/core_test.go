@@ -235,13 +235,13 @@ func TestSchemeIntegration(t *testing.T) {
 
 func TestResourceTake(t *testing.T) {
 	r := newResource(2)
-	if got := r.take(10, 1); got != 10 {
+	if got := r.take(10); got != 10 {
 		t.Fatalf("first unit start %d", got)
 	}
-	if got := r.take(10, 1); got != 10 {
+	if got := r.take(10); got != 10 {
 		t.Fatalf("second unit start %d", got)
 	}
-	if got := r.take(10, 1); got != 11 {
+	if got := r.take(10); got != 11 {
 		t.Fatalf("third op should wait: start %d", got)
 	}
 }

@@ -98,9 +98,6 @@ func (c *Core) idleUntil(limit int64) int64 {
 					x = b
 				}
 			}
-			if m := lsqBusyUntil(c.ldBuf, c.stBuf); m > cycle && m < x {
-				x = m
-			}
 		} else if c.cpiFrontHold > cycle && c.cpiFrontHold < x {
 			x = c.cpiFrontHold
 		}
@@ -121,15 +118,4 @@ func (c *Core) skipIdle(n int64) {
 		c.cpi.AddN(c.classifyCycle(false), n)
 	}
 	c.cycle += n
-}
-
-// lsqBusyUntil returns the cycle at which the LSQ-full condition
-// (ld.allBusy || st.allBusy) turns false: the later of the two buffers'
-// earliest-free cycles.
-func lsqBusyUntil(ld, st *occBuf) int64 {
-	a, b := ld.minFree(), st.minFree()
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"localbp/internal/audit"
 	"localbp/internal/bpu"
 	"localbp/internal/bpu/loop"
 	"localbp/internal/bpu/tage"
@@ -15,8 +16,9 @@ import (
 // TestFastForwardDifferential pins the fast-forward's exactness contract:
 // a run that skips idle windows must be bit-identical — every Stats field
 // and the full CPI stack — to the cycle-by-cycle run. Two subtests cover
-// it: AllSchemes runs every scheme on the first quick-suite workloads, and
-// FullSuite runs forward-coalesce over the full quick suite plus the
+// it: AllSchemes runs every scheme on the first quick-suite workloads, plus
+// an audited fast-forward run that must also pass every integrity check,
+// and FullSuite runs forward-coalesce over the full quick suite plus the
 // 37-rung stressor ladder at a shorter length.
 func TestFastForwardDifferential(t *testing.T) {
 	forwardCoalesce := func() repair.Scheme {
@@ -25,18 +27,27 @@ func TestFastForwardDifferential(t *testing.T) {
 	type scheme struct {
 		name string
 		mk   func() repair.Scheme
+		// audited attaches an auditor to the fast-forward run only; the
+		// cycle-by-cycle run it is compared with stays unaudited.
+		audited bool
 	}
 	allSchemes := []scheme{
-		{"baseline", func() repair.Scheme { return nil }},
-		{"no-repair", func() repair.Scheme { return repair.NewNone(loop.Loop128()) }},
-		{"forward-coalesce", forwardCoalesce},
-		{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }},
+		{"baseline", func() repair.Scheme { return nil }, false},
+		{"no-repair", func() repair.Scheme { return repair.NewNone(loop.Loop128()) }, false},
+		{"forward-coalesce", forwardCoalesce, false},
+		{"perfect", func() repair.Scheme { return repair.NewPerfect(loop.Loop128()) }, false},
+		{"forward-coalesce-audited", forwardCoalesce, true},
 	}
 	runOne := func(t *testing.T, tr []trace.Inst, sc scheme, disableFF bool) (Stats, [obs.NumCPIBuckets]int64) {
 		cfg := DefaultConfig()
 		cpi := obs.NewCPIStack()
 		cfg.Obs = &obs.Hooks{CPI: cpi}
-		c := New(cfg, bpu.NewUnit(tage.KB8(), sc.mk()), tr)
+		s := sc.mk()
+		if sc.audited && !disableFF {
+			cfg.Audit = audit.New()
+			s = audit.WrapScheme(s, cfg.Audit)
+		}
+		c := New(cfg, bpu.NewUnit(tage.KB8(), s), tr)
 		c.disableFastForward = disableFF
 		st := mustSimulate(t, c)
 		var stacks [obs.NumCPIBuckets]int64
@@ -63,7 +74,7 @@ func TestFastForwardDifferential(t *testing.T) {
 		check(t, quick[:6], 12_000, allSchemes)
 	})
 	t.Run("FullSuite", func(t *testing.T) {
-		check(t, append(quick, workloads.StressSuite()...), 8_000, []scheme{{"forward-coalesce", forwardCoalesce}})
+		check(t, append(quick, workloads.StressSuite()...), 8_000, []scheme{{"forward-coalesce", forwardCoalesce, false}})
 	})
 }
 

@@ -62,21 +62,20 @@ func TestConfigValidateGeometry(t *testing.T) {
 func FuzzCoreConfigValidate(f *testing.F) {
 	tr := workloads.QuickSuite()[0].Generate(2_000)
 	d := DefaultConfig()
-	f.Add(int8(d.Width), int16(d.ROBSize), int16(d.AllocQueue), int16(d.LoadBuffer), int16(d.StoreBuffer),
+	f.Add(int8(d.Width), int16(d.ROBSize), int16(d.AllocQueue),
 		int8(d.ALUs), int8(d.LoadPorts), int8(d.FrontendDepth),
 		int16(d.Mem.L1.SizeBytes>>10), int8(d.Mem.L1.LineBytes), int8(d.Mem.L1.Ways), int8(d.Mem.L1.Latency),
 		int16(d.Mem.L2.SizeBytes>>10), int8(d.Mem.L2.Ways),
 		int16(d.Mem.LLC.SizeBytes>>10), int8(d.Mem.LLC.Ways), int16(d.Mem.DRAMLatency),
 		int16(d.BTB.Entries), int8(d.BTB.Ways))
-	f.Add(int8(1), int16(1), int16(1), int16(1), int16(1), int8(1), int8(1), int8(0),
+	f.Add(int8(1), int16(1), int16(1), int8(1), int8(1), int8(0),
 		int16(1), int8(64), int8(16), int8(0), int16(0), int8(0), int16(-1), int8(65), int16(-1),
 		int16(12), int8(4))
-	f.Fuzz(func(t *testing.T, width int8, rob, aq, lb, sb int16, alus, ldPorts, frontend int8,
+	f.Fuzz(func(t *testing.T, width int8, rob, aq int16, alus, ldPorts, frontend int8,
 		l1KB int16, line, l1Ways, l1Lat int8, l2KB int16, l2Ways int8, llcKB int16, llcWays int8, dram int16,
 		btbEntries int16, btbWays int8) {
 		cfg := DefaultConfig()
 		cfg.Width, cfg.ROBSize, cfg.AllocQueue = int(width), int(rob), int(aq)
-		cfg.LoadBuffer, cfg.StoreBuffer = int(lb), int(sb)
 		cfg.ALUs, cfg.LoadPorts, cfg.FrontendDepth = int(alus), int(ldPorts), int64(frontend)
 		cfg.Mem.L1.SizeBytes, cfg.Mem.L1.LineBytes, cfg.Mem.L1.Ways = int(l1KB)<<10, int(line), int(l1Ways)
 		cfg.Mem.L1.Latency = int64(l1Lat)

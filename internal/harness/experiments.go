@@ -79,7 +79,6 @@ func Table2() string {
 	t := &metrics.Table{Header: []string{"Parameter", "Value"}}
 	t.AddRow("Core", fmt.Sprintf("%d-wide OOO, %d-entry ROB, %d-entry allocation queue",
 		cfg.Width, cfg.ROBSize, cfg.AllocQueue))
-	t.AddRow("Buffers", fmt.Sprintf("%d-entry load buffer, %d-entry store buffer", cfg.LoadBuffer, cfg.StoreBuffer))
 	t.AddRow("Baseline predictor", "TAGE - 7.1 KB class (see tage.KB8)")
 	t.AddRow("CBPw-Loop256", "256 entries, 8-way BHT, PT")
 	t.AddRow("CBPw-Loop128", "128 entries, 8-way BHT, PT (default)")

@@ -3,10 +3,11 @@
 // 16-way, 40 cycles) and DDR4-class main memory, with next-line/stride
 // prefetchers enabled at every cache level.
 //
-// The model is a latency model: an access returns the cycle count to data
-// return. Bandwidth contention is approximated by a per-level small busy
-// penalty rather than full MSHR queueing — sufficient for the relative IPC
-// effects the paper studies (branch repair), and documented in DESIGN.md.
+// The model is latency-only: an access returns a fixed cycle count for the
+// level that supplied its line, with no MSHR, bandwidth or busy model — what
+// limits memory issue is the core's load and store ports. That is
+// sufficient for the relative IPC effects the paper studies (branch
+// repair), and documented in DESIGN.md §8.
 package mem
 
 import (

@@ -21,8 +21,7 @@ type CPIBucket uint8
 //  3. memory-bound: the ROB head is an in-flight load or store.
 //  4. repair-busy: the repair scheme holds the BHT/checkpoint ports busy.
 //  5. rob-full: allocation is blocked because the ROB is at capacity.
-//  6. lsq-full: allocation is blocked on load/store-buffer occupancy.
-//  7. alloc-stall: residual — nothing retired and no more specific cause
+//  6. alloc-stall: residual — nothing retired and no more specific cause
 //     matched (e.g. a non-memory op still executing at the ROB head, or an
 //     empty ROB with no pending resteer).
 const (
@@ -31,7 +30,6 @@ const (
 	CPIMemoryBound
 	CPIRepairBusy
 	CPIROBFull
-	CPILSQFull
 	CPIAllocStall
 	NumCPIBuckets
 )
@@ -42,7 +40,6 @@ var cpiNames = [NumCPIBuckets]string{
 	CPIMemoryBound:     "memory-bound",
 	CPIRepairBusy:      "repair-busy",
 	CPIROBFull:         "rob-full",
-	CPILSQFull:         "lsq-full",
 	CPIAllocStall:      "alloc-stall",
 }
 

@@ -135,7 +135,6 @@ const (
 	CPIMemoryBound     = obs.CPIMemoryBound
 	CPIRepairBusy      = obs.CPIRepairBusy
 	CPIROBFull         = obs.CPIROBFull
-	CPILSQFull         = obs.CPILSQFull
 	CPIAllocStall      = obs.CPIAllocStall
 	// NumCPIBuckets is the bucket count; valid buckets are < NumCPIBuckets.
 	NumCPIBuckets = obs.NumCPIBuckets
